@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the design choices the paper calls out:
 //!
 //! * **E9 — r.in_degree poll caching** (§IV-B): the lock-wait loop
 //!   skips peers whose partial in-degree already reached zero. We

@@ -1,7 +1,7 @@
 //! # mgpu-sim — a discrete-event model of a multi-GPU HPC node
 //!
 //! This crate is the hardware substitute for the paper's NVIDIA
-//! V100-DGX-1 and DGX-2 testbeds (see DESIGN.md §1). It models, at the
+//! V100-DGX-1 and DGX-2 testbeds. It models, at the
 //! granularity that governs SpTRSV behaviour:
 //!
 //! * [`GpuSpec`] — a V100-class GPU: resident-warp slots, execution

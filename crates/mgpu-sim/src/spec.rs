@@ -44,9 +44,9 @@ pub struct GpuSpec {
 impl GpuSpec {
     /// Tesla V100 (SXM2) parameters *at corpus scale*: issue capacity
     /// and resident-warp slots are divided by the same ~×100 factor as
-    /// the corpus row caps (DESIGN.md §5), so per-GPU saturation — the
-    /// effect the task pool exists to exploit — occurs at the same
-    /// relative matrix size as on the real machine. Latency-class
+    /// the corpus row caps (`sparsemat::corpus`), so per-GPU saturation
+    /// — the effect the task pool exists to exploit — occurs at the
+    /// same relative matrix size as on the real machine. Latency-class
     /// parameters (atomics, polls, launches) are unscaled: latencies
     /// don't shrink when a problem does.
     pub fn v100() -> Self {

@@ -12,7 +12,7 @@
 //!
 //! Both produce a solvable `(L, U)` pair whose level structure matches
 //! the input's dependency pattern, which is the property the
-//! experiments rely on (see DESIGN.md §1).
+//! experiments rely on.
 //!
 //! ## Refactorization: new values, recorded pattern
 //!

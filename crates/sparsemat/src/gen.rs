@@ -5,7 +5,7 @@
 //! target nonzero count and a tunable dependency locality. This is what
 //! lets the Table-I analog corpus match the paper's structural metrics
 //! (rows, nnz, #levels, parallelism) for each SuiteSparse input without
-//! shipping gigabytes of data (see DESIGN.md §1).
+//! shipping gigabytes of data (see [`crate::corpus`]).
 //!
 //! Additional generators cover the domain examples: 5-point grid
 //! Laplacians (structured-grid problems), banded systems, scale-free

@@ -193,7 +193,6 @@ impl LevelSets {
             }
         };
         let mut seg_ptr = vec![0u32; n_levels * shards + 1];
-        let mut shard_of = vec![0u32; n];
         for l in 0..n_levels {
             let lo = self.level_ptr[l] as usize;
             let width = self.level_ptr[l + 1] as usize - lo;
@@ -201,14 +200,10 @@ impl LevelSets {
                 // near-equal contiguous slices; segment ends are
                 // cumulative, so consecutive segments (and levels)
                 // tile the order array exactly
-                let hi = lo + width * (s + 1) / shards;
-                seg_ptr[l * shards + s + 1] = hi as u32;
-                for &c in &order[lo + width * s / shards..hi] {
-                    shard_of[c as usize] = s as u32;
-                }
+                seg_ptr[l * shards + s + 1] = (lo + width * (s + 1) / shards) as u32;
             }
         }
-        LevelSegments { shards, order, seg_ptr, shard_of }
+        LevelSegments { shards, order, seg_ptr }
     }
 
     /// Partition the levels into **chains**: maximal runs of
@@ -273,9 +268,6 @@ pub struct LevelSegments {
     /// CSR-style segment offsets into [`LevelSegments::order`]
     /// (`n_levels * shards + 1` entries).
     pub seg_ptr: Vec<u32>,
-    /// Owning shard per component: `shard_of[c]` is the shard whose
-    /// segment (in `c`'s level) contains `c`.
-    pub shard_of: Vec<u32>,
 }
 
 impl LevelSegments {
@@ -348,16 +340,15 @@ impl ChainPartition {
         (0..self.n_chains()).filter(|&k| self.fused[k]).map(|k| self.chain(k).len()).sum()
     }
 
-    /// Barriers one parallel solve over this partition pays: a fused
-    /// chain needs one trailing barrier (publish its rows to the other
-    /// workers), a sharded wide level needs two (solve phase → update
-    /// phase → publish), and the final chain drops its trailing
-    /// barrier because the region join synchronizes. The unfused
-    /// partition (`width_threshold == 0`) yields the classic
-    /// `2·levels − 1`.
+    /// Barriers one parallel solve over this partition pays: every
+    /// chain — a fused run on one worker or a wide level sharded
+    /// across all of them, each a single phase that reads only earlier
+    /// chains — needs one trailing barrier to publish its rows, and
+    /// the final chain drops it because the region join synchronizes:
+    /// `chains − 1`. The unfused partition (`width_threshold == 0`)
+    /// yields the classic `levels − 1`; a lone wide level pays 0.
     pub fn barriers_per_solve(&self) -> usize {
-        let per_chain: usize = self.fused.iter().map(|&f| if f { 1 } else { 2 }).sum();
-        per_chain.saturating_sub(1)
+        self.n_chains().saturating_sub(1)
     }
 }
 
@@ -568,7 +559,6 @@ mod tests {
                 let mut rebuilt: Vec<Idx> = Vec::new();
                 for s in 0..shards {
                     for &c in segs.segment(l, s) {
-                        assert_eq!(segs.shard_of[c as usize], s as u32);
                         assert_eq!(ls.level_of[c as usize] as usize, l);
                         rebuilt.push(c);
                     }
@@ -625,12 +615,12 @@ mod tests {
         assert_eq!(ch.chain(3), 3..5);
         assert_eq!(ch.fused_levels(), 3);
         assert_eq!(ch.width_threshold(), 1);
-        // 1 + 2 + 2 + 1 barriers minus the dropped trailing one
-        assert_eq!(ch.barriers_per_solve(), 5);
+        // one per chain minus the dropped trailing one
+        assert_eq!(ch.barriers_per_solve(), 3);
     }
 
     /// Threshold 0 disables fusion: every level is a singleton wide
-    /// chain and the partition describes one barrier pair per level.
+    /// chain and the partition describes one barrier per level.
     #[test]
     fn threshold_zero_reproduces_per_level_schedule() {
         let ls = LevelSets::analyze(&fig1(), Triangle::Lower);
@@ -638,7 +628,7 @@ mod tests {
         assert_eq!(ch.n_chains(), ls.n_levels());
         assert!((0..ch.n_chains()).all(|k| !ch.is_fused(k) && ch.chain(k).len() == 1));
         assert_eq!(ch.fused_levels(), 0);
-        assert_eq!(ch.barriers_per_solve(), 2 * ls.n_levels() - 1);
+        assert_eq!(ch.barriers_per_solve(), ls.n_levels() - 1);
     }
 
     /// A pure dependency chain fuses into one barrier-free chain at
@@ -664,7 +654,7 @@ mod tests {
         let ch = diag.chains(4);
         assert_eq!(ch.n_chains(), 1);
         assert!(!ch.is_fused(0));
-        assert_eq!(ch.barriers_per_solve(), 1);
+        assert_eq!(ch.barriers_per_solve(), 0, "a lone wide level needs no barrier");
         // threshold at the full width fuses even the single wide level
         assert!(diag.chains(16).is_fused(0));
     }

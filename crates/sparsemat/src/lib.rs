@@ -11,7 +11,7 @@
 //!   `dependency = nnz/rows` and `parallelism = rows/levels` metrics.
 //! * [`io`] — Matrix Market reader/writer for real SuiteSparse inputs.
 //! * [`factor`] — ILU(0) and triangular-part extraction, standing in
-//!   for the paper's MA48 factorization step (see DESIGN.md §1).
+//!   for the paper's MA48 factorization step.
 //! * [`fingerprint`] — content-addressed factor identity
 //!   ([`FactorFingerprint`]: structural hash + value epoch), the
 //!   routing key of the serving fleet's factor cache.

@@ -29,40 +29,54 @@
 //! the right-hand side. `build` exploits this: it simulates the full
 //! timeline once (the calibration run) and records the resulting
 //! report (timings, machine statistics, event counts); every
-//! subsequent [`SolverEngine::solve`] replays only the `O(n + nnz)`
-//! numeric substitution along the engine's **canonical order** — the
-//! level-major, owner-grouped schedule of
-//! [`crate::exec::ShardedReplay`], a topological order every warm tier
-//! shares. Warm results are bit-identical to one-shot [`crate::solve`]
-//! — at a small fraction of the wall-clock. `BENCH_engine.json`
-//! (emitted by `cargo bench -p sptrsv-bench --bench engine`) tracks
-//! the ratio.
+//! subsequent [`SolverEngine::solve`] runs only the `O(n + nnz)`
+//! numeric substitution on the engine's
+//! [`crate::exec::NumericFactor`] — the factor's rows relabelled once,
+//! at build, into the **canonical order** (the level-major,
+//! owner-grouped order of the engine's [`Schedule`]) and swept as a
+//! contiguous row gather. Warm results are bit-identical to one-shot
+//! [`crate::solve`] — at a small fraction of the wall-clock.
+//! `BENCH_engine.json` (emitted by
+//! `cargo bench -p sptrsv-bench --bench engine`) tracks the ratio.
 //!
-//! ## The four-tier warm path
+//! ## The warm tiers: one kernel, four shapes
 //!
-//! Warm solves come in four shapes, keyed to the workload:
+//! Every warm solve is the same row sweep
+//! `y[i] = (y[i] − Σₖ vals[k]·y[cols[k]]) / diag[i]` over the
+//! relabelled factor, with `b` permuted into `y` before it and `x`
+//! out after (see [`crate::exec`]'s module docs); the tiers differ
+//! only in who sweeps which rows for how many right-hand sides:
 //!
 //! 1. **Single solve** — [`SolverEngine::solve`] (convenience,
 //!    allocates the report) or [`SolverEngine::solve_into`]
 //!    (caller-provided [`SolveWorkspace`] and output buffer, **zero**
-//!    heap allocation in steady state). Right choice when right-hand
-//!    sides arrive one at a time with data dependencies between them —
-//!    e.g. the preconditioner application inside a Krylov iteration.
-//! 2. **Sharded solve** — [`SolverEngine::solve_sharded_into`] runs
-//!    [`crate::exec::ShardedReplay`]: one right-hand side executed
-//!    level-parallel across the persistent worker pool, each level a
-//!    two-phase parallel region (solve owned components / apply
-//!    owner-local updates) synchronized by a reusable barrier. This is
-//!    the paper's parallel execution model — independent components
-//!    concurrent, producer/owner-local updates — running real numerics
-//!    on the host. Wins on *wide* factors (many components per level);
-//!    deep narrow factors stay serial, and `solve`/`solve_into` pick
-//!    the tier automatically from calibrated structure thresholds.
-//! 3. **Fused panel** — [`SolverEngine::solve_panel_into`] runs
-//!    [`ExecAnalysis::replay_panel`]: the flattened factor adjacency is
-//!    streamed once per K-wide block of right-hand sides
+//!    heap allocation in steady state): one thread sweeps `0..n`.
+//!    Right choice when right-hand sides arrive one at a time with
+//!    data dependencies between them — e.g. the preconditioner
+//!    application inside a Krylov iteration.
+//! 2. **Sharded solve** — [`SolverEngine::solve_sharded_into`]: one
+//!    right-hand side swept chain-parallel across the persistent
+//!    worker pool — a fused chain of narrow levels by one worker, a
+//!    wide level cut into shards across all of them, one barrier per
+//!    chain boundary. This is the paper's parallel execution model —
+//!    independent components concurrent — running real numerics on the
+//!    host. `solve`/`solve_into` pick between tiers 1 and 2 **by
+//!    measurement**: the first few auto-tier solves are timed on each
+//!    candidate (serial, and [`Schedule::auto_workers`] workers when
+//!    that is > 1) and the engine commits to the faster for the life
+//!    of its structure plan — the tiers are bit-identical by
+//!    contract, so the probe is invisible in the results. Which side
+//!    wins is a property of the host as much as of the factor: on the
+//!    2-thread VM this repository's committed numbers come from, one
+//!    core already saturates the memory bandwidth and serial won on
+//!    every shape tried, so only the serial verdict is exercised
+//!    there; the `engine` bench gates the selector (auto within 1.25×
+//!    of the faster pinned tier) on whatever host runs it.
+//! 3. **Fused panel** — [`SolverEngine::solve_panel_into`]: the factor
+//!    is streamed once per K-wide block of right-hand sides
 //!    ([`crate::exec::PANEL_K`] lanes, interleaved layout, vectorized
-//!    inner loop) instead of once per RHS. Replay is
+//!    lane loops) instead of once per RHS; a one-RHS panel runs the
+//!    scalar kernel straight into the caller's vector. The sweep is
 //!    memory-bandwidth-bound, so this wins whenever ≥ 2 independent
 //!    right-hand sides are available at once — block Krylov methods,
 //!    multiple probing vectors, batched inference.
@@ -75,25 +89,36 @@
 //!    chunking is deterministic, so results never depend on the worker
 //!    count.
 //!
-//! All four tiers produce bit-identical solutions: every tier walks
-//! the same canonical floating-point operation sequence per RHS — the
-//! sharded tier by owner-computes construction (each row is solved,
-//! and its partial sum accumulated in canonical source order, by
-//! exactly one worker), the panel tiers because lanes never mix.
+//! All four tiers produce bit-identical solutions: a row's value
+//! depends only on `b`, its stored entries (gathered in source-position
+//! order into an accumulator that starts at `+0.0` — exactly the
+//! operand sequence of the column-scatter `left_sum` this layout
+//! replaced) and rows of earlier levels, so it is the same whoever
+//! computes it; panel lanes never mix.
+//!
+//! Natural-order consumers — the [`SolverKind::Serial`] engine, the
+//! Krylov preconditioner's `apply_into`, the `verify: true` reference
+//! — run the same kernel over a factor relabelled into the natural
+//! substitution order instead (identity permutation for `L`, reversed
+//! for `U`), which is bit-identical to [`crate::reference`]; a
+//! simulated engine builds that second factor up front when
+//! `opts.verify` is set, and otherwise only when such a consumer first
+//! asks.
 //!
 //! ## The value-refresh lifecycle
 //!
 //! Time-stepping and quasi-Newton workloads refactor the **same
 //! sparsity pattern** with new numeric values every few steps. Because
-//! the analysis phase — level sets, the plan, the flat adjacency, the
-//! calibration timeline — depends only on *structure*, none of it goes
-//! stale when values change. [`SolverEngine::refresh_values`] exploits
-//! that: the engine's prebuilt state is split into an immutable
-//! **structure plan** (the canonical order, the calibration template,
-//! the sharding heuristic) and a mutable **numeric state** (the
-//! adjacency's value arrays, the sharded schedule's update values)
-//! behind one `RwLock`, and a refresh rewrites only the numeric half —
-//! zero symbolic work, zero allocation on a clean factor.
+//! the analysis phase — level sets, the plan, the schedule, the
+//! relabelling, the calibration timeline — depends only on
+//! *structure*, none of it goes stale when values change.
+//! [`SolverEngine::refresh_values`] exploits that: the engine's
+//! prebuilt state is split into an immutable **structure plan** (the
+//! Schedule IR, the calibration template, the committed auto tier)
+//! and a mutable **numeric state** (the relabelled factor's `vals` and
+//! `diag`) behind one `RwLock`, and a refresh rewrites only the
+//! numeric half — one `vals[k] = values[from[k]]` pass, zero symbolic
+//! work, zero allocation on a clean factor.
 //!
 //! The refresh contract:
 //!
@@ -124,7 +149,7 @@
 //! reserved for internal invariants (a broken engine, not a bad
 //! argument).
 
-use crate::exec::{self, ExecAnalysis, ExecConfig, ReplayWorkspace, ShardedReplay};
+use crate::exec::{self, ExecAnalysis, ExecConfig, NumericFactor, ReplayWorkspace};
 use crate::fault::{self, FaultSite};
 use crate::levelset;
 use crate::plan::{ExecutionPlan, Partition};
@@ -137,10 +162,11 @@ use crate::verify;
 use crate::Backend;
 use desim::SimTime;
 use mgpu_sim::{Machine, MachineConfig};
-use sparsemat::{CscMatrix, FactorAudit, FactorFingerprint, LevelSets, MatrixError, Triangle};
+use sparsemat::{CscMatrix, FactorAudit, FactorFingerprint, LevelSets, MatrixError};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Instant;
 
 /// A reusable solver: analysis done once at build, arbitrarily many
 /// solves afterwards.
@@ -148,11 +174,25 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLo
 /// The engine borrows the factor (`'m`), so the matrix outlives the
 /// engine — the natural shape for a preconditioner loop where `L`/`U`
 /// live for the whole Krylov iteration.
+///
+/// The prebuilt state is split along the refresh boundary: what
+/// depends only on *structure* ([`StructurePlan`]) is immutable for
+/// the engine's lifetime; what depends on *values* ([`NumericState`])
+/// sits behind a `RwLock` so [`SolverEngine::refresh_values`] can
+/// rewrite it in place.
 #[derive(Debug)]
 pub struct SolverEngine<'m> {
     m: &'m CscMatrix,
     opts: SolveOptions,
-    variant: Variant,
+    /// `None` for the serial host solver, which has no machine, no
+    /// plan and no schedule: it sweeps a natural-order factor, which
+    /// is bit-identical to the classic CSC substitution.
+    structure: Option<StructurePlan>,
+    /// Solves take the read lock for their whole duration (solve +
+    /// verification); a refresh takes the write lock — which is the
+    /// quiesce point that makes every solve observe exactly one value
+    /// epoch.
+    numeric: RwLock<NumericState>,
     /// The latest numeric/structural sweep over the factor's values
     /// (see [`sparsemat::audit_factor`]) — from the build, or from the
     /// most recent committed value refresh. Clean by construction on a
@@ -200,7 +240,7 @@ impl EngineResources {
 
     /// Times the worker pool came up short of a requested thread count
     /// (spawn failure, real or injected) — every shortfall degraded a
-    /// sharded solve to the bit-identical serial replay. Zero if the
+    /// sharded solve to the bit-identical serial sweep. Zero if the
     /// pool was never spawned.
     pub fn spawn_shortfalls(&self) -> u64 {
         self.pool.get().map_or(0, WorkerPool::spawn_shortfalls)
@@ -240,44 +280,13 @@ impl<T: Default> RecyclePool<T> {
     }
 }
 
-/// The per-kind prebuilt state, split along the refresh boundary: what
-/// depends only on *structure* is immutable for the engine's lifetime;
-/// what depends on *values* sits behind a `RwLock` so
-/// [`SolverEngine::refresh_values`] can rewrite it in place.
-#[derive(Debug)]
-enum Variant {
-    /// Serial host solver — no machine, no plan; solves by natural-order
-    /// replay of the flat column adjacency
-    /// ([`ExecAnalysis::columns_only`]), which is bit-identical to the
-    /// classic CSC substitution and gives the serial tier the same
-    /// refreshable numeric state as every other tier.
-    Serial(Box<RwLock<ExecAnalysis>>),
-    /// Every simulated solver (level-set and the whole sync-free
-    /// family); boxed to keep the enum small.
-    Simulated(Box<Prepared>),
-}
-
-/// Prebuilt state of a simulated solver, split for in-place value
-/// refresh: the immutable [`StructurePlan`] next to the
-/// [`NumericState`] a refresh rewrites under the lock.
-#[derive(Debug)]
-struct Prepared {
-    structure: StructurePlan,
-    /// Solves take the read lock for their whole duration (solve +
-    /// verification); a refresh takes the write lock — which is the
-    /// quiesce point that makes every solve observe exactly one value
-    /// epoch.
-    numeric: RwLock<NumericState>,
-}
-
 /// Everything a simulated solver prebuilds that depends only on the
 /// sparsity structure — immutable across value refreshes.
 ///
 /// `schedule` is the warm-path **Schedule IR** ([`Schedule`]): the
-/// levels → chains → shards decomposition built exactly once here and
-/// shared (`Arc`) with the sharded executor. `order` is that
-/// schedule's canonical level-major, owner-grouped order — the single
-/// operation sequence every warm tier replays, which is what keeps
+/// levels → chains → shards decomposition built exactly once here. Its
+/// canonical level-major, owner-grouped order is the order the
+/// engine's [`NumericFactor`] is relabelled into, which is what keeps
 /// serial, sharded, panel and batched solves bit-identical to one
 /// another. A value refresh rewrites only [`NumericState`]; the
 /// schedule is structure-only and stays untouched by construction.
@@ -290,59 +299,56 @@ struct Prepared {
 /// the same virtual timings a cold rebuild on the new values would.
 #[derive(Debug)]
 struct StructurePlan {
-    order: Arc<[u32]>,
-    /// Worker count the `solve`/`solve_into` auto-heuristic uses for
-    /// the sharded tier ([`Schedule::auto_workers`] evaluated against
-    /// this host); `1` means the factor is too narrow/deep for level
-    /// parallelism — even after chain fusion — and serial replay stays
-    /// the default.
-    auto_workers: usize,
-    /// The shared Schedule IR (also held by the sharded executor).
     schedule: Arc<Schedule>,
     template: Arc<SolveReport>,
+    /// Which tier `solve`/`solve_into` run: measured once per
+    /// structure plan (see [`AutoTier`]), never re-probed by a value
+    /// refresh — a refresh does not move the schedule.
+    tier: AutoTier,
 }
 
-/// The value-dependent half of a simulated solver's prebuilt state:
-/// the flat adjacency (whose `dep_vals`/`diag` arrays carry matrix
-/// values) and the sharded schedule (whose packed update values mirror
-/// them). A value refresh rewrites both in place — the topology fields
-/// inside are never touched after build.
+/// The value-dependent half of an engine's prebuilt state: the
+/// relabelled factor every warm tier sweeps (canonical order for a
+/// simulated solver, natural order for the serial kind), plus — for a
+/// simulated solver — the natural-order relabelling its Krylov and
+/// verification consumers need: built with the engine when
+/// `opts.verify` is set, else materialized on first use. A value
+/// refresh rewrites the `vals`/`diag` arrays of both in place.
 #[derive(Debug)]
 pub(crate) struct NumericState {
-    analysis: ExecAnalysis,
-    sharded: ShardedReplay,
+    factor: NumericFactor,
+    natural: OnceLock<NumericFactor>,
 }
 
-/// Read access to an engine's flat dependency adjacency, whichever
-/// variant owns it. This is a lock guard: the borrowed analysis is
-/// pinned to one value epoch for the guard's lifetime, and a value
-/// refresh waits until the guard drops — hold it across a composed
-/// solve (the Krylov preconditioner does) and the whole application
-/// runs against consistent values.
-#[derive(Debug)]
-pub(crate) enum AnalysisGuard<'a> {
-    Direct(RwLockReadGuard<'a, ExecAnalysis>),
-    Prepared(RwLockReadGuard<'a, NumericState>),
-}
-
-impl std::ops::Deref for AnalysisGuard<'_> {
-    type Target = ExecAnalysis;
-    fn deref(&self) -> &ExecAnalysis {
-        match self {
-            AnalysisGuard::Direct(g) => g,
-            AnalysisGuard::Prepared(g) => &g.analysis,
+impl NumericState {
+    /// The natural-order factor: `factor` itself for the serial kind,
+    /// else the lazily materialized second relabelling (built from
+    /// `m`'s structure and `factor`'s current values).
+    fn natural(&self, m: &CscMatrix) -> &NumericFactor {
+        if self.factor.is_natural() {
+            &self.factor
+        } else {
+            self.natural.get_or_init(|| self.factor.to_natural(m))
         }
     }
 }
 
-/// Write access to an engine's numeric state, whichever variant owns
-/// it — handed out by [`SolverEngine::lock_numeric_mut`] so a
-/// multi-engine refresh can hold every write lock across a pair-atomic
-/// commit.
+/// Read access to an engine's natural-order factor. This is a lock
+/// guard: the borrowed factor is pinned to one value epoch for the
+/// guard's lifetime, and a value refresh waits until the guard drops —
+/// hold it across a composed solve (the Krylov preconditioner does)
+/// and the whole application runs against consistent values.
 #[derive(Debug)]
-pub(crate) enum NumericWriteGuard<'a> {
-    Direct(RwLockWriteGuard<'a, ExecAnalysis>),
-    Prepared(RwLockWriteGuard<'a, NumericState>),
+pub(crate) struct NaturalGuard<'a> {
+    num: RwLockReadGuard<'a, NumericState>,
+    m: &'a CscMatrix,
+}
+
+impl std::ops::Deref for NaturalGuard<'_> {
+    type Target = NumericFactor;
+    fn deref(&self) -> &NumericFactor {
+        self.num.natural(self.m)
+    }
 }
 
 /// Read-lock with poison recovery: the numeric state is only written
@@ -356,6 +362,121 @@ fn rlock<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Write-lock with the same poison-recovery rationale as [`rlock`].
 fn wlock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Timed samples each candidate tier gets before the auto tier commits.
+const TIER_PROBES: u32 = 3;
+
+/// The probe record behind [`AutoTier`], as a pure function of the
+/// timings fed to it: best time and sample count per candidate
+/// (`[serial, sharded]`), plus the sharded probes that could not run.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct TierProbe {
+    best_ns: [u64; 2],
+    samples: [u32; 2],
+    fallbacks: u32,
+}
+
+impl TierProbe {
+    /// Whether the next probe should run sharded — the candidates
+    /// alternate, serial first.
+    fn next_is_sharded(&self) -> bool {
+        self.samples[1] < self.samples[0]
+    }
+
+    /// Record one timed solve. Once both candidates have
+    /// [`TIER_PROBES`] samples, returns the verdict: `Some(true)` iff
+    /// sharded's best time beat serial's.
+    fn record(&mut self, sharded: bool, ns: u64) -> Option<bool> {
+        let t = usize::from(sharded);
+        self.best_ns[t] = if self.samples[t] == 0 { ns } else { self.best_ns[t].min(ns) };
+        self.samples[t] += 1;
+        self.samples.iter().all(|&s| s >= TIER_PROBES).then(|| self.best_ns[1] < self.best_ns[0])
+    }
+
+    /// Record a sharded probe that fell back to the serial sweep (the
+    /// pool's region slot was taken). It timed neither candidate
+    /// cleanly, so it is no sample — but the window must close: after
+    /// [`TIER_PROBES`] of them the verdict is serial, the tier a pool
+    /// that contended would keep degrading to anyway.
+    fn record_fallback(&mut self) -> Option<bool> {
+        self.fallbacks += 1;
+        (self.fallbacks >= TIER_PROBES).then_some(false)
+    }
+}
+
+/// The auto tier of `solve`/`solve_into`, chosen by measurement: all
+/// tiers are bit-identical by contract, so the engine times its own
+/// first few auto-tier solves on each candidate — serial, and
+/// `candidate` workers ([`Schedule::auto_workers`] for this host) when
+/// that is > 1 — and commits to the faster for the life of the
+/// structure plan.
+#[derive(Debug)]
+struct AutoTier {
+    candidate: usize,
+    /// 0 while probing, else the committed worker count. Publishes no
+    /// other data, hence `Relaxed`.
+    committed: AtomicUsize,
+    probe: Mutex<TierProbe>,
+}
+
+impl AutoTier {
+    fn new(candidate: usize) -> AutoTier {
+        let committed = if candidate > 1 { 0 } else { 1 };
+        AutoTier { candidate, committed: committed.into(), probe: Mutex::default() }
+    }
+
+    /// The worker count the next auto-tier solve runs with, and
+    /// whether that solve is a probe whose time [`AutoTier::record`]
+    /// wants. From a pool worker thread (where no region can be
+    /// mounted) the answer is serial and never a probe.
+    fn pick(&self, on_worker_thread: bool) -> (usize, bool) {
+        if on_worker_thread {
+            return (1, false);
+        }
+        match self.committed.load(Ordering::Relaxed) {
+            0 => {
+                let sharded = self.lock().next_is_sharded();
+                (if sharded { self.candidate } else { 1 }, true)
+            }
+            w => (w, false),
+        }
+    }
+
+    /// Feed one probe's timing: `workers` is what [`AutoTier::pick`]
+    /// asked for, `ran_sharded` what actually ran (a sharded probe
+    /// whose region slot was taken falls back to the serial sweep).
+    fn record(&self, workers: usize, ran_sharded: bool, ns: u64) {
+        let mut probe = self.lock();
+        // commit once: a probe that was still in flight when another
+        // thread's sample completed the window must not flip the verdict
+        if self.committed.load(Ordering::Relaxed) != 0 {
+            return;
+        }
+        let verdict = if ran_sharded == (workers > 1) {
+            probe.record(ran_sharded, ns)
+        } else {
+            probe.record_fallback()
+        };
+        if let Some(sharded_wins) = verdict {
+            let w = if sharded_wins { self.candidate } else { 1 };
+            self.committed.store(w, Ordering::Relaxed);
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, TierProbe> {
+        // a `TierProbe` is valid after any partial update
+        self.probe.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Which tier a single-RHS warm solve runs on.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    /// `solve` / `solve_into`: the engine's measured choice.
+    Auto,
+    /// `solve_sharded_into`: the caller pinned the worker count.
+    Pinned(usize),
 }
 
 /// The receipt of a committed [`SolverEngine::refresh_values`]: what
@@ -402,11 +523,9 @@ impl fmt::Display for RefreshReport {
 /// across solves of the same engine allocates nothing after warm-up.
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
-    /// Interleaved panel buffers for the fused multi-RHS replay.
-    panel: ReplayWorkspace,
-    /// `left_sum` scratch for scalar replay, serial substitution and
-    /// the verification reference.
-    scratch: Vec<f64>,
+    /// The position-space solution: `n` for a scalar solve, `n × K`
+    /// interleaved for a panel block.
+    replay: ReplayWorkspace,
     /// Reference solution buffer for verification.
     ref_x: Vec<f64>,
 }
@@ -423,9 +542,10 @@ impl<'m> SolverEngine<'m> {
     ///
     /// Validates the factor, builds level sets / execution plan / flat
     /// dependency adjacency as the variant requires, performs the
-    /// machine feasibility checks (NVSHMEM needs all-pairs P2P), and
-    /// runs the calibration simulation that fixes the virtual timeline
-    /// for all subsequent solves.
+    /// machine feasibility checks (NVSHMEM needs all-pairs P2P), runs
+    /// the calibration simulation that fixes the virtual timeline for
+    /// all subsequent solves, and relabels the factor into the
+    /// schedule's canonical order for the warm tiers.
     pub fn build(
         m: &'m CscMatrix,
         machine_cfg: MachineConfig,
@@ -457,27 +577,20 @@ impl<'m> SolverEngine<'m> {
         if let Some(e @ MatrixError::NonFiniteValue { .. }) = audit.first_error() {
             return Err(SolveError::Matrix(e));
         }
-        let label: Arc<str> = opts.kind.label().into();
         let zeros = vec![0.0f64; m.n()];
 
-        let variant = match opts.kind {
-            // flat column data only — replayed in natural substitution
-            // order, so the serial tier shares the refreshable numeric
-            // representation without any level or plan analysis
+        let (structure, factor) = match opts.kind {
+            // no level or plan analysis: the factor relabelled into
+            // natural substitution order is the whole prebuilt state
             SolverKind::Serial => {
                 let _g = SpanGuard::enter(Site::BuildAnalyze);
-                Variant::Serial(Box::new(RwLock::new(ExecAnalysis::columns_only(m, opts.triangle))))
+                (None, NumericFactor::build(m, opts.triangle, None))
             }
             SolverKind::LevelSet => {
                 let cfg = single_gpu(&machine_cfg);
-                let (levels, analysis) = {
+                let levels = {
                     let _g = SpanGuard::enter(Site::BuildAnalyze);
-                    // flat column data (diagonals + update lists) for
-                    // the numeric replay — no distribution analysis
-                    (
-                        LevelSets::analyze(m, opts.triangle),
-                        ExecAnalysis::columns_only(m, opts.triangle),
-                    )
+                    LevelSets::analyze(m, opts.triangle)
                 };
                 let mut machine = Machine::new(cfg);
                 let out = {
@@ -485,42 +598,16 @@ impl<'m> SolverEngine<'m> {
                     levelset::run_with_levels(m, &zeros, &mut machine, opts.triangle, &levels)
                 };
                 // level order (ascending level, ascending index within)
-                // is exactly the order the level-set solver computes
-                // in; the schedule owns the canonical order, the
-                // sharded executor and the structure plan share it
-                let sched_span = SpanGuard::enter(Site::BuildSchedule);
-                let schedule = Arc::new(Schedule::build(&levels, None, opts.schedule_tuning()));
-                let template = SolveReport {
-                    timings: Timings {
-                        analysis: out.analysis_end,
-                        solve: SimTime::from_ns(out.makespan - out.analysis_end),
-                        total: out.makespan,
-                    },
-                    stats: machine.stats(),
+                // is exactly the order the level-set solver computes in
+                let run = Calibration {
+                    analysis_end: out.analysis_end,
+                    makespan: out.makespan,
                     events: 0,
-                    gpus: 1,
                     kernels: out.levels,
                     cross_edges: 0,
-                    fits_in_memory: machine.fits_in_memory(),
-                    verified_rel_err: None,
-                    schedule: Some(schedule.stats()),
-                    telemetry: Default::default(),
-                    label,
-                    x: Vec::new(),
                 };
-                let sharded = ShardedReplay::build(&analysis, &levels, &schedule);
-                drop(sched_span);
-                let order = schedule.order_shared();
-                let auto_workers = schedule.auto_workers(hardware_threads());
-                Variant::Simulated(Box::new(Prepared {
-                    structure: StructurePlan {
-                        order,
-                        auto_workers,
-                        schedule,
-                        template: Arc::new(template),
-                    },
-                    numeric: RwLock::new(NumericState { analysis, sharded }),
-                }))
+                let (plan, factor) = warm_state(m, opts, Some(levels), None, &machine, run);
+                (Some(plan), factor)
             }
             _ => {
                 let (backend, partition, cfg) = match opts.kind {
@@ -575,13 +662,13 @@ impl<'m> SolverEngine<'m> {
                     triangle: opts.triangle,
                     gather_all_pes: opts.gather_all_pes,
                 };
+                // the simulator's inputs: read by the one calibration
+                // run below, then dropped — no warm path needs them
                 let analysis = {
                     let _g = SpanGuard::enter(Site::BuildAnalyze);
                     ExecAnalysis::build(m, &plan, &exec_cfg)
                 };
-
                 // calibration: one full simulation fixes the timeline
-                // and records the wake order for numeric replay
                 let out = {
                     let _g = SpanGuard::enter(Site::BuildCalibrate);
                     exec::run_prepared(&zeros, &plan, &analysis, &mut machine, &exec_cfg)
@@ -591,49 +678,33 @@ impl<'m> SolverEngine<'m> {
                 // owner-grouped schedule order (not the recorded wake
                 // order): one operation sequence serves every warm
                 // tier, serial and parallel alike
-                let sched_span = SpanGuard::enter(Site::BuildSchedule);
-                let levels = LevelSets::analyze(m, opts.triangle);
-                let schedule =
-                    Arc::new(Schedule::build(&levels, Some(&plan.owner), opts.schedule_tuning()));
-                let template = SolveReport {
-                    timings: Timings {
-                        analysis: out.analysis_end,
-                        solve: SimTime::from_ns(out.makespan - out.analysis_end),
-                        total: out.makespan,
-                    },
-                    stats: machine.stats(),
+                let run = Calibration {
+                    analysis_end: out.analysis_end,
+                    makespan: out.makespan,
                     events: out.events,
-                    gpus: machine.n_gpus(),
                     kernels: plan.kernels.len(),
                     cross_edges,
-                    fits_in_memory: machine.fits_in_memory(),
-                    verified_rel_err: None,
-                    schedule: Some(schedule.stats()),
-                    telemetry: Default::default(),
-                    label,
-                    x: Vec::new(),
                 };
-                let sharded = ShardedReplay::build(&analysis, &levels, &schedule);
-                drop(sched_span);
-                let order = schedule.order_shared();
-                let auto_workers = schedule.auto_workers(hardware_threads());
-                Variant::Simulated(Box::new(Prepared {
-                    structure: StructurePlan {
-                        order,
-                        auto_workers,
-                        schedule,
-                        template: Arc::new(template),
-                    },
-                    numeric: RwLock::new(NumericState { analysis, sharded }),
-                }))
+                let (structure, factor) =
+                    warm_state(m, opts, None, Some(&plan.owner), &machine, run);
+                (Some(structure), factor)
             }
         };
 
+        // a verifying engine sweeps the natural-order reference on
+        // every solve: relabel it now, so the footprint a cache charges
+        // right after the build already counts it and the first
+        // verified solve allocates nothing
+        let natural = OnceLock::new();
+        if opts.verify && !factor.is_natural() {
+            let _ = natural.set(NumericFactor::build(m, opts.triangle, None));
+        }
         build_sw.stop(Hist::BuildNs);
         Ok(SolverEngine {
             m,
             opts: opts.clone(),
-            variant,
+            structure,
+            numeric: RwLock::new(NumericState { factor, natural }),
             audit: RwLock::new(audit),
             value_epoch: AtomicU64::new(0),
             resources,
@@ -677,211 +748,105 @@ impl<'m> SolverEngine<'m> {
         &self.opts
     }
 
-    /// Host bytes this engine holds beyond the matrix it borrows:
-    /// analysis arrays, the Schedule IR (canonical order, shard
-    /// segments, chain partition — counted once, by its owner of
-    /// record), the sharded executor's numeric bucket arrays, plus one
-    /// warm [`SolveWorkspace`] at this dimension — the per-engine
-    /// charge a byte-bounded factor cache accounts (the cache adds the
-    /// matrix's own bytes separately, since the cache is what keeps
-    /// the matrix alive).
+    /// Host bytes this engine holds beyond the matrix it borrows: the
+    /// Schedule IR (canonical order, shard segments, chain partition),
+    /// the relabelled factor, the natural-order factor if a consumer
+    /// has materialized it, plus one warm [`SolveWorkspace`] at this
+    /// dimension — the per-engine charge a byte-bounded factor cache
+    /// accounts (the cache adds the matrix's own bytes separately,
+    /// since the cache is what keeps the matrix alive).
     pub fn footprint_bytes(&self) -> u64 {
         let n = self.m.n() as u64;
-        // one fully-grown workspace: three n×PANEL_K panel buffers
-        // plus the two n-length scalar scratch vectors
-        let workspace = n * 8 * (3 * crate::exec::PANEL_K as u64 + 2);
-        let prepared = match &self.variant {
-            Variant::Simulated(p) => {
-                let num = rlock(&p.numeric);
-                p.structure.schedule.host_bytes()
-                    + num.analysis.host_bytes()
-                    + num.sharded.host_bytes()
-            }
-            Variant::Serial(a) => rlock(a).host_bytes(),
-        };
-        prepared + workspace
+        // one fully-grown workspace: the n×PANEL_K position-space
+        // panel, plus the reference vector a verifying engine fills
+        let workspace = n * 8 * (exec::PANEL_K as u64 + u64::from(self.opts.verify));
+        let num = rlock(&self.numeric);
+        self.structure.as_ref().map_or(0, |p| p.schedule.host_bytes())
+            + num.factor.host_bytes()
+            + num.natural.get().map_or(0, NumericFactor::host_bytes)
+            + workspace
     }
 
     /// Cross-GPU dependency edges under the engine's layout (0 for
     /// serial / level-set variants).
     pub fn cross_edges(&self) -> u64 {
-        match &self.variant {
-            Variant::Simulated(p) => p.structure.template.cross_edges,
-            Variant::Serial(_) => 0,
-        }
+        self.structure.as_ref().map_or(0, |p| p.template.cross_edges)
     }
 
     /// Solve `m · x = b` reusing the prebuilt analysis and the
     /// calibrated schedule.
     ///
-    /// Warm solves replay only the numeric substitution — no level-set,
+    /// Warm solves run only the numeric substitution — no level-set,
     /// plan or adjacency construction, no event loop — and return
     /// reports bit-identical to one-shot [`crate::solve`] with the same
-    /// inputs.
+    /// inputs. The only allocation is the returned `x` (scratch comes
+    /// from the engine's recycled workspaces).
     pub fn solve(&self, b: &[f64]) -> Result<SolveReport, SolveError> {
-        if b.len() != self.m.n() {
-            return Err(SolveError::DimensionMismatch {
-                n: self.m.n(),
-                rhs: b.len(),
-                index: None,
-                buffer: "rhs",
-            });
-        }
-        // one read guard per solve: the whole call — substitution and
-        // verification — runs against a single value epoch
-        match &self.variant {
-            Variant::Serial(a) => {
-                let _g = SpanGuard::enter(Site::SolveSerial);
-                let sw = Stopwatch::start();
-                let a = rlock(a);
-                let n = self.m.n();
-                let mut x = vec![0.0f64; n];
-                let mut left_sum = vec![0.0f64; n];
-                a.replay_natural_into(self.ascending(), b, &mut left_sum, &mut x);
-                sw.stop(Hist::SolveSerialNs);
-                // the natural-order replay *is* the serial reference,
-                // so verification is exact by construction. The
-                // degenerate single-chain stats keep `schedule`
-                // populated for every variant.
-                Ok(SolveReport {
-                    x,
-                    timings: Timings::default(),
-                    stats: Default::default(),
-                    events: 0,
-                    gpus: 0,
-                    kernels: 0,
-                    cross_edges: 0,
-                    fits_in_memory: true,
-                    verified_rel_err: Some(0.0),
-                    schedule: Some(ScheduleStats::serial(n)),
-                    telemetry: Default::default(),
-                    label: self.opts.kind.label().into(),
-                })
-            }
-            Variant::Simulated(p) => {
-                let num = rlock(&p.numeric);
-                let mut report = (*p.structure.template).clone();
-                let workers = self.effective_shard_workers(p.structure.auto_workers);
-                if workers > 1 {
-                    let _g = SpanGuard::enter(Site::SolveSharded);
-                    let sw = Stopwatch::start();
-                    let mut x = vec![0.0f64; self.m.n()];
-                    let mut left_sum = vec![0.0f64; self.m.n()];
-                    num.sharded.replay_into(
-                        &num.analysis,
-                        b,
-                        &mut left_sum,
-                        &mut x,
-                        self.pool(),
-                        workers,
-                    );
-                    sw.stop(Hist::SolveShardedNs);
-                    report.x = x;
-                } else {
-                    let _g = SpanGuard::enter(Site::SolveSerial);
-                    let sw = Stopwatch::start();
-                    report.x = num.analysis.replay(&p.structure.order, b);
-                    sw.stop(Hist::SolveSerialNs);
-                }
-                if self.opts.verify {
-                    let mut scratch = vec![0.0f64; self.m.n()];
-                    let mut ref_x = vec![0.0f64; self.m.n()];
-                    num.analysis.replay_natural_into(self.ascending(), b, &mut scratch, &mut ref_x);
-                    let err = verify::rel_inf_diff(&report.x, &ref_x);
-                    if err > verify::DEFAULT_TOL {
-                        return Err(SolveError::Verification { rel_err: err });
-                    }
-                    report.verified_rel_err = Some(err);
-                }
-                Ok(report)
-            }
-        }
+        let mut x = vec![0.0f64; self.m.n()];
+        let mut ws = self.take_workspace();
+        let verified = self.solve_single(b, &mut x, &mut ws, Tier::Auto);
+        self.put_workspace(ws);
+        let verified_rel_err = verified?;
+        Ok(match &self.structure {
+            Some(p) => SolveReport { x, verified_rel_err, ..(*p.template).clone() },
+            // the natural-order sweep *is* the serial reference, so
+            // verification is exact by construction. The degenerate
+            // single-chain stats keep `schedule` populated for every
+            // variant.
+            None => SolveReport {
+                x,
+                timings: Timings::default(),
+                stats: Default::default(),
+                events: 0,
+                gpus: 0,
+                kernels: 0,
+                cross_edges: 0,
+                fits_in_memory: true,
+                verified_rel_err: Some(0.0),
+                schedule: Some(ScheduleStats::serial(self.m.n())),
+                telemetry: Default::default(),
+                label: self.opts.kind.label().into(),
+            },
+        })
     }
 
-    /// Allocation-free warm solve: replay the numeric substitution into
+    /// Allocation-free warm solve: run the numeric substitution into
     /// the caller's output buffer, using (and growing, once) the
     /// caller's workspace.
     ///
     /// Steady state — after the workspace buffers have grown to the
     /// engine's dimension — this performs **zero** heap allocation,
     /// including under `opts.verify` (the serial reference runs in
-    /// workspace scratch). Results are bit-identical to
-    /// [`SolverEngine::solve`].
+    /// workspace scratch) and while the auto tier is still probing.
+    /// Results are bit-identical to [`SolverEngine::solve`].
     pub fn solve_into(
         &self,
         b: &[f64],
         out: &mut [f64],
         ws: &mut SolveWorkspace,
     ) -> Result<(), SolveError> {
-        let n = self.m.n();
-        if b.len() != n {
-            return Err(SolveError::DimensionMismatch {
-                n,
-                rhs: b.len(),
-                index: None,
-                buffer: "rhs",
-            });
-        }
-        if out.len() != n {
-            return Err(SolveError::OutputLength { n, out: out.len(), buffer: "out" });
-        }
-        ws.scratch.resize(n, 0.0);
-        match &self.variant {
-            Variant::Serial(a) => {
-                let _g = SpanGuard::enter(Site::SolveSerial);
-                let sw = Stopwatch::start();
-                let a = rlock(a);
-                a.replay_natural_into(self.ascending(), b, &mut ws.scratch, out);
-                sw.stop(Hist::SolveSerialNs);
-                self.verify_into(&a, b, out, ws)
-            }
-            Variant::Simulated(p) => {
-                let num = rlock(&p.numeric);
-                let workers = self.effective_shard_workers(p.structure.auto_workers);
-                if workers > 1 {
-                    let _g = SpanGuard::enter(Site::SolveSharded);
-                    let sw = Stopwatch::start();
-                    num.sharded.replay_into(
-                        &num.analysis,
-                        b,
-                        &mut ws.scratch,
-                        out,
-                        self.pool(),
-                        workers,
-                    );
-                    sw.stop(Hist::SolveShardedNs);
-                } else {
-                    let _g = SpanGuard::enter(Site::SolveSerial);
-                    let sw = Stopwatch::start();
-                    num.analysis.replay_into(&p.structure.order, b, &mut ws.scratch, out);
-                    sw.stop(Hist::SolveSerialNs);
-                }
-                self.verify_into(&num.analysis, b, out, ws)
-            }
-        }
+        self.solve_single(b, out, ws, Tier::Auto).map(drop)
     }
 
-    /// Level-parallel warm solve (tier 2): one right-hand side executed
-    /// across `workers` threads of the persistent pool by
-    /// [`crate::exec::ShardedReplay`] — each level a two-phase parallel
-    /// region (solve owned components, barrier, apply owner-local
-    /// updates) under the owner-computes discipline.
+    /// Level-parallel warm solve (tier 2): one right-hand side swept
+    /// chain-parallel across `workers` threads of the persistent pool
+    /// along the engine's [`Schedule`] — fused chains on one worker, each wide level a single phase across all of them, one
+    /// barrier per chain boundary.
     ///
     /// Results are **bit-identical** to [`SolverEngine::solve_into`]
-    /// for every worker count: each row's solve and its partial-sum
-    /// accumulation (in canonical source order) belong to exactly one
-    /// worker. Steady state this allocates nothing — the level barrier
-    /// is stack-allocated and the region descriptor lives in the pool.
+    /// for every worker count: each row is written once, from rows of
+    /// earlier levels only. Steady state this allocates nothing — the
+    /// barrier is stack-allocated and the region descriptor lives in
+    /// the pool.
     ///
     /// `workers` is clamped to `[1, crate::exec::SHARD_COUNT]`; one
     /// worker, a call from inside a pool task (where a nested parallel
     /// region cannot be mounted), or a pool whose region slot is held
-    /// by a concurrent sharded solve all degrade to the serial replay
+    /// by a concurrent sharded solve all degrade to the serial sweep
     /// — never a block, never different bits. The serial engine
     /// variant ignores `workers`. Prefer
     /// [`SolverEngine::solve_into`] unless you want to pin the width:
-    /// its heuristic already picks this tier when the factor is wide
-    /// enough to pay for the per-level barriers.
+    /// it already picks this tier when it measures faster.
     pub fn solve_sharded_into(
         &self,
         b: &[f64],
@@ -889,6 +854,21 @@ impl<'m> SolverEngine<'m> {
         ws: &mut SolveWorkspace,
         workers: usize,
     ) -> Result<(), SolveError> {
+        self.solve_single(b, out, ws, Tier::Pinned(workers)).map(drop)
+    }
+
+    /// The one single-RHS warm-solve core behind `solve`, `solve_into`
+    /// and `solve_sharded_into`: validate, pick the tier, sweep, verify
+    /// — all under one numeric read guard, so the whole call runs
+    /// against a single value epoch. Returns the verified relative
+    /// error when `opts.verify` is set.
+    fn solve_single(
+        &self,
+        b: &[f64],
+        out: &mut [f64],
+        ws: &mut SolveWorkspace,
+        tier: Tier,
+    ) -> Result<Option<f64>, SolveError> {
         let n = self.m.n();
         if b.len() != n {
             return Err(SolveError::DimensionMismatch {
@@ -901,40 +881,55 @@ impl<'m> SolverEngine<'m> {
         if out.len() != n {
             return Err(SolveError::OutputLength { n, out: out.len(), buffer: "out" });
         }
-        ws.scratch.resize(n, 0.0);
-        match &self.variant {
-            Variant::Serial(a) => {
-                let _g = SpanGuard::enter(Site::SolveSerial);
-                let sw = Stopwatch::start();
-                let a = rlock(a);
-                a.replay_natural_into(self.ascending(), b, &mut ws.scratch, out);
-                sw.stop(Hist::SolveSerialNs);
-                self.verify_into(&a, b, out, ws)
+        let num = rlock(&self.numeric);
+        let on_worker = pool::on_worker_thread();
+        // (worker count, whether the sharded tier's entry point and
+        // spans serve the call, probe start while the auto tier samples)
+        let (workers, sharded_tier, probe) = match (&self.structure, tier) {
+            (None, _) => (1, false, None),
+            (Some(p), Tier::Auto) => {
+                let (w, probing) = p.tier.pick(on_worker);
+                (w, w > 1, probing.then(Instant::now))
             }
-            Variant::Simulated(p) => {
+            // a nested parallel region cannot guarantee each index its
+            // own thread, so a pinned request from inside a pool task
+            // degrades to the serial sweep
+            (Some(_), Tier::Pinned(w)) => (if on_worker { 1 } else { w.max(1) }, true, None),
+        };
+        let ran_sharded = match &self.structure {
+            Some(p) if sharded_tier => {
                 let _g = SpanGuard::enter(Site::SolveSharded);
                 let sw = Stopwatch::start();
-                let num = rlock(&p.numeric);
-                let workers = self.effective_shard_workers(workers);
-                num.sharded.replay_into(
-                    &num.analysis,
+                let ran = num.factor.solve_sharded_into(
+                    &p.schedule,
                     b,
-                    &mut ws.scratch,
+                    &mut ws.replay,
                     out,
                     self.pool(),
                     workers,
                 );
                 sw.stop(Hist::SolveShardedNs);
-                self.verify_into(&num.analysis, b, out, ws)
+                ran
             }
+            _ => {
+                let _g = SpanGuard::enter(Site::SolveSerial);
+                let sw = Stopwatch::start();
+                num.factor.solve_into(b, &mut ws.replay, out);
+                sw.stop(Hist::SolveSerialNs);
+                false
+            }
+        };
+        if let (Some(p), Some(t0)) = (&self.structure, probe) {
+            p.tier.record(workers, ran_sharded, t0.elapsed().as_nanos() as u64);
         }
+        self.verify_into(&num, b, out, ws)
     }
 
-    /// Fused multi-RHS warm solve (tier 2): the factor adjacency is
-    /// streamed once per [`crate::exec::PANEL_K`]-wide block of
-    /// right-hand sides instead of once per RHS — single-threaded, in
-    /// the caller's workspace, zero heap allocation in steady state
-    /// (each `outs` vector is resized to `n` on first use and reused
+    /// Fused multi-RHS warm solve (tier 3): the factor is streamed
+    /// once per [`crate::exec::PANEL_K`]-wide block of right-hand
+    /// sides instead of once per RHS — single-threaded, in the
+    /// caller's workspace, zero heap allocation in steady state (each
+    /// `outs` vector is resized to `n` on first use and reused
     /// afterwards).
     ///
     /// Every solution is bit-identical to [`SolverEngine::solve`] on
@@ -972,36 +967,14 @@ impl<'m> SolverEngine<'m> {
         outs: &mut [Vec<f64>],
         ws: &mut SolveWorkspace,
     ) -> Result<(), SolveError> {
-        let n = self.m.n();
-        debug_assert!(bs.iter().all(|b| b.len() == n), "prevalidated rhs length");
+        debug_assert!(bs.iter().all(|b| b.len() == self.m.n()), "prevalidated rhs length");
         debug_assert_eq!(bs.len(), outs.len(), "prevalidated output count");
-        for out in outs.iter_mut() {
-            out.resize(n, 0.0);
-        }
         let _g = SpanGuard::enter(Site::SolvePanel);
         let sw = Stopwatch::start();
-        match &self.variant {
-            Variant::Serial(a) => {
-                let a = rlock(a);
-                ws.scratch.resize(n, 0.0);
-                for (b, out) in bs.iter().zip(outs.iter_mut()) {
-                    a.replay_natural_into(self.ascending(), b, &mut ws.scratch, out);
-                }
-                if self.opts.verify {
-                    for (b, out) in bs.iter().zip(outs.iter()) {
-                        self.verify_into(&a, b, out, ws)?;
-                    }
-                }
-            }
-            Variant::Simulated(p) => {
-                let num = rlock(&p.numeric);
-                num.analysis.replay_panel(&p.structure.order, bs, &mut ws.panel, outs);
-                if self.opts.verify {
-                    for (b, out) in bs.iter().zip(outs.iter()) {
-                        self.verify_into(&num.analysis, b, out, ws)?;
-                    }
-                }
-            }
+        let num = rlock(&self.numeric);
+        num.factor.solve_panel_into(bs, &mut ws.replay, outs);
+        for (b, out) in bs.iter().zip(outs.iter()) {
+            self.verify_into(&num, b, out, ws)?;
         }
         sw.stop(Hist::SolvePanelNs);
         Ok(())
@@ -1078,7 +1051,7 @@ impl<'m> SolverEngine<'m> {
         Ok(amortized(reports))
     }
 
-    /// Zero-allocation batched warm solve (tier 3): contiguous chunks
+    /// Zero-allocation batched warm solve (tier 4): contiguous chunks
     /// of the batch run fused panels ([`SolverEngine::solve_panel_into`])
     /// on the persistent worker pool, writing into the caller's output
     /// vectors. Workspaces are recycled from an engine-internal pool,
@@ -1142,10 +1115,7 @@ impl<'m> SolverEngine<'m> {
     /// behind `Arc`. `None` for the serial variant, which has no
     /// simulated timeline.
     pub fn calibration(&self) -> Option<&Arc<SolveReport>> {
-        match &self.variant {
-            Variant::Simulated(p) => Some(&p.structure.template),
-            Variant::Serial(_) => None,
-        }
+        self.structure.as_ref().map(|p| &p.template)
     }
 
     /// The resources (pool + workspace free-list) behind this engine's
@@ -1155,31 +1125,20 @@ impl<'m> SolverEngine<'m> {
         &self.resources
     }
 
-    /// The engine's flat dependency adjacency, for crate-internal
-    /// composition — every variant has one (the serial variant carries
-    /// the columns-only form). Returned as a read guard: the borrow is
-    /// pinned to one value epoch, and a concurrent refresh waits for it.
-    pub(crate) fn analysis(&self) -> AnalysisGuard<'_> {
-        match &self.variant {
-            Variant::Serial(a) => AnalysisGuard::Direct(rlock(a)),
-            Variant::Simulated(p) => AnalysisGuard::Prepared(rlock(&p.numeric)),
-        }
+    /// The engine's factor in **natural substitution order**, for
+    /// crate-internal composition (the Krylov preconditioner) — the
+    /// serial kind's own factor, or a simulated solver's second
+    /// relabelling, materialized here on first use. Returned as a read
+    /// guard: the borrow is pinned to one value epoch, and a
+    /// concurrent refresh waits for it.
+    pub(crate) fn natural(&self) -> NaturalGuard<'_> {
+        let guard = NaturalGuard { num: rlock(&self.numeric), m: self.m };
+        guard.num.natural(self.m);
+        guard
     }
 
     fn pool(&self) -> &WorkerPool {
         self.resources.pool()
-    }
-
-    /// The worker count a sharded solve may actually mount right now:
-    /// the requested width, except from inside a pool task (a nested
-    /// parallel region cannot guarantee each index its own thread), or
-    /// for a non-positive request — both degrade to the serial replay.
-    fn effective_shard_workers(&self, requested: usize) -> usize {
-        if pool::on_worker_thread() {
-            1
-        } else {
-            requested.max(1)
-        }
     }
 
     fn take_workspace(&self) -> SolveWorkspace {
@@ -1207,39 +1166,33 @@ impl<'m> SolverEngine<'m> {
         Ok(())
     }
 
-    /// Whether the natural substitution order ascends (lower triangle)
-    /// or descends (upper) — the replay direction of the serial
-    /// reference.
-    #[inline]
-    fn ascending(&self) -> bool {
-        self.opts.triangle == Triangle::Lower
-    }
-
-    /// Allocation-free verification: replay the natural-order serial
-    /// reference off the given analysis into workspace scratch and
-    /// compare. No-op unless `opts.verify`. Takes the analysis rather
-    /// than reading `self.m` so the reference always uses the values of
-    /// the epoch the caller's guard pinned — the build matrix's values
-    /// go stale after a refresh.
+    /// Allocation-free verification: sweep the natural-order factor —
+    /// the serial reference — into workspace scratch and compare;
+    /// `None` unless `opts.verify`. Reads the numeric state rather than
+    /// `self.m` so the reference always uses the values of the epoch
+    /// the caller's guard pinned (the build matrix's values go stale
+    /// after a refresh). A natural-order engine *is* its own
+    /// reference, so its error is exactly zero without a second sweep.
     fn verify_into(
         &self,
-        a: &ExecAnalysis,
+        num: &NumericState,
         b: &[f64],
         x: &[f64],
         ws: &mut SolveWorkspace,
-    ) -> Result<(), SolveError> {
+    ) -> Result<Option<f64>, SolveError> {
         if !self.opts.verify {
-            return Ok(());
+            return Ok(None);
         }
-        let n = self.m.n();
-        ws.scratch.resize(n, 0.0);
-        ws.ref_x.resize(n, 0.0);
-        a.replay_natural_into(self.ascending(), b, &mut ws.scratch, &mut ws.ref_x);
+        if num.factor.is_natural() {
+            return Ok(Some(0.0));
+        }
+        ws.ref_x.resize(self.m.n(), 0.0);
+        num.natural(self.m).solve_into(b, &mut ws.replay, &mut ws.ref_x);
         let err = verify::rel_inf_diff(x, &ws.ref_x);
         if err > verify::DEFAULT_TOL {
             return Err(SolveError::Verification { rel_err: err });
         }
-        Ok(())
+        Ok(Some(err))
     }
 
     /// Replace the engine's numeric values in place with `m2`'s —
@@ -1268,16 +1221,17 @@ impl<'m> SolverEngine<'m> {
         // the first mutation, so an interrupted refresh leaves the old
         // epoch fully intact (asserted by the chaos suite)
         fault::fire_panic(FaultSite::ValueRefresh);
-        let report = self.commit_refresh(m2, audit);
+        let report = self.commit_refresh_locked(&mut self.lock_numeric_mut(), m2, audit);
         sw.stop(Hist::RefreshNs);
         Ok(report)
     }
 
     /// The fallible half of [`SolverEngine::refresh_values`]: check
     /// structure identity and audit the new values, touching nothing.
-    /// Split from the infallible [`SolverEngine::commit_refresh`] so a
-    /// multi-engine caller (the L/U preconditioner pair) can validate
-    /// *every* side before committing *any* — pair-atomic refresh.
+    /// Split from the infallible
+    /// [`SolverEngine::commit_refresh_locked`] so a multi-engine caller
+    /// (the L/U preconditioner pair) can validate *every* side before
+    /// committing *any* — pair-atomic refresh.
     pub(crate) fn validate_refresh(&self, m2: &CscMatrix) -> Result<FactorAudit, SolveError> {
         // exact, entry-for-entry structure identity — cheaper than
         // hashing and allocation-free; the hashes are only computed on
@@ -1302,43 +1256,28 @@ impl<'m> SolverEngine<'m> {
         Ok(audit)
     }
 
-    /// The infallible half of [`SolverEngine::refresh_values`]: rewrite
-    /// the value arrays under the write lock and bump the epoch. Only
-    /// call with a matrix [`SolverEngine::validate_refresh`] accepted.
-    pub(crate) fn commit_refresh(&self, m2: &CscMatrix, audit: FactorAudit) -> RefreshReport {
-        let mut guard = self.lock_numeric_mut();
-        self.commit_refresh_locked(&mut guard, m2, audit)
-    }
-
     /// Take this engine's numeric write lock without mutating anything.
     /// A multi-engine commit (the L/U preconditioner pair) locks every
     /// engine first — in the same fwd-then-bwd order appliers take read
     /// guards, so no deadlock — and only then commits each side: no
     /// reader can ever observe a half-refreshed pair.
-    pub(crate) fn lock_numeric_mut(&self) -> NumericWriteGuard<'_> {
-        match &self.variant {
-            Variant::Serial(a) => NumericWriteGuard::Direct(wlock(a)),
-            Variant::Simulated(p) => NumericWriteGuard::Prepared(wlock(&p.numeric)),
-        }
+    pub(crate) fn lock_numeric_mut(&self) -> RwLockWriteGuard<'_, NumericState> {
+        wlock(&self.numeric)
     }
 
-    /// [`SolverEngine::commit_refresh`] against an already-held write
-    /// guard (see [`SolverEngine::lock_numeric_mut`]).
+    /// The infallible half of [`SolverEngine::refresh_values`]: rewrite
+    /// the value arrays under an already-held write guard (see
+    /// [`SolverEngine::lock_numeric_mut`]) and bump the epoch. Only
+    /// call with a matrix [`SolverEngine::validate_refresh`] accepted.
     pub(crate) fn commit_refresh_locked(
         &self,
-        guard: &mut NumericWriteGuard<'_>,
+        num: &mut NumericState,
         m2: &CscMatrix,
         audit: FactorAudit,
     ) -> RefreshReport {
-        match guard {
-            NumericWriteGuard::Direct(a) => a.refresh_values(m2, self.opts.triangle),
-            NumericWriteGuard::Prepared(num) => {
-                // split the guard so the sharded schedule can read the
-                // freshly rewritten adjacency it mirrors
-                let NumericState { analysis, sharded } = &mut **num;
-                analysis.refresh_values(m2, self.opts.triangle);
-                sharded.refresh_values(analysis);
-            }
+        num.factor.refresh_values(m2);
+        if let Some(natural) = num.natural.get_mut() {
+            natural.refresh_values(m2);
         }
         // a clean audit's example lists are empty, so the clone (and
         // the whole commit) allocates nothing
@@ -1346,6 +1285,55 @@ impl<'m> SolverEngine<'m> {
         let value_epoch = self.value_epoch.fetch_add(1, Ordering::Release) + 1;
         RefreshReport { n: m2.n(), nnz: m2.nnz(), value_epoch, audit }
     }
+}
+
+/// What one calibration simulation leaves behind for the report
+/// template, beyond what the [`Machine`] itself records.
+struct Calibration {
+    analysis_end: SimTime,
+    makespan: SimTime,
+    events: u64,
+    kernels: usize,
+    cross_edges: u64,
+}
+
+/// The warm half of a simulated solver's build, shared by the
+/// level-set and sync-free families: the Schedule IR (analyzing the
+/// level sets here unless the caller already has them), the
+/// calibration template, and the factor relabelled into the
+/// schedule's canonical order.
+fn warm_state(
+    m: &CscMatrix,
+    opts: &SolveOptions,
+    levels: Option<LevelSets>,
+    owner: Option<&[usize]>,
+    machine: &Machine,
+    run: Calibration,
+) -> (StructurePlan, NumericFactor) {
+    let _g = SpanGuard::enter(Site::BuildSchedule);
+    let levels = levels.unwrap_or_else(|| LevelSets::analyze(m, opts.triangle));
+    let schedule = Arc::new(Schedule::build(&levels, owner, opts.schedule_tuning()));
+    let template = SolveReport {
+        timings: Timings {
+            analysis: run.analysis_end,
+            solve: SimTime::from_ns(run.makespan - run.analysis_end),
+            total: run.makespan,
+        },
+        stats: machine.stats(),
+        events: run.events,
+        gpus: machine.n_gpus(),
+        kernels: run.kernels,
+        cross_edges: run.cross_edges,
+        fits_in_memory: machine.fits_in_memory(),
+        verified_rel_err: None,
+        schedule: Some(schedule.stats()),
+        telemetry: Default::default(),
+        label: opts.kind.label().into(),
+        x: Vec::new(),
+    };
+    let factor = NumericFactor::build(m, opts.triangle, Some(schedule.order()));
+    let tier = AutoTier::new(schedule.auto_workers(hardware_threads()));
+    (StructurePlan { schedule, template: Arc::new(template), tier }, factor)
 }
 
 fn hardware_threads() -> usize {
@@ -1549,6 +1537,114 @@ mod tests {
         let bs: Vec<Vec<f64>> = (0..3).map(|k| verify::rhs_for(&m, 800 + k).1).collect();
         let multi = engine.solve_batch_with_threads(&bs, 0).unwrap();
         assert_eq!(multi.reports.len(), 3);
+    }
+
+    /// The probe log is a pure function of the timings fed to it:
+    /// candidates alternate serial-first, and the verdict is the
+    /// smaller *best* time once both have `TIER_PROBES` samples.
+    #[test]
+    fn tier_probe_alternates_then_commits_to_the_min() {
+        let run = |serial: [u64; 3], sharded: [u64; 3]| {
+            let (mut p, mut asked) = (TierProbe::default(), Vec::new());
+            loop {
+                let s = p.next_is_sharded();
+                asked.push(s);
+                let k = p.samples[usize::from(s)] as usize;
+                if let Some(v) = p.record(s, if s { sharded[k] } else { serial[k] }) {
+                    assert_eq!(asked, [false, true, false, true, false, true]);
+                    return v;
+                }
+            }
+        };
+        assert!(run([90, 70, 80], [100, 60, 95]), "best 60 beats best 70, whatever the rest");
+        assert!(!run([90, 70, 80], [71, 500, 71]), "best 71 loses to best 70");
+        assert!(!run([70, 70, 70], [70, 70, 70]), "a tie stays serial");
+    }
+
+    #[test]
+    fn auto_tier_drops_fallback_samples_and_never_probes_from_a_pool_worker() {
+        let tier = AutoTier::new(4);
+        assert_eq!(tier.pick(false), (1, true), "serial probes first");
+        // from a pool worker thread: serial, not a probe, log untouched
+        assert_eq!(tier.pick(true), (1, false));
+        tier.record(1, false, 50);
+        assert_eq!(tier.pick(false), (4, true));
+        // the region slot was taken: asked for 4, ran serial — dropped
+        tier.record(4, false, 1);
+        assert_eq!(*tier.lock(), TierProbe { best_ns: [50, 0], samples: [1, 0], fallbacks: 1 });
+        assert_eq!(tier.pick(false), (4, true), "the sharded probe is asked again");
+        for _ in 0..TIER_PROBES {
+            tier.record(4, true, 30);
+            tier.record(1, false, 50);
+        }
+        assert_eq!(tier.pick(false), (4, false), "committed to the faster candidate");
+        assert_eq!(tier.pick(true), (1, false), "still serial from a pool worker");
+        // nothing to probe when the schedule offers no sharded candidate
+        assert_eq!(AutoTier::new(1).pick(false), (1, false));
+    }
+
+    /// A sharded candidate that can never run (its region slot always
+    /// taken) must not hold the probe window open: the tier commits
+    /// serial after `TIER_PROBES` fallbacks.
+    #[test]
+    fn auto_tier_commits_serial_when_the_sharded_probe_keeps_falling_back() {
+        let tier = AutoTier::new(4);
+        tier.record(1, false, 50);
+        for k in 0..TIER_PROBES {
+            assert_eq!(tier.pick(false), (4, true), "fallback {k}: still probing");
+            tier.record(4, false, 40);
+        }
+        assert_eq!(tier.pick(false), (1, false), "committed serial");
+        assert_eq!(tier.lock().samples, [1, 0], "fallbacks were never counted as samples");
+        // a lone wide level is swept serially whatever the worker
+        // count, so its schedule offers no candidate to begin with
+        let m = gen::diagonal(4096, 1);
+        let engine =
+            SolverEngine::build(&m, MachineConfig::dgx1(4), &SolveOptions::default()).unwrap();
+        assert_eq!(engine.structure.as_ref().unwrap().tier.pick(false), (1, false));
+    }
+
+    /// The committed tier belongs to the structure plan: a value
+    /// refresh neither resets it nor re-opens the probe window.
+    #[test]
+    fn auto_tier_is_not_reprobed_after_a_refresh() {
+        let m = gen::level_structured(&gen::LevelSpec::new(8192, 4, 24_000, 9));
+        let (_, b) = verify::rhs_for(&m, 1);
+        let opts = SolveOptions { verify: false, ..SolveOptions::default() };
+        let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
+        let tier = &engine.structure.as_ref().unwrap().tier;
+        let expect = engine.solve(&b).unwrap().x;
+        // run past the probe window (no window at all on a one-thread
+        // host, where the schedule offers no sharded candidate)
+        for _ in 0..64 {
+            if tier.committed.load(Ordering::Relaxed) != 0 {
+                break;
+            }
+            assert_eq!(engine.solve(&b).unwrap().x, expect, "probes are bit-identical");
+        }
+        let (committed, log) = (tier.committed.load(Ordering::Relaxed), *tier.lock());
+        assert_ne!(committed, 0, "the auto tier must commit");
+        engine.refresh_values(&m).unwrap();
+        assert_eq!(engine.solve(&b).unwrap().x, expect);
+        assert_eq!(tier.committed.load(Ordering::Relaxed), committed);
+        assert_eq!(*tier.lock(), log, "no probe ran after the refresh");
+    }
+
+    /// A simulated engine materializes its natural-order factor from
+    /// the *current* values, not from the (stale) build matrix.
+    #[test]
+    fn natural_factor_materialized_after_a_refresh_carries_the_new_values() {
+        let (m, b) = small();
+        let mut m2 = m.clone();
+        for (i, v) in m2.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + ((i % 5) as f64 + 1.0) * 0.02;
+        }
+        let opts = SolveOptions { verify: false, ..SolveOptions::default() };
+        let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
+        engine.refresh_values(&m2).unwrap();
+        let mut x = vec![0.0f64; m.n()];
+        engine.natural().solve_into(&b, &mut ReplayWorkspace::new(), &mut x);
+        assert_eq!(x, crate::reference::solve_lower(&m2, &b).unwrap());
     }
 
     #[test]

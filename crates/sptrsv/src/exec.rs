@@ -24,66 +24,86 @@
 //!
 //! ## Analysis / solve separation
 //!
-//! Everything that depends only on the *structure* — in-degrees,
-//! remote-source masks, gather peer lists, per-component update lists,
-//! diagonal extraction — lives in [`ExecAnalysis`], built once and
-//! reused across solves (the amortization §II-B argues for). The
-//! per-component data is stored flat, CSR-style (`(ptr, data)` pairs),
-//! so the solve-phase event handlers walk contiguous memory and
+//! Everything the *simulator* needs that depends only on the structure
+//! — in-degrees, remote-source masks, gather peer lists, per-component
+//! update lists, diagonals, per-GPU sizing — lives in
+//! [`ExecAnalysis`], built once and stored flat, CSR-style (`(ptr,
+//! data)` pairs), so the event handlers walk contiguous memory and
 //! allocate nothing. [`run`] is the one-shot convenience that builds
-//! the analysis and immediately solves; the build-once/solve-many
-//! engine ([`crate::engine::SolverEngine`]) holds an `ExecAnalysis`
-//! across calls.
+//! the analysis and immediately simulates; the build-once/solve-many
+//! engine ([`crate::engine::SolverEngine`]) builds it for its one
+//! calibration simulation and then drops it — no warm path reads it.
 //!
 //! The executor runs real `f64` numerics as virtual time advances; the
 //! returned `x` is bit-stable for a fixed seed and is verified against
 //! the serial reference by the caller.
 //!
-//! ## Canonical order & why chain fusion is bit-identical
+//! ## The warm numeric core: permute once, gather forever
 //!
-//! Every warm tier executes the same **canonical order**: the
-//! level-major component order recorded in the engine's
-//! [`crate::schedule::Schedule`] (components grouped by level,
-//! owner-grouped within each level). Floating-point addition is not
-//! associative, so bit-identity across tiers holds iff every tier (a)
-//! solves each row from the same partial sum and (b) accumulates each
-//! row's partial sum in the same source order. Both are properties of
-//! the canonical order, not of the execution strategy — which is what
-//! lets [`ShardedReplay`] mix per-chain strategies freely:
+//! Warm solves run on a [`NumericFactor`]: the factor's rows
+//! **relabelled into an execution order** at build time — the
+//! [`Schedule`]'s canonical level-major order for the engine's warm
+//! tiers, the natural substitution order for the Krylov / verification
+//! / serial-kind consumers — stored CSR over *positions* in that
+//! order, each row's entries sorted by source position. One kernel
+//! body ([`NumericFactor`]'s row sweep, in scalar and const-`K` lane
+//! forms) serves every tier:
 //!
-//! | chain kind | who solves a row          | who accumulates into a row         | source order        |
-//! |------------|---------------------------|------------------------------------|---------------------|
-//! | serial     | the one thread            | the one thread, inline             | canonical           |
-//! | fused      | worker 0, whole chain     | worker 0, inline at each source    | canonical           |
-//! | wide level | owner shard's worker      | target shard's worker, from its    | canonical (buckets  |
-//! |            | (phase A)                 | `(level, shard)` bucket (phase B)  | filled canonically) |
+//! ```text
+//! for c in 0..n { y[pos[c]] = b[c] }   // permute b in, by component
+//! for i in rows {                      // positions, contiguous
+//!     acc = 0.0
+//!     for k in ptr[i]..ptr[i+1] { acc += vals[k] * y[cols[k]] }
+//!     y[i] = (y[i] - acc) / diag[i]    // in place: b_i in, x_i out
+//! }
+//! for c in 0..n { x[c] = y[pos[c]] }   // permute x out
+//! ```
 //!
-//! Three invariants make every cell of that table produce identical
-//! bits:
+//! The sweep itself lives entirely in position space, so levels,
+//! chains and shards are plain index ranges of one contiguous array
+//! (the cholespy `level_ptr`/`chain_ptr` layout). The boundary
+//! permutations walk the *components* sequentially — streaming `b` and
+//! `x`, scattering into `y` — which measures ~2× faster than gathering
+//! `b[order[i]]` inside the sweep, and ~2.5× on an 8-lane panel, where
+//! one scattered 64-byte row of `y` replaces eight scattered reads. A
+//! natural-order factor (identity or reversed permutation) needs no
+//! `y` at all for a scalar solve: it sweeps in `x` itself.
 //!
-//! 1. **one writer per row** — each row's `x` is written by exactly
-//!    one worker, and each row's `left_sum` is accumulated by exactly
-//!    one worker per chain (owner-computes for wide levels, worker 0
-//!    for fused chains), with barriers ordering chains;
-//! 2. **canonical accumulation order** — update buckets are filled in
-//!    canonical source order at build time, and a fused chain applies
-//!    updates inline while walking the canonical order, so a target
-//!    row's partial sum always accumulates in exactly the serial
-//!    replay's source order;
-//! 3. **identical per-row arithmetic** — all paths compute
-//!    `x_i = (b_i − left_sum_i) / diag_i` then
-//!    `left_sum_r += l_ri · x_i` with the same operand values, since
-//!    (1) and (2) pin both operand sources.
+//! ### Why the gather reproduces the column-scatter bits
 //!
-//! A fused chain is the degenerate case where "one worker" owns
-//! *every* row of a run of levels: within the chain, each row's
-//! dependencies are either in earlier chains (published before the
-//! chain's opening barrier) or earlier in the canonical walk (applied
-//! inline before the row is reached) — so no internal barrier is
-//! needed and the operation sequence is literally the serial replay's
-//! subsequence for those levels. That is why chain-fused execution is
-//! bit-identical *by construction* for every worker count, fused or
-//! not, before and after a value refresh.
+//! The loop this layout replaced zeroed a `left_sum` array per solve
+//! and, after solving each source `c` in execution order, scattered
+//! `left_sum[r] += l_rc · x_c` into every dependent row; row `r` was
+//! then solved as `(b_r − left_sum_r) / d_r`. Floating-point addition
+//! is not associative, so what matters is the exact operand sequence
+//! each row saw: `0.0`, then `+ l_rc₁·x_c₁`, `+ l_rc₂·x_c₂`, … with the
+//! sources in *execution order*. The gather performs literally that
+//! sequence — `acc` starts at `+0.0` (not at the first product:
+//! `0.0 + (−0.0)` is `+0.0`, and the sign survives into `b − acc`),
+//! and a row's entries are stored by ascending source position, i.e.
+//! in execution order — so every result bit is unchanged, while the
+//! read-modify-write `left_sum` traffic and its per-solve `fill`
+//! disappear.
+//!
+//! ### Why every tier, worker count and chain shape agrees
+//!
+//! A row's value is a function of `b`, its stored entries and the `y`
+//! of **earlier levels** only (rows of one level never depend on each
+//! other). So any executor that (1) writes each row exactly once and
+//! (2) orders a level after the levels before it yields the same bits:
+//!
+//! | step shape  | who sweeps which rows                           | ordering               |
+//! |-------------|-------------------------------------------------|------------------------|
+//! | serial      | one thread, `0..n`                              | program order          |
+//! | fused chain | worker 0, the chain's contiguous row range      | program order          |
+//! | wide level  | worker `w`, shards `w, w+W, …` of the level     | barrier before & after |
+//!
+//! A wide level is a **single phase** — each worker gathers from
+//! earlier chains and writes only its own rows — so a parallel solve
+//! pays one barrier per chain boundary
+//! ([`sparsemat::levels::ChainPartition::barriers_per_solve`]), and
+//! the panel lanes of a multi-RHS block never mix. That is the whole
+//! bit-identity argument, before and after a value refresh.
 
 use crate::plan::ExecutionPlan;
 use crate::pool::{DisjointSlice, RegionBarrier, WorkerPool};
@@ -92,9 +112,9 @@ use crate::telemetry::{Hist, Site, SpanGuard, Stopwatch};
 use crate::Backend;
 use desim::{EventQueue, SimTime};
 use mgpu_sim::{um::UmRange, GpuId, Machine};
-use sparsemat::{CscMatrix, LevelSets, Triangle};
+use sparsemat::{CscMatrix, Triangle};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::ops::Range;
 
 thread_local! {
     /// Per-thread count of [`ExecAnalysis::build`] invocations. The
@@ -127,12 +147,12 @@ impl Default for ExecConfig {
     }
 }
 
-/// The structure-only preprocessing of one `(matrix, plan, config)`
-/// triple, stored flat for cache-linear solve-phase iteration.
+/// The simulator's structure-only inputs for one `(matrix, plan,
+/// config)` triple, stored flat for cache-linear event handling.
 ///
 /// Nothing in here depends on the right-hand side or on machine state,
-/// so one analysis serves arbitrarily many solves — including
-/// concurrent batched solves, which share it immutably.
+/// so one analysis serves arbitrarily many simulated solves. Warm
+/// numeric solves do not read it — they run on a [`NumericFactor`].
 #[derive(Debug, Clone)]
 pub struct ExecAnalysis {
     /// Matrix dimension.
@@ -206,121 +226,43 @@ impl ExecAnalysis {
         }
 
         // --- flattened per-component update lists and diagonals -------
-        let mut a = ExecAnalysis::columns_only(m, tri);
-
-        // --- per-GPU sizing -------------------------------------------
-        let mut nnz_per_gpu = vec![0u64; gpus];
-        for j in 0..n {
-            nnz_per_gpu[plan.owner[j]] += a.col_nnz[j] as u64;
-        }
-        let replicated = matches!(cfg.backend, Backend::Shmem { .. });
-        let device_bytes = (0..gpus).map(|g| plan.device_bytes(m, g, replicated)).collect();
-
-        a.in_degree = in_degree;
-        a.remote_mask = remote_mask;
-        a.peers_ptr = peers_ptr;
-        a.peers = peers;
-        a.nnz_per_gpu = nnz_per_gpu;
-        a.device_bytes = device_bytes;
-        a
-    }
-
-    /// Flat column data only — diagonals and update lists, the part of
-    /// the analysis the numeric [`ExecAnalysis::replay`] needs. Skips
-    /// every distribution-dependent field (in-degrees, masks, peers,
-    /// per-GPU sizing) and does **not** count as an adjacency build in
-    /// [`analysis_builds`]; the level-set engine variant uses this.
-    pub fn columns_only(m: &CscMatrix, tri: Triangle) -> ExecAnalysis {
-        let n = m.n();
-        let col_ptr = m.col_ptr();
-        let row_idx = m.row_idx();
-        let values = m.values();
+        let (col_ptr, row_idx, values) = (m.col_ptr(), m.row_idx(), m.values());
         let mut dep_ptr = vec![0u32; n + 1];
         let mut dep_rows = Vec::with_capacity(m.nnz().saturating_sub(n));
         let mut dep_vals = Vec::with_capacity(m.nnz().saturating_sub(n));
         let mut diag = vec![0.0f64; n];
         let mut col_nnz = vec![0u32; n];
         for j in 0..n {
-            let (lo, hi) = (col_ptr[j], col_ptr[j + 1]);
-            col_nnz[j] = (hi - lo) as u32;
-            let (dlo, dhi) = match tri {
-                Triangle::Lower => {
-                    diag[j] = values[lo];
-                    (lo + 1, hi)
-                }
-                Triangle::Upper => {
-                    diag[j] = values[hi - 1];
-                    (lo, hi - 1)
-                }
-            };
-            dep_rows.extend_from_slice(&row_idx[dlo..dhi]);
-            dep_vals.extend_from_slice(&values[dlo..dhi]);
+            col_nnz[j] = (col_ptr[j + 1] - col_ptr[j]) as u32;
+            diag[j] = values[diag_index(col_ptr, tri, j)];
+            let off = off_diagonal(col_ptr, tri, j);
+            dep_rows.extend_from_slice(&row_idx[off.clone()]);
+            dep_vals.extend_from_slice(&values[off]);
             dep_ptr[j + 1] = dep_rows.len() as u32;
         }
+
+        // --- per-GPU sizing -------------------------------------------
+        let mut nnz_per_gpu = vec![0u64; gpus];
+        for j in 0..n {
+            nnz_per_gpu[plan.owner[j]] += col_nnz[j] as u64;
+        }
+        let replicated = matches!(cfg.backend, Backend::Shmem { .. });
+        let device_bytes = (0..gpus).map(|g| plan.device_bytes(m, g, replicated)).collect();
+
         ExecAnalysis {
             n,
-            in_degree: Vec::new(),
-            remote_mask: Vec::new(),
-            peers_ptr: Vec::new(),
-            peers: Vec::new(),
+            in_degree,
+            remote_mask,
+            peers_ptr,
+            peers,
             dep_ptr,
             dep_rows,
             dep_vals,
             diag,
             col_nnz,
-            nnz_per_gpu: Vec::new(),
-            device_bytes: Vec::new(),
+            nnz_per_gpu,
+            device_bytes,
         }
-    }
-
-    /// Rewrite the value-dependent arrays (`diag`, `dep_vals`) in place
-    /// from `m`'s values, leaving every topology field untouched — the
-    /// numeric half of a value refresh. `m` must have exactly the
-    /// structure this analysis was built from (the engine validates
-    /// that before calling); the extraction walks the same per-column
-    /// layout as [`ExecAnalysis::columns_only`], so a refreshed
-    /// analysis is indistinguishable from one built fresh on `m`.
-    /// Allocates nothing.
-    pub(crate) fn refresh_values(&mut self, m: &CscMatrix, tri: Triangle) {
-        debug_assert_eq!(self.n, m.n(), "refresh requires the recorded structure");
-        let col_ptr = m.col_ptr();
-        let values = m.values();
-        for j in 0..self.n {
-            let (lo, hi) = (col_ptr[j], col_ptr[j + 1]);
-            let (dlo, dhi) = match tri {
-                Triangle::Lower => {
-                    self.diag[j] = values[lo];
-                    (lo + 1, hi)
-                }
-                Triangle::Upper => {
-                    self.diag[j] = values[hi - 1];
-                    (lo, hi - 1)
-                }
-            };
-            let (at_lo, at_hi) = (self.dep_ptr[j] as usize, self.dep_ptr[j + 1] as usize);
-            debug_assert_eq!(at_hi - at_lo, dhi - dlo, "dep layout must match the structure");
-            self.dep_vals[at_lo..at_hi].copy_from_slice(&values[dlo..dhi]);
-        }
-    }
-
-    /// Host bytes held by this analysis' flat arrays — what an engine
-    /// cache charges against its byte budget. Counts capacity, not
-    /// length: the allocation is what occupies memory.
-    pub fn host_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
-        cap(&self.in_degree)
-            + cap(&self.remote_mask)
-            + cap(&self.peers_ptr)
-            + cap(&self.peers)
-            + cap(&self.dep_ptr)
-            + cap(&self.dep_rows)
-            + cap(&self.dep_vals)
-            + cap(&self.diag)
-            + cap(&self.col_nnz)
-            + cap(&self.nnz_per_gpu)
-            + cap(&self.device_bytes)
     }
 
     /// Update list (dependent rows and matrix values) of component `c`.
@@ -337,544 +279,445 @@ impl ExecAnalysis {
             (self.peers_ptr[c as usize] as usize, self.peers_ptr[c as usize + 1] as usize);
         &self.peers[lo..hi]
     }
+}
 
-    /// Replay the numeric solve along a recorded wake order.
-    ///
-    /// The discrete-event timeline is *value-independent*: event times
-    /// depend only on the structure, the plan and the machine seed —
-    /// never on `b`. A recorded [`ExecOutcome::solve_order`] therefore
-    /// determines the exact floating-point operation sequence of a full
-    /// simulation, and replaying it is bit-identical to re-simulating —
-    /// at O(n + nnz) cost instead of the full event loop. This is the
-    /// §II-B amortization realized in wall-clock: analysis *and*
-    /// schedule are paid once, every further right-hand side pays only
-    /// the substitution sweep.
-    pub fn replay(&self, order: &[u32], b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0f64; self.n];
-        let mut left_sum = vec![0.0f64; self.n];
-        self.replay_into(order, b, &mut left_sum, &mut x);
-        x
+/// CSC value index of column `j`'s diagonal entry (first stored entry
+/// of a lower-triangular column, last of an upper-triangular one).
+#[inline]
+fn diag_index(col_ptr: &[usize], tri: Triangle, j: usize) -> usize {
+    match tri {
+        Triangle::Lower => col_ptr[j],
+        Triangle::Upper => col_ptr[j + 1] - 1,
+    }
+}
+
+/// CSC index range of column `j`'s off-diagonal entries.
+#[inline]
+fn off_diagonal(col_ptr: &[usize], tri: Triangle, j: usize) -> Range<usize> {
+    match tri {
+        Triangle::Lower => col_ptr[j] + 1..col_ptr[j + 1],
+        Triangle::Upper => col_ptr[j]..col_ptr[j + 1] - 1,
+    }
+}
+
+/// Maximum lane width of [`NumericFactor::solve_panel_into`] blocks:
+/// the widest monomorphized kernel (8 × f64 = one cache line of lanes
+/// per row; ragged tails use 4/2/1-wide blocks).
+pub const PANEL_K: usize = 8;
+
+/// How many owner shards each level is cut into. Worker counts above
+/// this are clamped; counts below it stripe shards round-robin
+/// (`shard % workers`). Results never depend on the striping — each
+/// row is written once, from rows of earlier levels only.
+pub const SHARD_COUNT: usize = 16;
+
+/// Component ↔ position map of `tri`'s natural substitution order —
+/// ascending for `L`, descending for `U` — which is its own inverse.
+#[inline(always)]
+fn natural_at(tri: Triangle, n: usize, i: usize) -> usize {
+    match tri {
+        Triangle::Lower => i,
+        Triangle::Upper => n - 1 - i,
+    }
+}
+
+/// Reusable scratch for the warm solves: one buffer holding the
+/// position-space solution `y` — `n` elements for a scalar solve on a
+/// canonical-order factor, `n × K` interleaved for a panel block
+/// (natural-order scalar solves need none). Grows on first use and is
+/// retained, so steady-state solves perform **zero** heap allocation.
+#[derive(Debug, Default, Clone)]
+pub struct ReplayWorkspace {
+    y: Vec<f64>,
+}
+
+impl ReplayWorkspace {
+    /// A workspace with no buffer; it grows on first use.
+    pub fn new() -> ReplayWorkspace {
+        ReplayWorkspace::default()
     }
 
-    /// Allocation-free [`ExecAnalysis::replay`]: the caller provides
-    /// the `left_sum` scratch and the output vector (both length `n`).
-    /// The floating-point operation sequence is identical to `replay`,
-    /// so results are bit-identical; only the storage strategy differs.
-    pub fn replay_into(&self, order: &[u32], b: &[f64], left_sum: &mut [f64], x: &mut [f64]) {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        assert_eq!(order.len(), self.n, "order must cover every component");
-        assert_eq!(left_sum.len(), self.n, "left_sum scratch length mismatch");
-        assert_eq!(x.len(), self.n, "output length mismatch");
-        left_sum.fill(0.0);
-        for &c in order {
-            self.replay_step(c as usize, b, left_sum, x);
+    /// The first `len` elements, growing (never shrinking) the buffer.
+    fn rows(&mut self, len: usize) -> &mut [f64] {
+        if self.y.len() < len {
+            self.y.resize(len, 0.0);
+        }
+        &mut self.y[..len]
+    }
+}
+
+/// The lean numeric core every warm tier solves on: one triangular
+/// factor **relabelled into an execution order** and stored CSR over
+/// positions in that order, each row's entries sorted by source
+/// position (see the module docs for why that reproduces the
+/// column-scatter bits).
+///
+/// `ptr`/`cols`/`vals` hold the off-diagonal entries of row `i`
+/// (position space), `diag[i]` its pivot, `pos` the position of each
+/// component (`None`: `tri`'s natural order, which needs no table),
+/// and `from[k]` the index of `vals[k]` in the source matrix' CSC
+/// value array — the permutation a value refresh replays. 16 bytes per
+/// nonzero, nothing else: levels, chains and shards are index ranges
+/// into these arrays.
+#[derive(Debug, Clone)]
+pub struct NumericFactor {
+    n: usize,
+    tri: Triangle,
+    pos: Option<Vec<u32>>,
+    ptr: Vec<u32>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+    diag: Vec<f64>,
+    from: Vec<u32>,
+}
+
+impl NumericFactor {
+    /// Relabel triangular `m` along `order` — which component sits at
+    /// each position: any topological order of `m`'s dependency graph,
+    /// typically the [`Schedule`]'s canonical level-major order — or,
+    /// with `None`, along `tri`'s natural substitution order, whose
+    /// floating-point sequence equals [`crate::reference`]'s. Cost:
+    /// O(n + nnz); runs once per engine build.
+    pub fn build(m: &CscMatrix, tri: Triangle, order: Option<&[u32]>) -> NumericFactor {
+        NumericFactor::from_csc(m.col_ptr(), m.row_idx(), m.values(), tri, order)
+    }
+
+    fn from_csc(
+        col_ptr: &[usize],
+        row_idx: &[u32],
+        values: &[f64],
+        tri: Triangle,
+        order: Option<&[u32]>,
+    ) -> NumericFactor {
+        let n = col_ptr.len() - 1;
+        // the inverse of `order`: the direction the boundary
+        // permutations walk (sequentially by component)
+        let pos = order.map(|order| {
+            assert_eq!(order.len(), n, "order must cover every component");
+            let mut pos = vec![0u32; n];
+            for (i, &c) in order.iter().enumerate() {
+                pos[c as usize] = i as u32;
+            }
+            pos
+        });
+        let pos_of = |c: usize| pos.as_ref().map_or(natural_at(tri, n, c), |p| p[c] as usize);
+        // counting pass: one CSR row per dependent component
+        let mut ptr = vec![0u32; n + 1];
+        for j in 0..n {
+            for &r in &row_idx[off_diagonal(col_ptr, tri, j)] {
+                ptr[pos_of(r as usize) + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            ptr[i + 1] += ptr[i];
+        }
+        // fill pass over the sources in execution order, so every row
+        // receives its entries by ascending source position
+        let n_off = ptr[n] as usize;
+        let mut cursor = ptr[..n].to_vec();
+        let (mut cols, mut from) = (vec![0u32; n_off], vec![0u32; n_off]);
+        let mut vals = vec![0.0f64; n_off];
+        let mut diag = vec![0.0f64; n];
+        for i in 0..n {
+            let j = order.map_or(natural_at(tri, n, i), |o| o[i] as usize);
+            diag[i] = values[diag_index(col_ptr, tri, j)];
+            for k in off_diagonal(col_ptr, tri, j) {
+                let at = &mut cursor[pos_of(row_idx[k] as usize)];
+                cols[*at as usize] = i as u32;
+                vals[*at as usize] = values[k];
+                from[*at as usize] = k as u32;
+                *at += 1;
+            }
+        }
+        NumericFactor { n, tri, pos, ptr, cols, vals, diag, from }
+    }
+
+    /// The same factor — structure from `m`, **current** values from
+    /// `self` — relabelled into the natural substitution order. `m`
+    /// must carry the structure `self` was built from; its values are
+    /// ignored (they go stale once a refresh commits).
+    pub(crate) fn to_natural(&self, m: &CscMatrix) -> NumericFactor {
+        let col_ptr = m.col_ptr();
+        let mut values = vec![0.0f64; m.nnz()];
+        for (&f, &v) in self.from.iter().zip(&self.vals) {
+            values[f as usize] = v;
+        }
+        for c in 0..self.n {
+            values[diag_index(col_ptr, self.tri, c)] = self.diag[self.pos_of(c)];
+        }
+        NumericFactor::from_csc(col_ptr, m.row_idx(), &values, self.tri, None)
+    }
+
+    /// Rewrite the values in place from `m2`, which must carry exactly
+    /// the structure this factor was built from (the engine validates
+    /// that first): one gather through `from` plus the diagonals. A
+    /// refreshed factor is indistinguishable from one built fresh on
+    /// `m2`. Allocates nothing.
+    pub(crate) fn refresh_values(&mut self, m2: &CscMatrix) {
+        debug_assert_eq!(self.n, m2.n(), "refresh requires the recorded structure");
+        let (col_ptr, values) = (m2.col_ptr(), m2.values());
+        for (v, &f) in self.vals.iter_mut().zip(&self.from) {
+            *v = values[f as usize];
+        }
+        for c in 0..self.n {
+            let p = self.pos_of(c);
+            self.diag[p] = values[diag_index(col_ptr, self.tri, c)];
         }
     }
 
-    /// Replay along the **natural substitution order** (ascending
-    /// components for a lower triangle, descending for upper) without
-    /// materializing an order array. The per-component operations are
-    /// exactly [`ExecAnalysis::replay_into`]'s, so the result is
-    /// bit-identical to a replay over the corresponding explicit order
-    /// — and, by the Krylov path's property tests, bit-identical to the
-    /// serial reference substitution. Allocates nothing.
-    pub(crate) fn replay_natural_into(
+    /// System dimension.
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Whether the factor is stored in natural substitution order.
+    #[inline]
+    pub fn is_natural(&self) -> bool {
+        self.pos.is_none()
+    }
+
+    /// The position of component `c`.
+    #[inline(always)]
+    fn pos_of(&self, c: usize) -> usize {
+        self.pos.as_ref().map_or(natural_at(self.tri, self.n, c), |p| p[c] as usize)
+    }
+
+    /// Host bytes held by the factor's arrays — what an engine cache
+    /// charges against its byte budget. Counts capacity, not length:
+    /// the allocation is what occupies memory.
+    pub fn host_bytes(&self) -> u64 {
+        fn cap<T>(v: &Vec<T>) -> u64 {
+            (v.capacity() * std::mem::size_of::<T>()) as u64
+        }
+        self.pos.as_ref().map_or(0, cap)
+            + cap(&self.ptr)
+            + cap(&self.cols)
+            + cap(&self.vals)
+            + cap(&self.diag)
+            + cap(&self.from)
+    }
+
+    /// The one numeric kernel: solve the rows at positions `rows` of
+    /// the `K`-lane interleaved `y` in place — row `i` holds its `K`
+    /// right-hand-side entries going in and its solutions coming out.
+    /// Reads `y` otherwise only at earlier positions; `K` is a const
+    /// generic so the lane loops have compile-time trip counts (LLVM
+    /// unrolls and vectorizes them into packed f64 operations).
+    #[inline(always)]
+    fn sweep<const K: usize>(&self, rows: Range<usize>, y: &DisjointSlice<'_>) {
+        for i in rows {
+            let mut acc = [0.0f64; K];
+            for k in self.ptr[i] as usize..self.ptr[i + 1] as usize {
+                let v = self.vals[k];
+                let src = y.lanes::<K>(self.cols[k] as usize);
+                for l in 0..K {
+                    acc[l] += v * src[l];
+                }
+            }
+            let (b, d) = (y.lanes::<K>(i), self.diag[i]);
+            y.set_lanes(i, std::array::from_fn::<f64, K, _>(|l| (b[l] - acc[l]) / d));
+        }
+    }
+
+    /// Permute `K` right-hand sides into the interleaved position-space
+    /// `y`, run `solve` on it, and permute the solutions out. Both
+    /// boundary passes walk the *components* sequentially (`K`
+    /// streaming vectors) and scatter whole `K`-lane rows of `y`.
+    fn in_position_space<const K: usize>(
         &self,
-        ascending: bool,
+        bs: &[impl AsRef<[f64]>],
+        y: &mut [f64],
+        outs: &mut [impl AsMut<[f64]>],
+        solve: impl FnOnce(&DisjointSlice<'_>),
+    ) {
+        let n = self.n;
+        for c in 0..n {
+            let row = self.pos_of(c) * K;
+            for (l, b) in bs.iter().enumerate() {
+                y[row + l] = b.as_ref()[c];
+            }
+        }
+        solve(&DisjointSlice::new(y));
+        for c in 0..n {
+            let row = self.pos_of(c) * K;
+            for (l, out) in outs.iter_mut().enumerate() {
+                out.as_mut()[c] = y[row + l];
+            }
+        }
+    }
+
+    /// Scalar solve of `b` into `x`, sweeping with `solve`. A
+    /// natural-order factor solves in `x` itself (positions are
+    /// components, up to a reversal), so only a canonical-order factor
+    /// touches `ws`.
+    fn scalar_into(
+        &self,
         b: &[f64],
-        left_sum: &mut [f64],
+        ws: &mut ReplayWorkspace,
         x: &mut [f64],
+        solve: impl FnOnce(&DisjointSlice<'_>),
     ) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
-        assert_eq!(left_sum.len(), self.n, "left_sum scratch length mismatch");
         assert_eq!(x.len(), self.n, "output length mismatch");
-        left_sum.fill(0.0);
-        if ascending {
-            for i in 0..self.n {
-                self.replay_step(i, b, left_sum, x);
+        match (&self.pos, self.tri) {
+            (None, Triangle::Lower) => {
+                x.copy_from_slice(b);
+                solve(&DisjointSlice::new(x));
             }
-        } else {
-            for i in (0..self.n).rev() {
-                self.replay_step(i, b, left_sum, x);
+            (None, Triangle::Upper) => {
+                for (xi, bi) in x.iter_mut().zip(b.iter().rev()) {
+                    *xi = *bi;
+                }
+                solve(&DisjointSlice::new(x));
+                x.reverse();
             }
+            (Some(_), _) => self.in_position_space::<1>(&[b], ws.rows(self.n), &mut [x], solve),
         }
     }
 
-    /// Solve one component and push its updates — the shared inner body
-    /// of the scalar replay orders.
-    #[inline(always)]
-    fn replay_step(&self, i: usize, b: &[f64], left_sum: &mut [f64], x: &mut [f64]) {
-        let xi = (b[i] - left_sum[i]) / self.diag[i];
-        x[i] = xi;
-        let (rows, vals) = self.updates_of(i as u32);
-        for (r, v) in rows.iter().zip(vals) {
-            left_sum[*r as usize] += *v * xi;
-        }
+    /// Serial scalar solve of `b` into `x`. Allocates nothing once
+    /// `ws` has grown to `n`.
+    pub fn solve_into(&self, b: &[f64], ws: &mut ReplayWorkspace, x: &mut [f64]) {
+        self.scalar_into(b, ws, x, |y| self.sweep::<1>(0..self.n, y));
     }
 
-    /// Fused multi-RHS replay: stream the flattened adjacency
-    /// (`dep_ptr`/`dep_rows`/`dep_vals`) **once per K-wide block** of
-    /// right-hand sides instead of once per RHS.
+    /// Fused multi-RHS solve: stream the factor **once per K-wide
+    /// block** of right-hand sides instead of once per RHS, in greedy
+    /// fixed-width blocks of [`PANEL_K`] (ragged tails fall back to
+    /// 4/2-wide blocks) over a `K`-lane interleaved `y` so the lane
+    /// loops are contiguous and auto-vectorize. A one-lane block — a
+    /// one-RHS panel, or a ragged tail's last lane — runs the scalar
+    /// solve straight into the caller's vector.
     ///
-    /// Right-hand sides are processed in fixed-width blocks of
-    /// [`PANEL_K`] (ragged tails fall back to 4/2/1-wide blocks), with
-    /// the per-component state held in an interleaved panel layout
-    /// (`K` consecutive lanes per row) so the inner loop over the block
-    /// is contiguous and auto-vectorizes. Since SpTRSV replay is
-    /// memory-bandwidth-bound, amortizing the factor traffic over K
-    /// solves is worth ~K× on the dominant stream.
-    ///
-    /// Each right-hand side's floating-point operation sequence is
-    /// exactly the scalar [`ExecAnalysis::replay`]'s (the K lanes never
-    /// mix), so every solution is **bit-identical** to a per-RHS
-    /// replay. Steady-state calls allocate nothing once `ws` has grown
-    /// to the panel size.
-    pub fn replay_panel(
+    /// The lanes never mix, so every solution is **bit-identical** to
+    /// [`NumericFactor::solve_into`] on the same right-hand side.
+    /// Steady-state calls allocate nothing once `ws` has grown to the
+    /// panel size.
+    pub fn solve_panel_into(
         &self,
-        order: &[u32],
         bs: &[Vec<f64>],
         ws: &mut ReplayWorkspace,
         outs: &mut [Vec<f64>],
     ) {
         assert_eq!(bs.len(), outs.len(), "one output per right-hand side");
-        for b in bs {
+        for (b, out) in bs.iter().zip(outs.iter_mut()) {
             assert_eq!(b.len(), self.n, "rhs length mismatch");
-        }
-        for out in outs.iter_mut() {
             out.resize(self.n, 0.0);
         }
         let mut lo = 0;
         while lo < bs.len() {
-            let rem = bs.len() - lo;
-            // greedy fixed-width blocks: monomorphized kernels for
-            // 8/4/2/1 lanes keep the inner loop a compile-time constant
-            let k = if rem >= 8 {
-                8
-            } else if rem >= 4 {
-                4
-            } else if rem >= 2 {
-                2
-            } else {
-                1
+            let k = match bs.len() - lo {
+                8.. => 8,
+                4.. => 4,
+                2.. => 2,
+                _ => 1,
             };
-            let bs_blk = &bs[lo..lo + k];
-            let outs_blk = &mut outs[lo..lo + k];
+            let (bs_blk, outs_blk) = (&bs[lo..lo + k], &mut outs[lo..lo + k]);
             match k {
-                8 => self.replay_block::<8>(order, bs_blk, ws, outs_blk),
-                4 => self.replay_block::<4>(order, bs_blk, ws, outs_blk),
-                2 => self.replay_block::<2>(order, bs_blk, ws, outs_blk),
-                _ => self.replay_block::<1>(order, bs_blk, ws, outs_blk),
+                8 => self.solve_block::<8>(bs_blk, ws, outs_blk),
+                4 => self.solve_block::<4>(bs_blk, ws, outs_blk),
+                2 => self.solve_block::<2>(bs_blk, ws, outs_blk),
+                _ => self.solve_into(&bs_blk[0], ws, &mut outs_blk[0]),
             }
             lo += k;
         }
     }
 
-    /// One K-wide block of the fused replay. `K` is a const generic so
-    /// the lane loops have compile-time trip counts (LLVM unrolls and
-    /// vectorizes them into packed f64 operations).
-    fn replay_block<const K: usize>(
+    /// One K-wide block of the fused solve.
+    fn solve_block<const K: usize>(
         &self,
-        order: &[u32],
         bs: &[Vec<f64>],
         ws: &mut ReplayWorkspace,
         outs: &mut [Vec<f64>],
     ) {
-        let n = self.n;
-        debug_assert_eq!(bs.len(), K);
-        assert_eq!(order.len(), n, "order must cover every component");
-        ws.ensure(n, K);
-        let bb = &mut ws.panel_b[..n * K];
-        let xb = &mut ws.panel_x[..n * K];
-        let lsb = &mut ws.panel_ls[..n * K];
-        // pack the RHS columns into the interleaved panel (row i holds
-        // the K lanes contiguously); `i` outer so the panel writes are
-        // sequential and the K source lanes stream in parallel
-        for i in 0..n {
-            for (k, b) in bs.iter().enumerate() {
-                bb[i * K + k] = b[i];
-            }
-        }
-        lsb.fill(0.0);
-
-        for &c in order {
-            let i = c as usize;
-            let d = self.diag[i];
-            let base = i * K;
-            let mut xv = [0.0f64; K];
-            for k in 0..K {
-                xv[k] = (bb[base + k] - lsb[base + k]) / d;
-            }
-            xb[base..base + K].copy_from_slice(&xv);
-            let (rows, vals) = self.updates_of(c);
-            for (r, v) in rows.iter().zip(vals) {
-                // copy the matrix value to a local: a reference-typed
-                // `v` makes LLVM re-load it after every lane store
-                // (it cannot rule out aliasing with `lsb` once
-                // inlined), which blocks packing the lane loop
-                let v = *v;
-                let row = &mut lsb[*r as usize * K..*r as usize * K + K];
-                for k in 0..K {
-                    row[k] += v * xv[k];
-                }
-            }
-        }
-
-        // unpack the interleaved solutions back into per-RHS columns
-        // (`i` outer: sequential panel reads, K parallel write streams)
-        for i in 0..n {
-            let row = &xb[i * K..i * K + K];
-            for (k, out) in outs.iter_mut().enumerate() {
-                out[i] = row[k];
-            }
-        }
-    }
-}
-
-/// Maximum lane width of [`ExecAnalysis::replay_panel`] blocks: the
-/// widest monomorphized kernel (8 × f64 = one cache line of lanes per
-/// row; ragged tails use 4/2/1-wide blocks).
-pub const PANEL_K: usize = 8;
-
-/// Reusable scratch for the fused panel replay. Buffers grow to
-/// `n × K` on first use and are retained, so steady-state
-/// [`ExecAnalysis::replay_panel`] calls perform **zero** heap
-/// allocation.
-#[derive(Debug, Default, Clone)]
-pub struct ReplayWorkspace {
-    /// Interleaved right-hand-side panel (`n × K`, K lanes per row).
-    panel_b: Vec<f64>,
-    /// Interleaved solution panel.
-    panel_x: Vec<f64>,
-    /// Interleaved partial-sum panel.
-    panel_ls: Vec<f64>,
-}
-
-impl ReplayWorkspace {
-    /// A workspace with no buffers; they grow on first use.
-    pub fn new() -> ReplayWorkspace {
-        ReplayWorkspace::default()
+        let y = ws.rows(self.n * K);
+        self.in_position_space::<K>(bs, y, outs, |y| self.sweep::<K>(0..self.n, y));
     }
 
-    /// Grow (never shrink) the panel buffers to `n × k` elements.
-    fn ensure(&mut self, n: usize, k: usize) {
-        let len = n * k;
-        if self.panel_b.len() < len {
-            self.panel_b.resize(len, 0.0);
-            self.panel_x.resize(len, 0.0);
-            self.panel_ls.resize(len, 0.0);
-        }
-    }
-}
-
-/// The chain-fused, level-parallel replay executor — the paper's
-/// parallel execution model (independent components solved
-/// concurrently, updates applied owner-locally) materialized for the
-/// host warm path, stepping the engine's [`Schedule`] IR.
-///
-/// The scheduling facts — canonical order, owner segmentation, chain
-/// partition — live in the shared [`Schedule`] (built once at
-/// engine-build time); this struct adds only the *numeric* bucket
-/// arrays: per `(source level, target shard)` update lists, filled in
-/// canonical source order so every target row accumulates exactly as
-/// the serial [`ExecAnalysis::replay_into`] does.
-///
-/// At solve time execution steps the schedule's **chains**, with
-/// barriers only at chain boundaries:
-///
-/// * a **fused chain** (run of narrow levels) is walked entirely by
-///   worker 0 in canonical order with inline solve+update — no
-///   internal barriers — then one trailing barrier publishes its rows;
-/// * a **wide level** runs the owner-computes two-phase path: shard
-///   `s` is handled by worker `s % workers`, solve phase → barrier →
-///   bucketed update phase → trailing barrier.
-///
-/// Both strategies execute the canonical floating-point sequence (see
-/// the module docs' bit-identity section), on a
-/// [`WorkerPool::run_region`] parallel region with one reusable
-/// stack-allocated [`RegionBarrier`], so steady-state sharded solves
-/// allocate nothing.
-#[derive(Debug, Clone)]
-pub struct ShardedReplay {
-    /// The engine-wide Schedule IR this executor steps (shared with
-    /// the engine's structure plan — a refcount, not a copy).
-    schedule: Arc<Schedule>,
-    /// Update-list offsets per `(level, shard)` bucket
-    /// (`n_levels * shards + 1` entries, CSR-style). Buckets exist for
-    /// every level — including fused ones, whose updates are applied
-    /// inline instead — so the layout is threshold-independent and a
-    /// value refresh never re-derives it.
-    upd_ptr: Vec<u32>,
-    /// Source component per update entry (its `x` feeds the update).
-    upd_src: Vec<u32>,
-    /// Target row per update entry (owned by the bucket's shard).
-    upd_row: Vec<u32>,
-    /// Matrix value per update entry.
-    upd_val: Vec<f64>,
-    /// Source index of each update's value in the analysis' flat
-    /// `dep_vals` array — the permutation a value refresh replays to
-    /// rewrite `upd_val` in place without re-deriving the schedule.
-    upd_from: Vec<u32>,
-}
-
-/// How many owner shards each level is cut into. Worker counts above
-/// this are clamped; counts below it stripe shards round-robin
-/// (`shard % workers`), which keeps results bit-identical across
-/// worker counts — a row's updates always live in exactly one shard's
-/// bucket, in canonical order, applied by exactly one worker.
-pub const SHARD_COUNT: usize = 16;
-
-impl ShardedReplay {
-    /// Derive the numeric bucket arrays for a prebuilt analysis under
-    /// an engine's [`Schedule`] (which owns the canonical order, the
-    /// owner segmentation and the chain partition — see
-    /// [`Schedule::build`]). Cost: O(n + nnz); runs once per engine
-    /// build.
-    pub fn build(a: &ExecAnalysis, levels: &LevelSets, schedule: &Arc<Schedule>) -> ShardedReplay {
-        let shards = schedule.shards();
-        let n_levels = schedule.n_levels();
-        debug_assert_eq!(n_levels, levels.n_levels(), "schedule built from different levels");
-        let shard_of = schedule.shard_of();
-        let n_upd = a.dep_rows.len();
-
-        // counting pass: one bucket per (source level, target shard)
-        let mut upd_ptr = vec![0u32; n_levels * shards + 1];
-        for c in 0..a.n {
-            let l = levels.level_of[c] as usize;
-            let (rows, _) = a.updates_of(c as u32);
-            for &r in rows {
-                upd_ptr[l * shards + shard_of[r as usize] as usize + 1] += 1;
-            }
-        }
-        for k in 0..n_levels * shards {
-            upd_ptr[k + 1] += upd_ptr[k];
-        }
-
-        // fill pass in canonical order, so every bucket — and therefore
-        // every target row — accumulates its updates in exactly the
-        // source order of the serial replay
-        let mut cursor: Vec<u32> = upd_ptr.clone();
-        let mut upd_src = vec![0u32; n_upd];
-        let mut upd_row = vec![0u32; n_upd];
-        let mut upd_val = vec![0.0f64; n_upd];
-        let mut upd_from = vec![0u32; n_upd];
-        for &c in schedule.order().iter() {
-            let l = levels.level_of[c as usize] as usize;
-            let dep_base = a.dep_ptr[c as usize];
-            let (rows, vals) = a.updates_of(c);
-            for (k, (r, v)) in rows.iter().zip(vals).enumerate() {
-                let bucket = l * shards + shard_of[*r as usize] as usize;
-                let at = cursor[bucket] as usize;
-                upd_src[at] = c;
-                upd_row[at] = *r;
-                upd_val[at] = *v;
-                upd_from[at] = dep_base + k as u32;
-                cursor[bucket] += 1;
-            }
-        }
-
-        ShardedReplay {
-            schedule: Arc::clone(schedule),
-            upd_ptr,
-            upd_src,
-            upd_row,
-            upd_val,
-            upd_from,
-        }
-    }
-
-    /// Rewrite the schedule's value array in place from a refreshed
-    /// analysis by replaying the recorded `dep_vals` permutation —
-    /// every topology array (order, segments, buckets, sources,
-    /// targets) stays untouched. Allocates nothing.
-    pub(crate) fn refresh_values(&mut self, a: &ExecAnalysis) {
-        debug_assert_eq!(self.upd_val.len(), a.dep_vals.len(), "schedule/analysis mismatch");
-        for (v, &src) in self.upd_val.iter_mut().zip(&self.upd_from) {
-            *v = a.dep_vals[src as usize];
-        }
-    }
-
-    /// The canonical serial order of this executor's schedule, behind
-    /// a shared handle. The engine stores this as its warm replay
-    /// order, which is what makes the sharded tier bit-identical to
-    /// every serial tier.
-    #[inline]
-    pub fn order_shared(&self) -> Arc<[u32]> {
-        self.schedule.order_shared()
-    }
-
-    /// The Schedule IR this executor steps.
-    #[inline]
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
-    }
-
-    /// Host bytes held by the numeric bucket arrays. The shared
-    /// [`Schedule`] (canonical order, segments, chains) is counted by
-    /// [`Schedule::host_bytes`] — its owner of record — not here.
-    pub fn host_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
-        cap(&self.upd_ptr)
-            + cap(&self.upd_src)
-            + cap(&self.upd_row)
-            + cap(&self.upd_val)
-            + cap(&self.upd_from)
-    }
-
-    /// Execute one warm solve chain-parallel across `workers` region
-    /// workers, writing the solution into `x` with `left_sum` as the
-    /// partial-sum scratch (both length `n`).
+    /// Chain-parallel scalar solve across `workers` region workers,
+    /// stepping `schedule` — which must be the [`Schedule`] whose
+    /// canonical order this factor was relabelled into (levels, chains
+    /// and shards are then plain row ranges; with any other order the
+    /// workers would race), which is why only the engine, holding both,
+    /// can call this. A **fused** chain
+    /// (run of narrow levels) is swept entirely by worker 0; a
+    /// **wide** level is one phase, worker `w` sweeping shards
+    /// `w, w + workers, …`; one barrier at every chain boundary
+    /// publishes the chain's rows (the region join covers the last).
     ///
-    /// The loop steps the schedule's [`ChainPartition`] rather than raw
-    /// levels. A **fused** chain (consecutive narrow levels) runs on
-    /// worker 0 in canonical level-major order with updates applied
-    /// inline — zero internal barriers. A **wide** chain is a single
-    /// level stepped owner-computes across shards in two
-    /// barrier-separated phases (solve, then bucket updates). Barriers
-    /// thus land only at chain boundaries plus one mid-level barrier
-    /// per wide level.
-    ///
-    /// Bit-identical to `a.replay_into(&self.order_shared(), b, ...)`
-    /// for **every** worker count: ownership fixes each row's solve
-    /// and accumulation onto one worker, the bucket layout fixes the
-    /// accumulation order to the canonical source order, and a fused
-    /// chain's instruction stream is literally the serial replay's
-    /// subsequence for those levels (see the module docs). Steady
-    /// state this allocates nothing (the barrier lives on the stack,
-    /// the region descriptor in the pool).
+    /// Bit-identical to [`NumericFactor::solve_into`] for every worker
+    /// count (see the module docs). Steady state this allocates
+    /// nothing (the barrier lives on the stack, the region descriptor
+    /// in the pool).
     ///
     /// `workers` is clamped to `[1, SHARD_COUNT]`; with one worker, a
-    /// single chain, or an empty system the serial replay runs
-    /// directly. If the pool's region slot is already taken — a
-    /// concurrent sharded solve — the call degrades to the serial
-    /// replay on the calling thread rather than blocking, so
-    /// concurrent solves on one engine never serialize behind each
-    /// other.
-    pub fn replay_into(
+    /// single chain or an empty system the serial sweep runs directly.
+    /// If the pool's region slot is already taken — a concurrent
+    /// sharded solve — the call degrades to the serial sweep on the
+    /// calling thread rather than blocking: the results are
+    /// bit-identical either way, and solving now beats waiting for
+    /// threads another solve is using. Returns whether the parallel
+    /// region actually ran.
+    pub(crate) fn solve_sharded_into(
         &self,
-        a: &ExecAnalysis,
+        schedule: &Schedule,
         b: &[f64],
-        left_sum: &mut [f64],
+        ws: &mut ReplayWorkspace,
         x: &mut [f64],
         pool: &WorkerPool,
         workers: usize,
-    ) {
-        let sch = &*self.schedule;
-        let shards = sch.shards();
+    ) -> bool {
+        assert!(
+            !self.is_natural() && schedule.order().len() == self.n,
+            "factor is not relabelled into this schedule's canonical order"
+        );
+        let shards = schedule.shards();
         let workers = workers.clamp(1, shards.max(1));
-        if workers == 1 || sch.n_chains() <= 1 || a.n == 0 {
-            a.replay_into(sch.order(), b, left_sum, x);
-            return;
-        }
-        assert_eq!(b.len(), a.n, "rhs length mismatch");
-        assert_eq!(left_sum.len(), a.n, "left_sum scratch length mismatch");
-        assert_eq!(x.len(), a.n, "output length mismatch");
-        left_sum.fill(0.0);
-        let xs = DisjointSlice::new(x);
-        let ls = DisjointSlice::new(left_sum);
-        let barrier = RegionBarrier::new(workers);
-        let diag = &a.diag[..];
-        let (order, seg_ptr) = (sch.order(), sch.seg_ptr());
-        let chains = sch.chains();
+        let (seg_ptr, chains) = (schedule.seg_ptr(), schedule.chains());
         let n_chains = chains.n_chains();
-        // Per chain:
-        //   fused — worker 0 walks the chain's slice of the canonical
-        //     order, solving each row and applying its updates inline;
-        //     peers park at the trailing barrier, whose acquire/release
-        //     ordering publishes worker 0's writes.
-        //   wide — two phases, barrier-separated:
-        //     A: solve the level's owned shards (reads b/diag and
-        //        owned left_sum — all updates into them landed in
-        //        earlier chains);
-        //     B: apply the level's updates into owned deeper rows
-        //        (reads x solved in phase A, possibly by peers — hence
-        //        the barrier — and writes only shard-owned left_sum).
-        // The trailing barrier orders each chain before the next; the
-        // last chain needs none (region completion synchronizes).
-        //
-        // try_run_region: if another region already occupies the pool
-        // (a concurrent sharded solve on the same engine), run the
-        // serial replay instead of queueing — the results are
-        // bit-identical either way, and solving now on this thread
-        // beats waiting for threads another solve is using.
-        // Telemetry: worker 0 records one `ShardedChain` span per
-        // chain and one `ShardedBarrier` span per barrier it waits on
-        // — chain spans == `ScheduleStats.chains` and barrier spans ==
-        // `ScheduleStats.barriers_per_solve`, exactly (every worker
-        // waits the same barriers; recording one lane keeps the
-        // timeline reconcilable with the static schedule counts).
-        let ran_parallel = pool.try_run_region(workers, &|w| {
-            for k in 0..n_chains {
-                let lv = chains.chain(k);
-                let chain_span = SpanGuard::enter_on(w == 0, Site::ShardedChain);
-                if chains.is_fused(k) {
-                    if w == 0 {
-                        // seg_ptr is cumulative across levels, so a
-                        // chain's rows are one contiguous slice of the
-                        // canonical order.
-                        let lo = seg_ptr[lv.start * shards] as usize;
-                        let hi = seg_ptr[lv.end * shards] as usize;
-                        for &c in &order[lo..hi] {
-                            let i = c as usize;
-                            let xi = (b[i] - ls.get(i)) / diag[i];
-                            xs.set(i, xi);
-                            let (rows, vals) = a.updates_of(c);
-                            for (r, v) in rows.iter().zip(vals) {
-                                let r = *r as usize;
-                                ls.set(r, ls.get(r) + *v * xi);
+        let barrier = RegionBarrier::new(workers);
+        let mut ran_parallel = false;
+        self.scalar_into(b, ws, x, |y| {
+            // Telemetry: every worker records its barrier waits
+            // (imbalance shows as a spread in `barrier_wait_ns`), but
+            // only worker 0 records spans — one `ShardedChain` per
+            // chain and one `ShardedBarrier` per barrier, so the
+            // timeline reconciles exactly with `ScheduleStats`.
+            ran_parallel = workers > 1
+                && n_chains > 1
+                && pool.try_run_region(workers, &|w| {
+                    for k in 0..n_chains {
+                        let lv = chains.chain(k);
+                        let chain_span = SpanGuard::enter_on(w == 0, Site::ShardedChain);
+                        if !chains.is_fused(k) {
+                            let base = lv.start * shards;
+                            for s in (w..shards).step_by(workers) {
+                                let rows =
+                                    seg_ptr[base + s] as usize..seg_ptr[base + s + 1] as usize;
+                                self.sweep::<1>(rows, y);
                             }
+                        } else if w == 0 {
+                            // seg_ptr is cumulative across levels, so a
+                            // chain's rows are one contiguous range
+                            let rows = seg_ptr[lv.start * shards] as usize
+                                ..seg_ptr[lv.end * shards] as usize;
+                            self.sweep::<1>(rows, y);
+                        }
+                        drop(chain_span);
+                        if k + 1 < n_chains {
+                            let _g = SpanGuard::enter_on(w == 0, Site::ShardedBarrier);
+                            let sw = Stopwatch::start();
+                            barrier.wait();
+                            sw.stop(Hist::BarrierWaitNs);
                         }
                     }
-                } else {
-                    let base = lv.start * shards;
-                    let mut s = w;
-                    while s < shards {
-                        let (lo, hi) = (seg_ptr[base + s] as usize, seg_ptr[base + s + 1] as usize);
-                        for &c in &order[lo..hi] {
-                            let i = c as usize;
-                            xs.set(i, (b[i] - ls.get(i)) / diag[i]);
-                        }
-                        s += workers;
-                    }
-                    if w == 0 {
-                        let _g = SpanGuard::enter(Site::ShardedBarrier);
-                        let sw = Stopwatch::start();
-                        barrier.wait();
-                        sw.stop(Hist::BarrierWaitNs);
-                    } else {
-                        barrier.wait();
-                    }
-                    let mut s = w;
-                    while s < shards {
-                        let (lo, hi) =
-                            (self.upd_ptr[base + s] as usize, self.upd_ptr[base + s + 1] as usize);
-                        for j in lo..hi {
-                            let r = self.upd_row[j] as usize;
-                            ls.set(
-                                r,
-                                ls.get(r) + self.upd_val[j] * xs.get(self.upd_src[j] as usize),
-                            );
-                        }
-                        s += workers;
-                    }
-                }
-                drop(chain_span);
-                if k + 1 < n_chains {
-                    if w == 0 {
-                        let _g = SpanGuard::enter(Site::ShardedBarrier);
-                        let sw = Stopwatch::start();
-                        barrier.wait();
-                        sw.stop(Hist::BarrierWaitNs);
-                    } else {
-                        barrier.wait();
-                    }
-                }
+                });
+            if !ran_parallel {
+                self.sweep::<1>(0..self.n, y);
             }
         });
-        if !ran_parallel {
-            a.replay_into(sch.order(), b, left_sum, x);
-        }
+        ran_parallel
     }
 }
 
@@ -889,8 +732,7 @@ pub struct ExecOutcome {
     pub makespan: SimTime,
     /// Events processed by the calendar.
     pub events: u64,
-    /// Components in the order their warps woke and solved — the
-    /// recorded schedule that [`ExecAnalysis::replay`] re-executes.
+    /// Components in the order their warps woke and solved.
     pub solve_order: Vec<u32>,
 }
 
@@ -1418,7 +1260,15 @@ mod tests {
     use crate::schedule::ScheduleTuning;
     use crate::verify;
     use mgpu_sim::MachineConfig;
-    use sparsemat::gen;
+    use sparsemat::{gen, LevelSets};
+
+    /// Serial solve on a factor relabelled along an explicit order.
+    fn solve_along(m: &CscMatrix, order: &[u32], b: &[f64]) -> Vec<f64> {
+        let f = NumericFactor::build(m, Triangle::Lower, Some(order));
+        let mut x = vec![f64::NAN; m.n()];
+        f.solve_into(b, &mut ReplayWorkspace::new(), &mut x);
+        x
+    }
 
     fn run_case(
         m: &CscMatrix,
@@ -1498,7 +1348,7 @@ mod tests {
         let (_, b1) = verify::rhs_for(&m, 2);
         let mut machine = Machine::new(MachineConfig::dgx1(4));
         let full = run_prepared(&b1, &plan, &analysis, &mut machine, &cfg).unwrap();
-        let replayed = analysis.replay(&calibration.solve_order, &b1);
+        let replayed = solve_along(&m, &calibration.solve_order, &b1);
         assert_eq!(full.x, replayed, "replay must be bit-identical to simulation");
         assert_eq!(full.solve_order, calibration.solve_order, "schedule is value-independent");
     }
@@ -1667,15 +1517,17 @@ mod tests {
         let (_, b0) = verify::rhs_for(&m, 1);
         let mut machine = Machine::new(MachineConfig::dgx1(4));
         let order = run_prepared(&b0, &plan, &analysis, &mut machine, &cfg).unwrap().solve_order;
+        let factor = NumericFactor::build(&m, Triangle::Lower, Some(&order));
         let mut ws = ReplayWorkspace::new();
         // batch sizes exercising every block width and ragged tails
         for batch in [1usize, 2, 3, 5, 8, 13] {
             let bs: Vec<Vec<f64>> =
                 (0..batch as u64).map(|k| verify::rhs_for(&m, 100 + k).1).collect();
             let mut outs: Vec<Vec<f64>> = vec![Vec::new(); batch];
-            analysis.replay_panel(&order, &bs, &mut ws, &mut outs);
+            factor.solve_panel_into(&bs, &mut ws, &mut outs);
             for (k, b) in bs.iter().enumerate() {
-                let scalar = analysis.replay(&order, b);
+                let mut scalar = vec![0.0; m.n()];
+                factor.solve_into(b, &mut ws, &mut scalar);
                 assert_eq!(outs[k], scalar, "batch={batch} rhs={k}: panel must be bit-identical");
             }
         }
@@ -1683,24 +1535,26 @@ mod tests {
 
     #[test]
     fn replay_into_matches_replay() {
+        // dirty scratch and output must not leak into either order
         let m = gen::banded_lower(400, 6, 3.0, 5);
-        let analysis = ExecAnalysis::columns_only(&m, Triangle::Lower);
-        let order: Vec<u32> = (0..m.n() as u32).collect();
         let (_, b) = verify::rhs_for(&m, 77);
-        let heap = analysis.replay(&order, &b);
-        let mut ls = vec![1.0; m.n()]; // dirty scratch must not leak in
-        let mut x = vec![2.0; m.n()];
-        analysis.replay_into(&order, &b, &mut ls, &mut x);
-        assert_eq!(heap, x);
+        let expect = reference::solve_lower(&m, &b).unwrap();
+        let natural = NumericFactor::build(&m, Triangle::Lower, None);
+        let order: Vec<u32> = (0..m.n() as u32).collect();
+        let explicit = NumericFactor::build(&m, Triangle::Lower, Some(&order));
+        assert!(natural.is_natural() && !explicit.is_natural());
+        for f in [&natural, &explicit] {
+            let mut ws = ReplayWorkspace { y: vec![1.0; 3 * m.n()] };
+            let mut x = vec![2.0; m.n()];
+            f.solve_into(&b, &mut ws, &mut x);
+            assert_eq!(x, expect);
+        }
     }
 
     #[test]
     fn sharded_replay_bit_identical_to_serial_replay() {
         let m = gen::level_structured(&gen::LevelSpec::new(1500, 25, 6000, 41));
         let plan = ExecutionPlan::build(m.n(), 4, Partition::Tasks { per_gpu: 8 }, Triangle::Lower);
-        let cfg =
-            ExecConfig { backend: Backend::Shmem { poll_caching: true }, ..ExecConfig::default() };
-        let analysis = ExecAnalysis::build(&m, &plan, &cfg);
         let levels = LevelSets::analyze(&m, Triangle::Lower);
         let pool = WorkerPool::new();
         // thresholds span no fusion (0), mixed (32 vs ~60 mean width)
@@ -1709,15 +1563,14 @@ mod tests {
             for owner in [None, Some(&plan.owner[..])] {
                 let tuning =
                     ScheduleTuning { chain_width_threshold: threshold, ..Default::default() };
-                let schedule = Arc::new(Schedule::build(&levels, owner, tuning));
-                let sharded = ShardedReplay::build(&analysis, &levels, &schedule);
-                let order = sharded.order_shared();
+                let schedule = Schedule::build(&levels, owner, tuning);
+                let factor = NumericFactor::build(&m, Triangle::Lower, Some(schedule.order()));
                 let (_, b) = verify::rhs_for(&m, 99);
-                let serial = analysis.replay(&order, &b);
+                let serial = solve_along(&m, schedule.order(), &b);
                 for workers in [1usize, 2, 3, 5, SHARD_COUNT, SHARD_COUNT + 7] {
-                    let mut ls = vec![1.0; m.n()]; // dirty scratch must not leak in
+                    let mut ws = ReplayWorkspace { y: vec![1.0; m.n()] }; // dirty scratch
                     let mut x = vec![2.0; m.n()];
-                    sharded.replay_into(&analysis, &b, &mut ls, &mut x, &pool, workers);
+                    factor.solve_sharded_into(&schedule, &b, &mut ws, &mut x, &pool, workers);
                     assert_eq!(
                         x,
                         serial,
@@ -1733,12 +1586,9 @@ mod tests {
     fn sharded_order_is_level_major_and_owner_grouped() {
         let m = gen::level_structured(&gen::LevelSpec::new(600, 12, 2400, 7));
         let plan = ExecutionPlan::build(m.n(), 4, Partition::Blocked, Triangle::Lower);
-        let analysis = ExecAnalysis::columns_only(&m, Triangle::Lower);
         let levels = LevelSets::analyze(&m, Triangle::Lower);
-        let schedule =
-            Arc::new(Schedule::build(&levels, Some(&plan.owner), ScheduleTuning::default()));
-        let sharded = ShardedReplay::build(&analysis, &levels, &schedule);
-        let order = sharded.order_shared();
+        let schedule = Schedule::build(&levels, Some(&plan.owner), ScheduleTuning::default());
+        let order = schedule.order();
         assert_eq!(order.len(), m.n());
         // level-major: levels never decrease along the order
         let mut last = 0u32;
@@ -1763,29 +1613,26 @@ mod tests {
     #[test]
     fn sharded_replay_handles_degenerate_shapes() {
         let pool = WorkerPool::new();
+        let mut ws = ReplayWorkspace::new();
         // empty system
         let empty = sparsemat::TripletBuilder::new(0).build().unwrap();
-        let a = ExecAnalysis::columns_only(&empty, Triangle::Lower);
         let levels = LevelSets::analyze(&empty, Triangle::Lower);
-        let schedule = Arc::new(Schedule::build(&levels, None, ScheduleTuning::default()));
-        let sharded = ShardedReplay::build(&a, &levels, &schedule);
-        let (mut ls, mut x) = (Vec::new(), Vec::new());
-        sharded.replay_into(&a, &[], &mut ls, &mut x, &pool, 4);
+        let schedule = Schedule::build(&levels, None, ScheduleTuning::default());
+        let factor = NumericFactor::build(&empty, Triangle::Lower, Some(schedule.order()));
+        assert!(!factor.solve_sharded_into(&schedule, &[], &mut ws, &mut [], &pool, 4));
         // fully sequential chain: every level has width 1. Default
         // tuning fuses it into one chain (serial degrade); threshold 0
         // forces 50 singleton chains through the barriered path.
         let chain = gen::chain(50);
-        let a = ExecAnalysis::columns_only(&chain, Triangle::Lower);
         let levels = LevelSets::analyze(&chain, Triangle::Lower);
         for threshold in [ScheduleTuning::default().chain_width_threshold, 0] {
             let tuning = ScheduleTuning { chain_width_threshold: threshold, ..Default::default() };
-            let schedule = Arc::new(Schedule::build(&levels, None, tuning));
-            let sharded = ShardedReplay::build(&a, &levels, &schedule);
+            let schedule = Schedule::build(&levels, None, tuning);
+            let factor = NumericFactor::build(&chain, Triangle::Lower, Some(schedule.order()));
             let (_, b) = verify::rhs_for(&chain, 5);
-            let serial = a.replay(&sharded.order_shared(), &b);
-            let mut ls = vec![0.0; 50];
+            let serial = reference::solve_lower(&chain, &b).unwrap();
             let mut x = vec![0.0; 50];
-            sharded.replay_into(&a, &b, &mut ls, &mut x, &pool, 4);
+            factor.solve_sharded_into(&schedule, &b, &mut ws, &mut x, &pool, 4);
             assert_eq!(x, serial, "t={threshold}");
         }
     }

@@ -30,11 +30,12 @@
 //!
 //! ## Bitwise reproducibility of the Krylov trajectory
 //!
-//! Preconditioner applications replay the engines' flat dependency
-//! adjacency ([`crate::exec::ExecAnalysis`]) along the **natural
-//! substitution order** (ascending columns for `L`, descending for
-//! `U`) — the one topological order whose floating-point operation
-//! sequence coincides exactly with the serial reference (Algorithm 1).
+//! Preconditioner applications sweep each engine's factor relabelled
+//! into the **natural substitution order**
+//! ([`crate::exec::NumericFactor`] over the identity permutation for
+//! `L`, the reversed one for `U`) — the one topological order whose
+//! floating-point operation sequence coincides exactly with the serial
+//! reference (Algorithm 1).
 //! [`PreconditionerEngine::apply_into`] is therefore **bit-identical**
 //! to [`crate::reference::solve_lower`] followed by
 //! [`crate::reference::solve_upper`] (property-tested), and the whole
@@ -43,11 +44,12 @@
 //! warm tiers re-associates per-row partial sums, which is fine for a
 //! verified solve but would perturb the Krylov trajectory relative to
 //! the reference — so the preconditioner path pins the natural order
-//! instead, while still reusing the engines' analysis, calibration
-//! reports and shared resources. The batched path runs the same
-//! operation sequence through the fused panel kernels
-//! ([`crate::exec::ExecAnalysis::replay_panel`], lanes never mix), so
-//! every batched application is bit-identical to the scalar one.
+//! instead, while still reusing the engines' calibration reports,
+//! value-refresh locking and shared resources. The batched path runs
+//! the same kernel in its lane form
+//! ([`crate::exec::NumericFactor::solve_panel_into`], lanes never
+//! mix), so every batched application is bit-identical to the scalar
+//! one.
 //!
 //! ## Amortization, demonstrated end-to-end
 //!
@@ -76,9 +78,8 @@ pub struct ApplyWorkspace {
     mid: Vec<f64>,
     /// Per-RHS intermediates for the batched apply.
     mids: Vec<Vec<f64>>,
-    /// `left_sum` scratch shared by both replays.
-    scratch: Vec<f64>,
-    /// Interleaved panel buffers for the fused batched apply.
+    /// Interleaved position-space panel for the fused batched apply
+    /// (the scalar natural-order sweeps need no scratch).
     panel: ReplayWorkspace,
 }
 
@@ -136,11 +137,6 @@ impl SpMv for CsrMatrix {
 pub struct PreconditionerEngine<'m> {
     fwd: SolverEngine<'m>,
     bwd: SolverEngine<'m>,
-    /// Natural forward-substitution order (`0..n`): the replay order
-    /// whose FP sequence equals `reference::solve_lower`.
-    fwd_order: Vec<u32>,
-    /// Natural backward-substitution order (`n..0`).
-    bwd_order: Vec<u32>,
     /// Recycled apply workspaces for the allocating convenience paths
     /// and the Krylov drivers; the same poison-recovering free-list as
     /// the engines' workspace pool — one panicked apply must not brick
@@ -176,14 +172,10 @@ impl<'m> PreconditionerEngine<'m> {
         let fwd =
             SolverEngine::build_shared(l, machine_cfg.clone(), &fwd_opts, Arc::clone(&resources))?;
         let bwd = SolverEngine::build_shared(u, machine_cfg, &bwd_opts, resources)?;
-        let n = l.n() as u32;
-        Ok(PreconditionerEngine {
-            fwd,
-            bwd,
-            fwd_order: (0..n).collect(),
-            bwd_order: (0..n).rev().collect(),
-            apply_pool: RecyclePool::default(),
-        })
+        // materialize both natural-order factors now, so the first
+        // application is already warm
+        drop((fwd.natural(), bwd.natural()));
+        Ok(PreconditionerEngine { fwd, bwd, apply_pool: RecyclePool::default() })
     }
 
     /// [`PreconditionerEngine::build`] directly from an
@@ -256,9 +248,8 @@ impl<'m> PreconditionerEngine<'m> {
         out.map(|()| z)
     }
 
-    /// Zero-allocation warm application `z = M⁻¹ r`: replay the two
-    /// flat adjacencies in natural substitution order into the caller's
-    /// buffers. After `ws` has grown to the system dimension this
+    /// Zero-allocation warm application `z = M⁻¹ r`: sweep the two
+    /// natural-order factors into the caller's buffers. After `ws` has grown to the system dimension this
     /// performs **zero** heap allocation, and the result is
     /// bit-identical to [`crate::reference::solve_lower`] followed by
     /// [`crate::reference::solve_upper`] on the same factors.
@@ -281,19 +272,18 @@ impl<'m> PreconditionerEngine<'m> {
             return Err(SolveError::OutputLength { n, out: z.len(), buffer: "z" });
         }
         ws.mid.resize(n, 0.0);
-        ws.scratch.resize(n, 0.0);
         // both guards up front (fwd then bwd, the crate-wide order):
         // the whole application runs against one consistent L/U value
         // epoch — a concurrent pair refresh waits for both
-        let fa = self.fwd.analysis();
-        let ba = self.bwd.analysis();
-        fa.replay_into(&self.fwd_order, r, &mut ws.scratch, &mut ws.mid);
-        ba.replay_into(&self.bwd_order, &ws.mid, &mut ws.scratch, z);
+        let fa = self.fwd.natural();
+        let ba = self.bwd.natural();
+        fa.solve_into(r, &mut ws.panel, &mut ws.mid);
+        ba.solve_into(&ws.mid, &mut ws.panel, z);
         Ok(())
     }
 
     /// Batched warm application `Z = M⁻¹ R` over the **fused panel
-    /// kernels**: both factor adjacencies are streamed once per
+    /// kernels**: both factors are streamed once per
     /// [`crate::exec::PANEL_K`]-wide block of residuals instead of once
     /// per vector — the multi-RHS preconditioning path for block
     /// Krylov methods and batched serving. Per vector the result is
@@ -351,10 +341,10 @@ impl<'m> PreconditionerEngine<'m> {
         let mids = &mut mids[..rs.len()];
         // both guards up front, same order and rationale as
         // `apply_into`: one L/U value epoch per batched application
-        let fa = self.fwd.analysis();
-        let ba = self.bwd.analysis();
-        fa.replay_panel(&self.fwd_order, rs, panel, mids);
-        ba.replay_panel(&self.bwd_order, mids, panel, zs);
+        let fa = self.fwd.natural();
+        let ba = self.bwd.natural();
+        fa.solve_panel_into(rs, panel, mids);
+        ba.solve_panel_into(mids, panel, zs);
         Ok(())
     }
 

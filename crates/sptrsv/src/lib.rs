@@ -51,20 +51,22 @@
 //!   Warm solves come in **four tiers** (see the [`engine`] docs):
 //!   single solves ([`SolverEngine::solve`], or the zero-allocation
 //!   [`SolverEngine::solve_into`] with a reusable [`SolveWorkspace`]),
-//!   the **sharded level-parallel solve**
+//!   the **sharded chain-parallel solve**
 //!   ([`SolverEngine::solve_sharded_into`], which executes one
-//!   right-hand side across the persistent worker pool level by level
-//!   under an owner-computes discipline — the paper's parallel
+//!   right-hand side across the persistent worker pool chain by chain,
+//!   each row written by exactly one worker — the paper's parallel
 //!   execution model running real numerics; `solve`/`solve_into`
-//!   auto-select it on wide factors), the **fused multi-RHS panel**
+//!   select it when they *measure* it faster), the **fused multi-RHS
+//!   panel**
 //!   ([`SolverEngine::solve_panel_into`], which streams the factor
 //!   once per [`exec::PANEL_K`]-wide block of right-hand sides instead
 //!   of once per RHS — the big win on this memory-bandwidth-bound
 //!   kernel), and the **pooled batch**
 //!   ([`SolverEngine::solve_batch_into`]) that runs fused panels on a
-//!   persistent worker pool. All tiers replay one canonical
-//!   level-major operation sequence ([`exec::ShardedReplay`]), so
-//!   every tier is bit-identical per RHS — whatever the worker count.
+//!   persistent worker pool. All tiers sweep one row-gather kernel
+//!   over the factor relabelled into the canonical level-major order
+//!   ([`exec::NumericFactor`]), so every tier is bit-identical per
+//!   RHS — whatever the worker count.
 //! * [`serve`] — the async batched serving front-end: a
 //!   [`SolverService`] accepts right-hand sides from any number of
 //!   client threads (`submit(b) -> Ticket`), coalesces them into
@@ -116,7 +118,7 @@
 //! | engine build | `engine.build.{analyze,plan,schedule,calibrate}` | `engine_build_ns` |
 //! | warm tiers | `engine.solve.{serial,sharded,panel,batch}` | `solve_*_ns` histograms |
 //! | value refresh | `engine.refresh.values` | `value_refresh_ns` |
-//! | sharded replay | `exec.sharded.chain` (one per chain), `exec.sharded.barrier` (one per barrier — the measured cost next to [`ScheduleStats::barriers_per_solve`]) | `barrier_wait_ns` |
+//! | sharded solve | `exec.sharded.chain` (one per chain), `exec.sharded.barrier` (one per barrier — the measured cost next to [`ScheduleStats::barriers_per_solve`]); both on worker 0's lane | `barrier_wait_ns` (every worker) |
 //! | worker pool | `pool.region.dispatch`, `pool.worker.park` instants | per-site counters |
 //! | serving | `serve.admit`, `serve.panel` spans; `serve.flush`, `serve.ticket` instants | `serve_queue_wait_ns`, `serve_solve_ns`, `serve_queue_depth` |
 //! | fleet | `fleet.build`, `fleet.refresh` spans; `fleet.{quarantine,evict}` instants | `fleet_tenants_live`, `fleet_cache_bytes` |

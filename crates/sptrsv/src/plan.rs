@@ -68,8 +68,8 @@ pub struct KernelDesc {
 /// host-side warm path: [`crate::schedule::Schedule`] — the Schedule
 /// IR built once at engine-build time — groups each level's components
 /// by their owning GPU before cutting it into worker shards and fusing
-/// runs of narrow levels into chains, so the chain-parallel replay's
-/// owner-computes layout ([`crate::exec::ShardedReplay`] steps that
+/// runs of narrow levels into chains, so the chain-parallel solve's
+/// shard layout ([`crate::SolverEngine::solve_sharded_into`] steps that
 /// schedule) mirrors the data distribution the plan gives the machine.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {

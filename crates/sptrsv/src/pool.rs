@@ -16,7 +16,7 @@
 //!   deadlock (the nested caller drains its own queue instead of
 //!   blocking the only thread that could) and small batches finish with
 //!   less handoff latency.
-//! * **Parallel regions** ([`WorkerPool::run_region`]) — one shared
+//! * **Parallel regions** ([`WorkerPool::try_run_region`]) — one shared
 //!   `Fn(worker_index)` executed concurrently by `workers` threads (the
 //!   caller participates as worker 0). Regions carry **no per-call
 //!   allocation** — no boxed closures, no latch `Arc`; the region
@@ -34,7 +34,7 @@
 //! lifetime exactly the way `crossbeam::scope`/`rayon` do, and
 //! re-establish safety with a strict discipline:
 //!
-//! 1. Neither `scope_run` nor `run_region` **returns** (not even by
+//! 1. Neither `scope_run` nor `try_run_region` **returns** (not even by
 //!    panic) until every submitted task / claimed worker index has
 //!    finished running — a latch (batches) or an outstanding counter
 //!    (regions) is decremented *after* the body completes, including by
@@ -134,7 +134,7 @@ struct Job {
 }
 
 /// A lifetime-erased pointer to a region body. Only dereferenced while
-/// the submitting `run_region` call is blocked (see the module docs),
+/// the submitting `try_run_region` call is blocked (see the module docs),
 /// which keeps the borrow alive.
 #[derive(Clone, Copy)]
 struct RegionFn(*const (dyn Fn(usize) + Sync));
@@ -300,8 +300,16 @@ impl WorkerPool {
     }
 
     /// Run `f(worker)` for every `worker` in `0..workers`, each on its
-    /// own thread, blocking until all have finished. The calling thread
-    /// participates as worker 0; workers `1..` are pool threads.
+    /// own thread, blocking until all have finished — unless another
+    /// region is already running on this pool (or the pool cannot
+    /// spawn the threads): then return `false` immediately, nothing
+    /// executed. The calling thread participates as worker 0; workers
+    /// `1..` are pool threads.
+    ///
+    /// Declining instead of queueing is what the one caller wants: the
+    /// sharded solve has a serial fallback of bit-identical result, so
+    /// when the pool is contended, sweeping serially *now* beats
+    /// waiting for threads another solve is using.
     ///
     /// Unlike [`WorkerPool::scope_run`] this allocates **nothing** per
     /// call in steady state: the region descriptor lives in the pool's
@@ -317,36 +325,6 @@ impl WorkerPool {
     /// * `f` must not panic between barrier phases (the unwinding
     ///   worker would strand its peers mid-barrier); panics outside
     ///   barrier use are caught and re-raised on the caller.
-    pub fn run_region<'scope>(&self, workers: usize, f: &(dyn Fn(usize) + Sync + 'scope)) {
-        // a zero request means "no parallelism", not "no work": clamp
-        // to one worker instead of panicking on the degenerate count
-        let workers = workers.max(1);
-        if workers == 1 {
-            f(0);
-            return;
-        }
-        let f_static = self.prepare_region(workers, f);
-        {
-            let mut q = self.shared.queue.lock().expect("pool poisoned");
-            // one region at a time: wait for the slot to free up
-            while q.region.is_some() {
-                q = self.shared.region_cv.wait(q).expect("pool poisoned");
-            }
-            install_region(&mut q, f_static, workers);
-            self.shared.cv.notify_all();
-        }
-        self.finish_region(f);
-    }
-
-    /// [`WorkerPool::run_region`] that refuses to queue: if another
-    /// region is already running on this pool, return `false`
-    /// immediately (nothing executed) instead of waiting for the slot.
-    ///
-    /// This is the right entry point for callers with a serial
-    /// fallback of equal result — e.g. the sharded replay, whose
-    /// serial and parallel paths are bit-identical: when the pool is
-    /// contended, running serially *now* beats queueing for threads
-    /// another solve is using.
     pub fn try_run_region<'scope>(
         &self,
         workers: usize,
@@ -357,15 +335,24 @@ impl WorkerPool {
             f(0);
             return true;
         }
-        if self.threads() + 1 < workers {
-            // the pool could not spawn enough workers (see
-            // `ensure_threads`) — decline so the caller's equal-result
-            // serial fallback runs instead of stranding a region
-            if self.ensure_threads(workers - 1) < workers - 1 {
-                return false;
-            }
+        assert!(
+            !on_worker_thread(),
+            "region started from a pool worker; degrade to workers == 1 instead"
+        );
+        // the pool could not spawn enough workers (see
+        // `ensure_threads`) — decline so the caller's equal-result
+        // serial fallback runs instead of stranding a region
+        if self.ensure_threads(workers - 1) < workers - 1 {
+            return false;
         }
-        let f_static = self.prepare_region(workers, f);
+        // SAFETY (lifetime erasure): `finish_region` does not return
+        // until `outstanding == 0`, i.e. every claimed worker index
+        // has finished executing `f` — so the borrow `f` carries
+        // outlives all uses of the erased pointer; see the module
+        // docs.
+        let f_static = unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync + 'scope), &(dyn Fn(usize) + Sync)>(f)
+        };
         {
             let mut q = self.shared.queue.lock().expect("pool poisoned");
             if q.region.is_some() {
@@ -376,33 +363,6 @@ impl WorkerPool {
         }
         self.finish_region(f);
         true
-    }
-
-    /// Shared multi-worker region preamble: reject nested submission,
-    /// grow the pool, erase the body's lifetime.
-    fn prepare_region<'scope>(
-        &self,
-        workers: usize,
-        f: &(dyn Fn(usize) + Sync + 'scope),
-    ) -> &'static (dyn Fn(usize) + Sync) {
-        assert!(
-            !on_worker_thread(),
-            "region started from a pool worker; degrade to workers == 1 instead"
-        );
-        let reached = self.ensure_threads(workers - 1);
-        assert!(
-            reached >= workers - 1,
-            "pool could not spawn {workers} region workers (got {reached}); \
-             use try_run_region when a serial fallback exists"
-        );
-        // SAFETY (lifetime erasure): `finish_region` does not return
-        // until `outstanding == 0`, i.e. every claimed worker index
-        // has finished executing `f` — so the borrow `f` carries
-        // outlives all uses of the erased pointer; see the module
-        // docs.
-        unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync + 'scope), &(dyn Fn(usize) + Sync)>(f)
-        }
     }
 
     /// Run worker 0 on the calling thread, wait out the region, clear
@@ -423,10 +383,7 @@ impl WorkerPool {
             while q.region.as_ref().expect("region vanished").outstanding > 0 {
                 q = self.shared.region_cv.wait(q).expect("pool poisoned");
             }
-            let done = q.region.take().expect("region vanished");
-            // wake any submitter queued for the region slot
-            self.shared.region_cv.notify_all();
-            done.panic
+            q.region.take().expect("region vanished").panic
         };
         if let Some(p) = payload {
             resume_unwind(p);
@@ -514,7 +471,7 @@ fn worker_loop(shared: &Shared) {
                 job.latch.complete(result.err());
             }
             Work::Region(f, idx) => {
-                // SAFETY: the submitting `run_region` is blocked until
+                // SAFETY: the submitting `try_run_region` is blocked until
                 // `outstanding` (decremented below, after the call)
                 // reaches zero, so the pointee is alive.
                 let body: &(dyn Fn(usize) + Sync) = unsafe { &*f.0 };
@@ -632,24 +589,27 @@ impl<'a> DisjointSlice<'a> {
         DisjointSlice { ptr: s.as_mut_ptr(), len: s.len(), _marker: PhantomData }
     }
 
-    /// Read element `i`. Discipline: no worker may be writing `i` in
-    /// the current barrier phase.
+    /// Read row `i` of a `K`-lane interleaved buffer (elements
+    /// `i·K .. i·K + K`; `K = 1` is a plain element read). Discipline:
+    /// no worker may be writing the row in the current barrier phase.
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> f64 {
-        assert!(i < self.len, "index {i} out of bounds ({})", self.len);
-        // SAFETY: in-bounds (asserted); racing writes are excluded by
-        // the owner-computes discipline documented on the type.
-        unsafe { *self.ptr.add(i) }
+    pub(crate) fn lanes<const K: usize>(&self, i: usize) -> [f64; K] {
+        assert!(i < self.len / K, "row {i} out of bounds ({} x {K})", self.len / K);
+        // SAFETY: `i·K + K <= len` (asserted), and `[f64; K]` has the
+        // alignment of `f64`; racing writes are excluded by the
+        // owner-computes discipline documented on the type.
+        unsafe { self.ptr.add(i * K).cast::<[f64; K]>().read() }
     }
 
-    /// Write element `i`. Discipline: the calling worker owns `i` in
-    /// the current barrier phase.
+    /// Write row `i` of a `K`-lane interleaved buffer. Discipline: the
+    /// calling worker owns the row in the current barrier phase.
     #[inline]
-    pub(crate) fn set(&self, i: usize, v: f64) {
-        assert!(i < self.len, "index {i} out of bounds ({})", self.len);
-        // SAFETY: in-bounds (asserted); exclusive ownership of `i` in
-        // this phase is guaranteed by the caller's shard construction.
-        unsafe { *self.ptr.add(i) = v }
+    pub(crate) fn set_lanes<const K: usize>(&self, i: usize, v: [f64; K]) {
+        assert!(i < self.len / K, "row {i} out of bounds ({} x {K})", self.len / K);
+        // SAFETY: in-bounds and aligned as in `lanes`; exclusive
+        // ownership of the row in this phase is guaranteed by the
+        // caller's shard construction.
+        unsafe { self.ptr.add(i * K).cast::<[f64; K]>().write(v) }
     }
 }
 
@@ -657,6 +617,11 @@ impl<'a> DisjointSlice<'a> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A region on a pool nobody else is using must be accepted.
+    fn run_region(pool: &WorkerPool, workers: usize, f: &(dyn Fn(usize) + Sync)) {
+        assert!(pool.try_run_region(workers, f), "uncontended region declined");
+    }
 
     #[test]
     fn runs_borrowing_tasks_to_completion() {
@@ -779,7 +744,7 @@ mod tests {
         let pool = WorkerPool::new();
         let hits: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
         for _ in 0..10 {
-            pool.run_region(6, &|w| {
+            run_region(&pool, 6, &|w| {
                 hits[w].fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -799,12 +764,12 @@ mod tests {
             let a = DisjointSlice::new(&mut phase_a);
             let b = DisjointSlice::new(&mut phase_b);
             let barrier = RegionBarrier::new(workers);
-            pool.run_region(workers, &|w| {
-                a.set(w, (w + 1) as f64);
+            run_region(&pool, workers, &|w| {
+                a.set_lanes(w, [(w + 1) as f64]);
                 barrier.wait();
                 // after the barrier every phase-A write is visible
-                let sum: f64 = (0..workers).map(|k| a.get(k)).sum();
-                b.set(w, sum);
+                let sum: f64 = (0..workers).map(|k| a.lanes::<1>(k)[0]).sum();
+                b.set_lanes(w, [sum]);
             });
         }
         let expect = (1..=workers).sum::<usize>() as f64;
@@ -817,7 +782,7 @@ mod tests {
     fn region_panic_reraises_on_caller() {
         let pool = WorkerPool::new();
         let err = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_region(3, &|w| {
+            run_region(&pool, 3, &|w| {
                 if w == 2 {
                     panic!("region worker exploded");
                 }
@@ -826,7 +791,7 @@ mod tests {
         assert!(err.is_err(), "region panic must propagate");
         // the pool still serves regions afterwards
         let ran = AtomicUsize::new(0);
-        pool.run_region(3, &|_| {
+        run_region(&pool, 3, &|_| {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ran.load(Ordering::Relaxed), 3);
@@ -836,7 +801,7 @@ mod tests {
     fn single_worker_region_runs_inline() {
         let pool = WorkerPool::new();
         let ran = AtomicUsize::new(0);
-        pool.run_region(1, &|w| {
+        run_region(&pool, 1, &|w| {
             assert_eq!(w, 0);
             ran.fetch_add(1, Ordering::Relaxed);
         });
@@ -852,7 +817,7 @@ mod tests {
         let entered = Arc::new(AtomicUsize::new(0));
         let (p2, h2, e2) = (Arc::clone(&pool), Arc::clone(&hold), Arc::clone(&entered));
         let t = std::thread::spawn(move || {
-            p2.run_region(2, &|_| {
+            run_region(&p2, 2, &|_| {
                 e2.fetch_add(1, Ordering::SeqCst);
                 while h2.load(Ordering::SeqCst) == 0 {
                     std::thread::yield_now();
@@ -885,7 +850,7 @@ mod tests {
     fn zero_worker_requests_are_clamped_not_panicked() {
         let pool = WorkerPool::new();
         let ran = AtomicUsize::new(0);
-        pool.run_region(0, &|w| {
+        run_region(&pool, 0, &|w| {
             assert_eq!(w, 0);
             ran.fetch_add(1, Ordering::Relaxed);
         });
@@ -904,7 +869,7 @@ mod tests {
         let rounds = 50;
         let counter = AtomicUsize::new(0);
         let barrier = RegionBarrier::new(workers);
-        pool.run_region(workers, &|_| {
+        run_region(&pool, workers, &|_| {
             for r in 0..rounds {
                 counter.fetch_add(1, Ordering::Relaxed);
                 barrier.wait();

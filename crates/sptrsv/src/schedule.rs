@@ -2,20 +2,18 @@
 //! decomposition, built once per engine build and shared by every warm
 //! tier.
 //!
-//! Before this module existed, three layers each re-derived scheduling
-//! facts from raw [`LevelSets`]: `exec::ShardedReplay` called
-//! [`LevelSets::owner_segments`] itself, the engine's auto-worker
-//! heuristic hard-coded `SHARD_MIN_*` consts against
-//! `max_level_width`/`n_levels`, and the replay loop implicitly
-//! encoded "barrier twice per level". [`Schedule`] makes the
-//! decomposition explicit and singular:
+//! [`Schedule`] is the one place scheduling facts are derived from raw
+//! [`LevelSets`]; its canonical order is also the order the engine's
+//! [`crate::exec::NumericFactor`] is relabelled into, so every range
+//! below is a plain row range of that factor:
 //!
 //! * **levels** — the level-major canonical order and its
 //!   owner-computes segmentation ([`sparsemat::levels::LevelSegments`]);
 //! * **chains** — maximal runs of narrow levels fused into
 //!   barrier-free chains ([`ChainPartition`], threshold-driven);
 //! * **shards** — each wide level cut into [`crate::exec::SHARD_COUNT`]
-//!   owner segments striped across workers.
+//!   owner segments striped across workers (one phase per level: a
+//!   solve pays one barrier per chain boundary).
 //!
 //! Everything in here depends only on the factor's *structure* and the
 //! [`ScheduleTuning`] — never on matrix values — so the schedule lives
@@ -24,13 +22,13 @@
 //!
 //! [`ScheduleStats`] summarizes the decomposition (levels, chains,
 //! fused fraction, barriers per solve) for observability
-//! ([`crate::report::SolveReport`], the bench JSON) and feeds the
-//! auto-worker heuristic ([`Schedule::auto_workers`]).
+//! ([`crate::report::SolveReport`], the bench JSON) and feeds
+//! [`Schedule::auto_workers`] — the sharded *candidate* the engine's
+//! measured auto tier times against the serial sweep.
 
 use sparsemat::levels::{ChainPartition, LevelSegments};
 use sparsemat::LevelSets;
 use std::fmt;
-use std::sync::Arc;
 
 /// Default for [`ScheduleTuning::shard_min_rows_per_worker`]: a worker
 /// must own at least this many rows of the widest level before the
@@ -94,8 +92,8 @@ pub struct ScheduleStats {
     /// Width of the widest level.
     pub max_level_width: usize,
     /// Barriers a parallel solve over this schedule pays — see
-    /// [`ChainPartition::barriers_per_solve`]. The unfused schedule
-    /// pays `2·levels − 1`.
+    /// [`ChainPartition::barriers_per_solve`]: `chains − 1`, so the
+    /// unfused schedule pays `levels − 1`.
     pub barriers_per_solve: usize,
 }
 
@@ -205,25 +203,12 @@ impl Schedule {
         &self.segs.order
     }
 
-    /// The canonical order behind a shared handle (a refcount bump,
-    /// not a copy) — the engine's warm serial replay schedule.
-    #[inline]
-    pub fn order_shared(&self) -> Arc<[u32]> {
-        Arc::clone(&self.segs.order)
-    }
-
     /// Solve-segment offsets into [`Schedule::order`]
     /// (`n_levels · shards + 1` entries, CSR-style: segment `(l, s)`
     /// is `order[seg_ptr[l·shards + s] .. seg_ptr[l·shards + s + 1]]`).
     #[inline]
     pub fn seg_ptr(&self) -> &[u32] {
         &self.segs.seg_ptr
-    }
-
-    /// Owning shard per component (within its level).
-    #[inline]
-    pub fn shard_of(&self) -> &[u32] {
-        &self.segs.shard_of
     }
 
     /// The chain partition over the levels.
@@ -244,15 +229,18 @@ impl Schedule {
         self.tuning
     }
 
-    /// The worker count the engine's auto tier should use on a machine
-    /// with `hardware_threads` threads — derived entirely from the
-    /// schedule's stats and tuning:
+    /// The sharded candidate the engine's auto tier should try on a
+    /// machine with `hardware_threads` threads (the engine then times
+    /// it against the serial sweep and commits to the faster) —
+    /// derived entirely from the schedule's stats and tuning:
     ///
-    /// 1. fewer than 2 threads, or an empty factor → serial;
-    /// 2. the barriers must be amortized: the schedule's barrier count
-    ///    divides the solve into synchronization steps, and each step
-    ///    must average at least
-    ///    [`ScheduleTuning::shard_min_avg_level_width`] rows. With
+    /// 1. fewer than 2 threads, or fewer than 2 chains (a sharded solve
+    ///    parallelizes *across* a chain boundary's barrier; a lone
+    ///    chain — one wide level, an empty factor — is swept serially
+    ///    whatever the worker count) → serial;
+    /// 2. the barriers must be amortized: the schedule's chains are
+    ///    its synchronization steps, and each step must average at
+    ///    least [`ScheduleTuning::shard_min_avg_level_width`] rows. With
     ///    fusion disabled this is exactly the historical
     ///    `rows / levels` gate; fusing chains shrinks the step count,
     ///    so deep factors with a few wide levels can now qualify;
@@ -260,13 +248,12 @@ impl Schedule {
     ///    [`ScheduleTuning::shard_min_rows_per_worker`] rows.
     pub fn auto_workers(&self, hardware_threads: usize) -> usize {
         let hw = hardware_threads.min(self.stats.shards);
-        if hw < 2 || self.stats.levels == 0 {
+        if hw < 2 || self.stats.chains < 2 {
             return 1;
         }
-        // barriers come in (solve, update) pairs per step; +1 for the
-        // final barrier-free step — with fusion off this is n_levels
-        let sync_steps = self.stats.barriers_per_solve / 2 + 1;
-        if self.stats.rows / sync_steps < self.tuning.shard_min_avg_level_width {
+        // one synchronization step per chain — with fusion off this
+        // is n_levels
+        if self.stats.rows / self.stats.chains < self.tuning.shard_min_avg_level_width {
             return 1;
         }
         let workers = (self.stats.max_level_width / self.tuning.shard_min_rows_per_worker).min(hw);
@@ -286,7 +273,6 @@ impl Schedule {
         }
         (self.segs.order.len() * std::mem::size_of::<u32>()) as u64
             + cap(&self.segs.seg_ptr)
-            + cap(&self.segs.shard_of)
             + std::mem::size_of_val(self.chains.chain_ptr()) as u64
             + self.chains.n_chains() as u64
     }
@@ -324,7 +310,7 @@ mod tests {
             None,
             ScheduleTuning { chain_width_threshold: 0, ..Default::default() },
         );
-        assert_eq!(unfused.stats().barriers_per_solve, 2 * 500 - 1);
+        assert_eq!(unfused.stats().barriers_per_solve, 500 - 1);
         assert!(unfused.stats().barriers_per_solve >= 5 * s.barriers_per_solve.max(1));
     }
 
@@ -340,7 +326,7 @@ mod tests {
         let s = sch.stats();
         assert_eq!(s.chains, s.levels);
         assert_eq!(s.fused_levels, 0);
-        assert_eq!(s.barriers_per_solve, 2 * s.levels - 1);
+        assert_eq!(s.barriers_per_solve, s.levels - 1);
         assert_eq!(sch.order(), ls.level_comps());
     }
 
@@ -355,6 +341,13 @@ mod tests {
         assert!(sch.auto_workers(16) >= 2);
         // single thread → serial, regardless of factor shape
         assert_eq!(sch.auto_workers(1), 1);
+        // a single chain never mounts a parallel region (the sharded
+        // solve sweeps it serially), so it is no sharded candidate
+        // however wide: regression — the engine's tier probe used to
+        // wait forever for a sharded sample that could not happen
+        let lone = Schedule::build(&levels_of(&gen::diagonal(4096, 1)), None, t);
+        assert_eq!((lone.stats().chains, lone.stats().max_level_width), (1, 4096));
+        assert_eq!(lone.auto_workers(16), 1);
         // narrow factor: avg level width far below the gate → serial
         let narrow = levels_of(&gen::deep_narrow(500, 5, 3.0, 3));
         assert_eq!(Schedule::build(&narrow, None, t).auto_workers(16), 1);

@@ -86,15 +86,16 @@ pub struct SolveOptions {
     /// Gather left_sum from all PEs (Alg. 3) vs only dependency owners.
     pub gather_all_pes: bool,
     /// Minimum rows a level must offer **each** worker before the
-    /// engine's auto-heuristic adds that worker to the sharded warm
-    /// tier. Below this the per-level barrier overhead outweighs the
-    /// parallel substitution work. Default
+    /// engine's auto tier adds that worker to its sharded candidate
+    /// (which it then times against the serial sweep). Below this the
+    /// barrier overhead outweighs the parallel substitution work.
+    /// Default
     /// [`crate::schedule::SHARD_MIN_ROWS_PER_WORKER`].
     pub shard_min_rows_per_worker: usize,
     /// Minimum average rows per synchronization step (levels, after
-    /// chain fusion collapses narrow runs) for the auto-heuristic to
-    /// pick the sharded tier at all. Factors deeper than they are wide
-    /// replay serially unless fusion shrinks the step count. Default
+    /// chain fusion collapses narrow runs) for the auto tier to
+    /// consider the sharded tier at all. Factors deeper than they are
+    /// wide solve serially unless fusion shrinks the step count. Default
     /// [`crate::schedule::SHARD_MIN_AVG_LEVEL_WIDTH`].
     pub shard_min_avg_level_width: usize,
     /// Levels at most this wide fuse with adjacent narrow levels into

@@ -119,9 +119,10 @@ pub enum Site {
     SolveBatch = 7,
     /// Analysis-free value refresh on an existing engine.
     ValueRefresh = 8,
-    /// One chain stepped by the sharded replay (worker 0's lane).
+    /// One chain stepped by the sharded solve (worker 0's lane).
     ShardedChain = 9,
-    /// One region-barrier wait inside the sharded replay (worker 0).
+    /// One region-barrier wait inside the sharded solve (worker 0's
+    /// lane; every worker's wait lands in [`Hist::BarrierWaitNs`]).
     ShardedBarrier = 10,
     /// A parallel region installed on the worker pool.
     RegionDispatch = 11,
@@ -282,8 +283,10 @@ pub enum Hist {
     SolvePanelNs = 2,
     /// Wall time of one batched warm solve.
     SolveBatchNs = 3,
-    /// Wall time worker 0 spent in one sharded-replay barrier wait
-    /// (the measured cost next to `ScheduleStats.barriers_per_solve`).
+    /// Wall time one region worker spent in one sharded-solve barrier
+    /// wait — recorded on every worker, so load imbalance shows as a
+    /// spread (the measured cost next to
+    /// `ScheduleStats.barriers_per_solve`).
     BarrierWaitNs = 4,
     /// Per-ticket queue wait (submit → dispatch) in the server.
     ServeQueueWaitNs = 5,

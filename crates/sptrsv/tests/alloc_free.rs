@@ -137,7 +137,7 @@ fn warm_solve_into_and_panel_allocate_nothing() {
         // sharded level-parallel tier: the warm-up solve spawns the
         // pool workers and sizes the region state; steady-state
         // sharded solves must then be heap-silent end to end —
-        // region dispatch, level barriers and the two-phase kernel
+        // region dispatch, chain barriers and the row-gather kernel
         // included
         engine.solve_sharded_into(&bs[0], &mut out, &mut ws, 2).unwrap();
         let sharded = allocations_during(|| {
@@ -167,6 +167,35 @@ fn warm_solve_into_and_panel_allocate_nothing() {
             post, 0,
             "{kind:?} verify={verify_opt}: warm solve_into after a refresh must not allocate"
         );
+    }
+
+    // --- the measured auto tier: on a factor wide enough that this
+    // host offers a sharded candidate, the first auto-tier solves are
+    // timed probes (alternating serial / sharded) and the rest run on
+    // the committed tier. Probing, committing and committed solves
+    // must all be heap-silent once the pool threads exist (on a
+    // one-thread host there is no candidate and the window is all
+    // committed-serial solves).
+    {
+        let wide = gen::level_structured(&LevelSpec::new(8192, 4, 24_000, 5));
+        let opts = SolveOptions {
+            kind: SolverKind::ZeroCopy { per_gpu: 8 },
+            verify: false,
+            ..SolveOptions::default()
+        };
+        let engine = SolverEngine::build(&wide, MachineConfig::dgx1(4), &opts).unwrap();
+        let (_, b) = verify::rhs_for(&wide, 3);
+        let mut ws = SolveWorkspace::new();
+        let mut out = vec![0.0f64; wide.n()];
+        // a pinned solve warms the workspace and spawns the pool
+        // workers without consuming any of the auto tier's probes
+        engine.solve_sharded_into(&b, &mut out, &mut ws, 2).unwrap();
+        let auto = allocations_during(|| {
+            for _ in 0..16 {
+                engine.solve_into(&b, &mut out, &mut ws).unwrap();
+            }
+        });
+        assert_eq!(auto, 0, "probing and committed auto-tier solves must not allocate");
     }
 
     // --- the serving front-end: once the slots, group buffers and

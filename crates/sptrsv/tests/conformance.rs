@@ -1,0 +1,367 @@
+//! The numeric core's bit-identity contract, as one table.
+//!
+//! The warm kernel is a row gather over a factor relabelled into an
+//! execution order ([`sptrsv::exec::NumericFactor`]). It replaced a
+//! column-scatter loop (`left_sum[r] += v · x_c` while walking the
+//! order), and the contract is that not one result bit moved. Three
+//! anchors prove it:
+//!
+//! * **golden bits** — solution hashes recorded from the commit
+//!   *before* the gather kernel existed, so the new kernel is proved
+//!   to reproduce the old bits, not merely to agree with itself;
+//! * **the scatter oracle** — the deleted loop, ~15 lines, kept here
+//!   as a test-only reference and compared bit for bit against every
+//!   tier × lane width × worker count × {cold, refreshed} × {canonical,
+//!   natural} cell;
+//! * **adversarial rows** — signed zeros, empty rows, `n ∈ {0, 1}`,
+//!   levels narrower than the shard count, single-chain factors.
+//!
+//! New warm paths add a row to [`every_tier`], not a file.
+
+use mgpu_sim::MachineConfig;
+use sparsemat::gen::{self, LevelSpec};
+use sparsemat::{corpus, CscMatrix, LevelSets, Triangle, TripletBuilder};
+use sptrsv::plan::{ExecutionPlan, Partition};
+use sptrsv::{
+    verify, PreconditionerEngine, Schedule, SolveOptions, SolveWorkspace, SolverEngine, SolverKind,
+};
+
+const CANONICAL: SolverKind = SolverKind::ZeroCopy { per_gpu: 8 };
+const GPUS: usize = 4;
+
+fn opts(kind: SolverKind, tri: Triangle) -> SolveOptions {
+    SolveOptions { kind, triangle: tri, verify: false, ..SolveOptions::default() }
+}
+
+/// FNV-1a over the little-endian bit patterns.
+fn hash_bits(x: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in x {
+        for byte in v.to_bits().to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The deleted warm kernel — solve each component along `order` and
+/// scatter its updates into a zeroed `left_sum` — kept as the oracle.
+fn scatter_oracle(m: &CscMatrix, tri: Triangle, order: &[u32], b: &[f64]) -> Vec<f64> {
+    let mut x = vec![0.0f64; m.n()];
+    let mut left_sum = vec![0.0f64; m.n()];
+    for &c in order {
+        let col: Vec<(u32, f64)> = m.col(c as usize).collect();
+        let (diag, updates) = match tri {
+            Triangle::Lower => (col[0].1, &col[1..]),
+            Triangle::Upper => (col[col.len() - 1].1, &col[..col.len() - 1]),
+        };
+        let xc = (b[c as usize] - left_sum[c as usize]) / diag;
+        x[c as usize] = xc;
+        for &(r, v) in updates {
+            left_sum[r as usize] += v * xc;
+        }
+    }
+    x
+}
+
+/// The canonical order of a [`CANONICAL`] engine, built by the harness
+/// from public parts (the same way the engine builds it).
+fn canonical_order(m: &CscMatrix, o: &SolveOptions) -> Vec<u32> {
+    let levels = LevelSets::analyze(m, o.triangle);
+    let plan = ExecutionPlan::build(m.n(), GPUS, Partition::Tasks { per_gpu: 8 }, o.triangle);
+    Schedule::build(&levels, Some(&plan.owner), o.schedule_tuning()).order().to_vec()
+}
+
+fn natural_order(n: usize, tri: Triangle) -> Vec<u32> {
+    match tri {
+        Triangle::Lower => (0..n as u32).collect(),
+        Triangle::Upper => (0..n as u32).rev().collect(),
+    }
+}
+
+/// Same structure, every value moved.
+fn perturbed(m: &CscMatrix) -> CscMatrix {
+    let mut t = m.clone();
+    for (i, v) in t.values_mut().iter_mut().enumerate() {
+        *v *= 1.0 + ((i % 7) as f64 + 1.0) * 0.01;
+    }
+    t
+}
+
+/// Every single-engine warm path, each compared bit for bit against
+/// the oracle's solutions `want[k]` of `bs[k]`: scalar (auto tier,
+/// allocating and not — repeated past the auto tier's probe window),
+/// K ∈ {1, 2, 4, 8} lanes plus the ragged 13 = 8 + 4 + 1, the pooled
+/// batch, and workers ∈ {1, 2, 3, 8, 16}.
+fn every_tier(engine: &SolverEngine<'_>, bs: &[Vec<f64>], want: &[Vec<f64>], cell: &str) {
+    let n = engine.matrix().n();
+    let mut ws = SolveWorkspace::new();
+    let mut out = vec![f64::NAN; n];
+    for round in 0..8 {
+        assert_eq!(bits(&engine.solve(&bs[0]).unwrap().x), bits(&want[0]), "{cell} solve #{round}");
+        out.fill(f64::NAN); // stale output must be fully overwritten
+        engine.solve_into(&bs[0], &mut out, &mut ws).unwrap();
+        assert_eq!(bits(&out), bits(&want[0]), "{cell} solve_into #{round}");
+    }
+    for lanes in [1usize, 2, 4, 8, 13] {
+        let mut outs = vec![Vec::new(); lanes];
+        engine.solve_panel_into(&bs[..lanes], &mut outs, &mut ws).unwrap();
+        for k in 0..lanes {
+            assert_eq!(bits(&outs[k]), bits(&want[k]), "{cell} panel of {lanes}, lane {k}");
+        }
+    }
+    let mut outs = vec![Vec::new(); bs.len()];
+    engine.solve_batch_into(bs, &mut outs).unwrap();
+    for k in 0..bs.len() {
+        assert_eq!(bits(&outs[k]), bits(&want[k]), "{cell} batch lane {k}");
+    }
+    for workers in [1usize, 2, 3, 8, 16] {
+        out.fill(f64::NAN);
+        engine.solve_sharded_into(&bs[0], &mut out, &mut ws, workers).unwrap();
+        assert_eq!(bits(&out), bits(&want[0]), "{cell} workers={workers}");
+    }
+}
+
+/// Golden bits recorded at the parent commit (column-scatter kernel):
+/// `hash_bits` of the solution of `rhs_for(m, 0x601D)` on the
+/// canonical-order engine (`solve_sharded_into`, one worker) and on
+/// the natural-order serial engine.
+const GOLDEN: &[(&str, Triangle, u64, u64)] = &[
+    ("powersim", Triangle::Lower, 0xa517973193e1135a, 0xa517973193e1135a),
+    ("powersim", Triangle::Upper, 0xe8080e6afdff8a23, 0x7552472e74b142eb),
+    ("chipcool0", Triangle::Lower, 0x69f72d53c7567107, 0x0d4017a32d32e5fb),
+    ("chipcool0", Triangle::Upper, 0xe748fbb2b2bf3090, 0x27eb9f111716058c),
+    ("deep-chain", Triangle::Lower, 0x926e8c949131ff30, 0x1e18facb9037578b),
+    ("deep-chain", Triangle::Upper, 0x3a3d6aeb3b45ee37, 0xe73015c4f377c009),
+];
+
+fn corpus_factor(name: &str, tri: Triangle) -> CscMatrix {
+    let lower = match name {
+        corpus::DEEP_NARROW_NAME => corpus::deep_narrow_entry().matrix,
+        _ => corpus::by_name(name).expect("corpus entry").matrix,
+    };
+    match tri {
+        Triangle::Lower => lower,
+        Triangle::Upper => lower.transpose(),
+    }
+}
+
+#[test]
+fn gather_kernel_reproduces_the_parent_commits_bits() {
+    for &(name, tri, canonical, natural) in GOLDEN {
+        let m = corpus_factor(name, tri);
+        let (_, b) = verify::rhs_for(&m, 0x601D);
+        let mut ws = SolveWorkspace::new();
+        let mut x = vec![0.0f64; m.n()];
+        for (kind, golden) in [(CANONICAL, canonical), (SolverKind::Serial, natural)] {
+            let engine =
+                SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &opts(kind, tri)).unwrap();
+            for workers in [1usize, 2] {
+                engine.solve_sharded_into(&b, &mut x, &mut ws, workers).unwrap();
+                assert_eq!(
+                    hash_bits(&x),
+                    golden,
+                    "{name}/{tri:?}/{kind:?} workers={workers}: {:#018x}",
+                    hash_bits(&x)
+                );
+            }
+        }
+    }
+}
+
+/// The table: factors × triangles × {cold, refreshed} × {canonical,
+/// natural} × every tier, all against the scatter oracle.
+#[test]
+fn every_tier_matches_the_scatter_oracle_bit_for_bit() {
+    let factors = [
+        // wide levels: every level takes the sharded single-phase path
+        ("wide", gen::level_structured(&LevelSpec::new(2400, 6, 9600, 0xA1))),
+        // mixed: fused chains between wide levels
+        ("mixed", gen::level_structured(&LevelSpec::new(1800, 40, 7200, 0xB2))),
+        // deep and narrow: fuses into very few chains
+        ("deep", gen::deep_narrow(300, 5, 3.0, 0xC3)),
+    ];
+    for (name, lower) in &factors {
+        let upper = lower.transpose();
+        for (m, tri) in [(lower, Triangle::Lower), (&upper, Triangle::Upper)] {
+            let m2 = perturbed(m);
+            let bs: Vec<Vec<f64>> = (0..13u64).map(|k| verify::rhs_for(m, 0x5EED + k).1).collect();
+            for kind in [CANONICAL, SolverKind::Serial] {
+                let o = opts(kind, tri);
+                let order = match kind {
+                    SolverKind::Serial => natural_order(m.n(), tri),
+                    _ => canonical_order(m, &o),
+                };
+                let engine = SolverEngine::build(m, MachineConfig::dgx1(GPUS), &o).unwrap();
+                for (epoch, values) in [("cold", m), ("refreshed", &m2), ("restored", m)] {
+                    if epoch != "cold" {
+                        engine.refresh_values(values).unwrap();
+                    }
+                    let want: Vec<Vec<f64>> =
+                        bs.iter().map(|b| scatter_oracle(values, tri, &order, b)).collect();
+                    every_tier(&engine, &bs, &want, &format!("{name}/{tri:?}/{kind:?}/{epoch}"));
+                }
+            }
+        }
+    }
+}
+
+/// The natural-order factor a *simulated* engine materializes for its
+/// Krylov consumer: `apply_into` / `apply_batch_into` on a canonical
+/// engine pair equal the natural-order oracle pair, cold and refreshed.
+#[test]
+fn preconditioner_pair_matches_the_natural_order_oracle() {
+    let a = gen::grid_laplacian(14, 11);
+    let f = sparsemat::factor::ilu0(&a, 1e-8).unwrap();
+    let mut f2 = f.clone();
+    (f2.l, f2.u) = (perturbed(&f.l), perturbed(&f.u));
+    let n = a.n();
+    let rs: Vec<Vec<f64>> = (0..13u64).map(|k| verify::rhs_for(&a, 0xFEED + k).1).collect();
+    for kind in [CANONICAL, SolverKind::Serial] {
+        let pre = PreconditionerEngine::from_ilu0(
+            &f,
+            MachineConfig::dgx1(GPUS),
+            &opts(kind, Triangle::Lower),
+        )
+        .unwrap();
+        for (epoch, lu) in [("cold", &f), ("refreshed", &f2)] {
+            if epoch != "cold" {
+                pre.refresh(lu).unwrap();
+            }
+            let want: Vec<Vec<f64>> = rs
+                .iter()
+                .map(|r| {
+                    let y = scatter_oracle(
+                        &lu.l,
+                        Triangle::Lower,
+                        &natural_order(n, Triangle::Lower),
+                        r,
+                    );
+                    scatter_oracle(&lu.u, Triangle::Upper, &natural_order(n, Triangle::Upper), &y)
+                })
+                .collect();
+            let mut ws = pre.take_apply_workspace();
+            let mut z = vec![f64::NAN; n];
+            pre.apply_into(&rs[0], &mut z, &mut ws).unwrap();
+            assert_eq!(bits(&z), bits(&want[0]), "{kind:?}/{epoch} apply_into");
+            for lanes in [1usize, 2, 4, 8, 13] {
+                let mut zs = vec![Vec::new(); lanes];
+                pre.apply_batch_into(&rs[..lanes], &mut zs, &mut ws).unwrap();
+                for k in 0..lanes {
+                    assert_eq!(bits(&zs[k]), bits(&want[k]), "{kind:?}/{epoch} batch {lanes}/{k}");
+                }
+            }
+        }
+    }
+}
+
+/// A lower-triangular matrix from `(row, col, value)` off-diagonals
+/// over a unit diagonal.
+fn lower_from(n: usize, entries: &[(usize, usize, f64)]) -> CscMatrix {
+    let mut b = TripletBuilder::new(n);
+    for i in 0..n {
+        b.push(i, i, 1.0);
+    }
+    for &(r, c, v) in entries {
+        b.push(r, c, v);
+    }
+    b.build().unwrap()
+}
+
+/// Adversarial shapes and values, each through every tier of both
+/// orders (unfused, so narrow levels take the sharded path too).
+#[test]
+fn adversarial_rows_keep_every_bit() {
+    // a 40-wide level 0 feeding a 5-wide level 1 (narrower than the
+    // 16 shards: most shards of that level are empty) feeding one row;
+    // rows 40.. have updates, rows 0..40 are empty
+    let mut narrow = Vec::new();
+    for r in 40..45 {
+        for c in 0..40 {
+            if (r + c) % 3 == 0 {
+                narrow.push((r, c, -0.25 - c as f64 * 0.01));
+            }
+        }
+    }
+    for c in 40..45 {
+        narrow.push((45, c, 0.5));
+    }
+    let cases: Vec<(&str, CscMatrix)> = vec![
+        ("n=0", TripletBuilder::new(0).build().unwrap()),
+        ("n=1", lower_from(1, &[])),
+        ("diagonal (all rows empty, one wide level)", gen::diagonal(70, 3)),
+        ("single chain", gen::chain(33)),
+        ("narrow levels", lower_from(46, &narrow)),
+        // x0 = 0 makes every product in column 0 a signed zero
+        ("signed zeros", lower_from(4, &[(1, 0, -1.0), (2, 0, 1.0), (3, 0, -2.0), (3, 1, 0.0)])),
+    ];
+    for (name, lower) in &cases {
+        let upper = lower.transpose();
+        for (m, tri) in [(lower, Triangle::Lower), (&upper, Triangle::Upper)] {
+            let n = m.n();
+            // right-hand sides of signed zeros: `b − acc` keeps `−0.0`
+            // only if `acc` started at `+0.0`, not at the first product
+            let bs: Vec<Vec<f64>> = (0..13usize)
+                .map(|k| (0..n).map(|i| [0.0, -0.0, 1.0][(i * 5 + k) % 3]).collect())
+                .collect();
+            for kind in [CANONICAL, SolverKind::Serial] {
+                let o = SolveOptions { chain_width_threshold: 0, ..opts(kind, tri) };
+                let order = match kind {
+                    SolverKind::Serial => natural_order(n, tri),
+                    _ => canonical_order(m, &o),
+                };
+                let engine = SolverEngine::build(m, MachineConfig::dgx1(GPUS), &o).unwrap();
+                let want: Vec<Vec<f64>> =
+                    bs.iter().map(|b| scatter_oracle(m, tri, &order, b)).collect();
+                every_tier(&engine, &bs, &want, &format!("{name}/{tri:?}/{kind:?}"));
+            }
+        }
+    }
+    // the pin itself, spelled out: row 1 of "signed zeros" gathers
+    // `−1.0 · (+0.0) = −0.0` into `acc`, and `b₁ = −0.0`
+    let m = &cases[5].1;
+    let engine =
+        SolverEngine::build(m, MachineConfig::dgx1(GPUS), &opts(CANONICAL, Triangle::Lower))
+            .unwrap();
+    let x = engine.solve(&[0.0, -0.0, 0.0, 0.0]).unwrap().x;
+    assert_eq!(x[1].to_bits(), (-0.0f64).to_bits(), "−0.0 − (0.0 + −0.0) must stay −0.0");
+}
+
+/// The relabelled layout is leaner than the one it replaced: the
+/// parent commit held the matrix-order analysis (12 B/nnz) plus the
+/// sharded bucket copy (20 B/nnz); now one canonical factor of
+/// 16 B/nnz, plus a natural-order factor only for an engine that
+/// verifies (or once a Krylov consumer asks).
+#[test]
+fn footprint_counts_exactly_the_arrays_that_exist() {
+    // heavy-shaped: wide levels, ~4 nonzeros per row
+    let m = gen::level_structured(&LevelSpec::new(20_000, 40, 80_000, 0xF00D));
+    let (n, nnz) = (m.n() as u64, m.nnz() as u64);
+    let o = opts(CANONICAL, Triangle::Lower);
+    let schedule = {
+        let levels = LevelSets::analyze(&m, o.triangle);
+        let plan = ExecutionPlan::build(m.n(), GPUS, Partition::Tasks { per_gpu: 8 }, o.triangle);
+        Schedule::build(&levels, Some(&plan.owner), o.schedule_tuning()).host_bytes()
+    };
+    // cols + vals + from per off-diagonal entry, pos + ptr + diag per row
+    let factor = 16 * nnz + 4;
+    let workspace = |verify: u64| n * 8 * (sptrsv::exec::PANEL_K as u64 + verify);
+
+    let engine = SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &o).unwrap();
+    assert_eq!(engine.footprint_bytes(), schedule + factor + workspace(0));
+    assert!(factor < (12 + 20) * nnz, "leaner than the parent's analysis + buckets");
+
+    // a verifying engine builds the natural-order reference factor up
+    // front, so a cache charging its byte budget right after the build
+    // already counts it (a natural order is implicit: no `pos` array)
+    let vo = SolveOptions { verify: true, ..o };
+    let verifying = SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &vo).unwrap();
+    let natural = factor - 4 * n;
+    assert_eq!(verifying.footprint_bytes(), schedule + factor + natural + workspace(1));
+    verifying.solve(&verify::rhs_for(&m, 1).1).unwrap();
+    assert_eq!(verifying.footprint_bytes(), schedule + factor + natural + workspace(1));
+}

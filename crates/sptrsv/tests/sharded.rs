@@ -187,7 +187,8 @@ fn chain_fusion_cuts_barriers_on_deep_narrow_corpus() {
         .unwrap();
     assert_eq!(fused.levels, unfused.levels, "same level structure");
     assert_eq!(unfused.chains, unfused.levels, "threshold 0 = one chain per level");
-    assert_eq!(unfused.barriers_per_solve, 2 * unfused.levels - 1);
+    assert_eq!(unfused.barriers_per_solve, unfused.levels - 1, "one barrier per level boundary");
+    assert_eq!(fused.barriers_per_solve, fused.chains - 1, "one barrier per chain boundary");
     assert!(fused.fused_fraction > 0.9, "deep/narrow entry must fuse nearly everything");
     assert!(
         unfused.barriers_per_solve >= 5 * fused.barriers_per_solve.max(1),

@@ -13,7 +13,7 @@ fn main() {
     let a = sparsemat::gen::grid_laplacian(120, 100);
     println!("grid system: n = {}, nnz = {}", a.n(), a.nnz());
 
-    // MA48 stand-in: ILU(0) factorization A ~= L*U (see DESIGN.md).
+    // MA48 stand-in: ILU(0) factorization A ~= L*U.
     let f = ilu0(&a, 1e-8).expect("factorization");
     let l_stats = sparsemat::levels::TriStats::compute(&f.l, Triangle::Lower);
     println!(

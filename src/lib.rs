@@ -7,9 +7,11 @@
 //! ship, the machine itself is reproduced as a deterministic
 //! discrete-event model — every solver executes its real `f64`
 //! numerics while virtual time advances through warp slots, NVLink
-//! transfers, unified-memory page migrations and one-sided gets. See
-//! `DESIGN.md` for the substitution table and `EXPERIMENTS.md` for the
-//! paper-vs-measured comparison of every table and figure.
+//! transfers, unified-memory page migrations and one-sided gets. The
+//! crate docs below carry the substitution rationale (`mgpu_sim` for
+//! the machine, `sparsemat::corpus` for the Table-I analogs);
+//! `tests/paper_claims.rs` asserts the paper's evaluation shapes and
+//! `cargo bench -p sptrsv-bench --bench figures` regenerates them.
 //!
 //! ## Crates
 //!

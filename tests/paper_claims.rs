@@ -1,7 +1,7 @@
 //! The paper's qualitative claims, asserted as integration tests.
 //! Every run is deterministic, so these are stable regression tests of
-//! the reproduced evaluation shapes (EXPERIMENTS.md holds the
-//! quantitative tables).
+//! the reproduced evaluation shapes (`cargo bench -p sptrsv-bench
+//! --bench figures` prints the quantitative tables).
 
 use mgpu_sptrsv::prelude::*;
 use sparsemat::corpus;
