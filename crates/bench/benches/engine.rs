@@ -38,13 +38,17 @@
 //!   (one barrier-delimited step per level). The ≥ 5×
 //!   barrier cut is asserted from the reported schedule statistics on
 //!   any hardware; the ≥ 1.2× wall-clock floor only on ≥ 4 threads.
+//! * **idle service round trip** — one lone request at a time through
+//!   a default-config [`sptrsv::serve::SolverService`] against
+//!   `solve_into` on the same engine; asserted ≤ 2× on any hardware
+//!   (the idle-aware linger: an idle dispatcher does not wait).
 //! * **value refresh vs full rebuild** — the time-stepping step cost:
 //!   `refresh_values` (in-place value swap, zero symbolic work) then a
 //!   warm solve, against a full `SolverEngine::build` then the same
 //!   solve; asserted ≥ 3× (the rebuild pays analysis + calibration,
 //!   the refresh pays neither, so the floor is hardware-independent).
 //! * **fleet warm submit vs cold rebuild** — per-request latency of a
-//!   warm [`EngineFleet`] submit (mailbox dispatch + cached-engine
+//!   warm [`EngineFleet`] submit (direct enqueue + cached-engine
 //!   replay) against the cold one-shot solve a service without the
 //!   factor cache would pay per request; asserted ≥ 2× (build
 //!   dominates, so the floor is hardware-independent), and the
@@ -366,6 +370,33 @@ fn main() {
         hw_threads = std::thread::available_parallelism().map_or(1, |p| p.get()),
     );
 
+    // --- serving front-end: what an idle service adds to one solve ----
+    // One lone request at a time through a default-config service,
+    // against `solve_into` on the same engine: the round trip is the
+    // kernel plus one copy in, one copy out and two thread hand-offs.
+    // Once the dispatcher has seen that lingering buys a lone request
+    // nothing it stops waiting, so the ratio must stay under 2 on any
+    // host — it read 2.0 when every request still paid `max_linger`.
+    let idle_b = &serve_bs[0];
+    let idle_kernel = {
+        let (mut ws, mut out) = (SolveWorkspace::new(), vec![0.0f64; n]);
+        time_ns(31, || engine.solve_into(idle_b, &mut out, &mut ws).unwrap())
+    };
+    let (idle_roundtrip, _) = serve_solver(&engine, &ServiceConfig::default(), |svc| {
+        let mut out = vec![0.0f64; n];
+        let mut lone = || svc.submit(idle_b).unwrap().wait_into(&mut out).unwrap();
+        // past the dispatcher's futile-linger run and buffer warm-up
+        (0..8).for_each(|_| lone());
+        time_ns(31, lone)
+    })
+    .unwrap();
+    let idle_over_kernel = idle_roundtrip.median_ns as f64 / idle_kernel.median_ns.max(1) as f64;
+    println!(
+        "idle service round trip median {:>12}   ({idle_over_kernel:.2}x of solve_into {})",
+        TimingSummary::human(idle_roundtrip.median_ns),
+        TimingSummary::human(idle_kernel.median_ns),
+    );
+
     // --- PCG + ILU(0): cold per-application analysis vs warm replay --
     // The paper's §I workload: every Krylov iteration applies
     // M⁻¹ = (LU)⁻¹ against the SAME factors. Warm builds the
@@ -401,7 +432,7 @@ fn main() {
 
     // --- fleet: warm cached-engine serving vs cold per-request build -
     // The factor cache's value proposition: once a tenant's engine is
-    // resident, a fleet submit pays mailbox dispatch + warm panel
+    // resident, a fleet submit pays one enqueue + warm panel
     // replay, while a service WITHOUT the cache pays the full build
     // (analysis + calibration) per request — the already-measured cold
     // one-shot solve. The floor is hardware-independent: an engine
@@ -562,6 +593,9 @@ fn main() {
     "speedup": {serve_speedup:.2},
     "mean_panel_fill": {serve_fill:.2},
     "panels": {serve_panels_v},
+    "idle_roundtrip_ns": {idle_roundtrip_med},
+    "idle_kernel_solve_into_ns": {idle_kernel_med},
+    "idle_roundtrip_over_kernel": {idle_over_kernel:.2},
     "hardware_threads": {threads}
   }},
   "pcg_ilu0": {{
@@ -665,6 +699,8 @@ fn main() {
         serve_med = coalesced.median_ns,
         serve_fill = mean_fill.get(),
         serve_panels_v = serve_panels.get(),
+        idle_roundtrip_med = idle_roundtrip.median_ns,
+        idle_kernel_med = idle_kernel.median_ns,
         pcg_n = spd.n(),
         pcg_nnz = spd.nnz(),
         cold_pcg_med = cold_pcg.median_ns,
@@ -756,6 +792,13 @@ fn main() {
         "the coalesced service must beat the lock-per-request serial loop at \
          {} concurrent RHS on {hw} hardware threads, got {serve_speedup:.2}x",
         SERVE_CLIENTS * SERVE_PER_CLIENT
+    );
+    // hardware-independent: an idle service adds two copies and two
+    // hand-offs to a solve, never a linger
+    assert!(
+        idle_over_kernel <= 2.0,
+        "a lone request through an idle service must cost at most 2x the bare \
+         solve_into, got {idle_over_kernel:.2}x"
     );
     // hardware-independent: a handful of atomic stores per solve
     // against a full factor sweep — the armed sink must stay ≤ 5%

@@ -11,14 +11,18 @@
 //!
 //! ## Architecture
 //!
-//! * **Bulkheads.** Every cached engine lives on its own OS thread
-//!   (the *tenant thread*), which owns the `Arc<CscMatrix>`, builds
-//!   the engine on its own stack, and runs
-//!   [`SolverService::run_supervised`] locally, pumping requests from
-//!   an mpsc mailbox. No tenant shares a dispatcher, a queue, or a
-//!   panic domain with any other — the classic bulkhead pattern. All
-//!   tenants *do* share one [`EngineResources`] pool, so worker
-//!   threads and solve workspaces are recycled fleet-wide.
+//! * **Bulkheads.** Every tenant has its own queue, dispatcher and
+//!   panic domain. The queue (the tenant service's own FIFO) is
+//!   created at admission, and [`EngineFleet::submit`] enqueues
+//!   straight into it from the client's thread, so a request crosses
+//!   exactly two thread hand-offs: client → dispatcher, dispatcher →
+//!   waiter. The engine lives on the *tenant thread*, which owns the
+//!   `Arc<CscMatrix>`, builds the engine on its own stack, runs a
+//!   supervised [`SolverService`] over the tenant's queue, and then
+//!   only waits for control messages (value refresh, stop) — no
+//!   request passes through it. All tenants *do* share one
+//!   [`EngineResources`] pool, so worker threads and solve workspaces
+//!   are recycled fleet-wide.
 //! * **Quarantining build pool.** Engine builds run under
 //!   `catch_unwind` with a wall-clock deadline and bounded, seeded
 //!   retries. A fingerprint whose build keeps failing is quarantined:
@@ -42,11 +46,11 @@
 //! |---|---|---|---|---|
 //! | engine build panics or times out ([`FaultSite::EngineBuild`]) | build pool: retries, then quarantine | [`FleetError::BuildFailed`], then [`FleetError::Quarantined`] | `builds_failed`, `quarantine_events` | long `fleet.build` span, then a `fleet.quarantine` instant |
 //! | poisoned factor re-submitted after cooldown | one cold probe re-runs the build | success, or quarantine renewed | `build_retries`, `quarantine_rejections` | a fresh `fleet.build` span; `fleet.quarantine` instant again on renewal |
-//! | one tenant's dispatcher panics repeatedly | that tenant's bulkhead thread | [`ServeError::Retryable`] on that tenant only; other tenants bit-identical | `tenant_aborts` | `serve.panel` spans stop on that tenant's thread only |
+//! | one tenant's dispatcher panics repeatedly | that tenant's service: queued tickets failed, queue closed, fingerprint quarantined | [`ServeError::Retryable`] (or [`FleetError::ShuttingDown`] from the closed queue) on that tenant only; other tenants bit-identical | `tenant_aborts` | `serve.panel` spans stop on that tenant's thread only |
 //! | one client floods the fleet | per-tenant request/byte budgets | [`FleetError::TenantQueueFull`] | `tenant_shed` | `serve_queue_depth` gauge pegged at the budget |
 //! | cache pressure | LRU shed of coldest *idle* engine (in-flight engines pinned) | cold rebuild on next submit | `evictions` | `fleet.evict` instant (arg = bytes released); `fleet_cache_bytes` gauge drops |
 //! | admission allocation failure ([`FaultSite::CacheAdmit`]) | admission gate | [`FleetError::CacheFull`] | `cache_admit_shed` | no `fleet.build` span follows the submit |
-//! | fleet shutdown | every mailbox drained with typed errors | [`FleetError::ShuttingDown`] | — | `fleet_tenants_live` gauge falls to 0 |
+//! | fleet shutdown | every tenant queue drained (or rejected, per [`ServiceConfig::drain_on_shutdown`]) and closed | results, or [`FleetError::ShuttingDown`] | — | `fleet_tenants_live` gauge falls to 0 |
 //! | value refresh rejected or interrupted ([`FaultSite::ValueRefresh`]) | the tenant's engine validates before mutating; the old epoch keeps serving | typed error to the refresher only; tenant traffic unaffected | `refresh_failures` | `fleet.refresh` span with no nested `engine.refresh.values` commit |
 //!
 //! ## Value-refresh lifecycle
@@ -55,10 +59,12 @@
 //! tenant does **not** need a second registration, a rebuild, or a
 //! restart: [`EngineFleet::refresh_tenant`] swaps the new values into
 //! the live tenant's warm engine in place, with zero symbolic work.
-//! The refresh rides the tenant mailbox like any request, so it
-//! executes on the bulkhead thread between request batches — the
-//! engine's own numeric write lock is the panel-boundary quiesce, and
-//! every in-flight ticket resolves against exactly one value epoch.
+//! The refresh is a control message to the tenant thread (the engine
+//! lives on its stack) and runs at once, beside the traffic: the
+//! tenant's dispatcher stands aside at its next panel boundary until
+//! the commit has taken the engine's numeric write lock and released
+//! it, so a refresh waits for at most the panel in flight — never for
+//! a queue — and every ticket resolves against exactly one value epoch.
 //! On success the stored factor is replaced (a later eviction +
 //! rebuild uses the new values), the cache charge is corrected to the
 //! refreshed engine's actual footprint, and the tenant's value epoch
@@ -77,11 +83,13 @@
 //! one tenant of a multi-tenant sweep:
 //!
 //! 1. **No ticket ever hangs.** Every [`FleetTicket`] resolves to a
-//!    value or a typed error, even if its tenant thread panics, is
-//!    evicted mid-queue, or the fleet shuts down underneath it.
-//!    (Mailbox messages carry a drop-completing guard: a request
-//!    dropped unread resolves its ticket with
-//!    [`ServeError::Retryable`].)
+//!    value or a typed error, even if its tenant's dispatcher panics,
+//!    its build fails, or the fleet shuts down underneath it: every
+//!    exit path of the tenant thread closes the tenant's queue, which
+//!    completes whatever is still queued and refuses later submits
+//!    through a stale handle, both typed. Per-tenant accounting hangs
+//!    off the queue's completion hook, so `submitted == served +
+//!    failed` holds whether or not a ticket is ever collected.
 //! 2. **The byte budget is hard.** `cache_bytes ≤ cache_budget_bytes`
 //!    at every instant; [`FleetReport::cache_bytes_high_water`] is the
 //!    audit trail.
@@ -104,7 +112,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -115,8 +123,8 @@ use crate::engine::{EngineResources, RefreshReport, SolverEngine};
 use crate::exec::PANEL_K;
 use crate::fault::{self, FaultSite};
 use crate::serve::{
-    backoff_delay, ServeError, ServiceConfig, ServiceEngine, ServiceHealth, ServiceReport,
-    SolverService,
+    backoff_delay, QueueObserver, ServeError, ServiceConfig, ServiceEngine, ServiceHealth,
+    ServiceQueue, ServiceReport, SolverService, Ticket,
 };
 use crate::solver::{SolveError, SolveOptions};
 use crate::telemetry::{self, Gauge, Site, SpanGuard, TelemetryReport};
@@ -306,7 +314,7 @@ impl From<ServeError> for FleetError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantHealth {
     /// Admitted; the engine build has not finished yet. Submits are
-    /// accepted and queue in the tenant mailbox.
+    /// accepted and wait in the tenant's service queue.
     Building,
     /// Serving normally.
     Ok,
@@ -362,7 +370,7 @@ pub struct FleetReport {
     pub cache_bytes_high_water: u64,
     /// The configured ceiling, for reconciliation.
     pub cache_budget_bytes: u64,
-    /// Requests accepted into some tenant mailbox.
+    /// Requests accepted into some tenant's queue.
     pub submitted: u64,
     /// Requests completed with a solution.
     pub served: u64,
@@ -404,94 +412,64 @@ pub struct FleetReport {
     pub telemetry: TelemetryReport,
 }
 
-/// Live per-tenant gauges, shared between the tenant thread (writer)
-/// and the fleet (reader), and read by every completing request slot.
-#[derive(Debug)]
+/// Live per-tenant gauges: written where requests are admitted
+/// ([`EngineFleet::submit`]) and completed ([`TenantObserver`]), read
+/// by the eviction and budget checks.
+#[derive(Debug, Default)]
 struct TenantGauge {
     inflight_requests: AtomicUsize,
     inflight_bytes: AtomicUsize,
-    health: Mutex<TenantHealth>,
-    last_report: Mutex<ServiceReport>,
     /// Monotonic count of committed value refreshes on this tenant's
     /// engine — 0 until the first [`EngineFleet::refresh_tenant`].
     value_epoch: AtomicU64,
+    /// Why the tenant's queue closed, when it closed for a reason a
+    /// client should see in place of the queue's bare `ShuttingDown`
+    /// ([`FleetError::BuildFailed`], [`FleetError::CacheFull`], …).
+    terminal: OnceLock<FleetError>,
 }
 
 impl TenantGauge {
-    fn new(health: TenantHealth) -> TenantGauge {
-        TenantGauge {
-            inflight_requests: AtomicUsize::new(0),
-            inflight_bytes: AtomicUsize::new(0),
-            health: Mutex::new(health),
-            last_report: Mutex::new(ServiceReport::default()),
-            value_epoch: AtomicU64::new(0),
+    /// A tenant-queue error in the fleet's vocabulary: the closed
+    /// queue's `ShuttingDown` becomes the reason the tenant closed.
+    fn lift(&self, e: ServeError) -> FleetError {
+        match e {
+            ServeError::ShuttingDown => {
+                self.terminal.get().cloned().unwrap_or(FleetError::ShuttingDown)
+            }
+            e => FleetError::Serve(e),
         }
-    }
-
-    fn health(&self) -> TenantHealth {
-        *self.health.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn set_health(&self, h: TenantHealth) {
-        *self.health.lock().unwrap_or_else(PoisonError::into_inner) = h;
     }
 }
 
-/// One request's rendezvous: the client waits on the condvar, whoever
-/// owns the request completes it exactly once.
+/// The tenant queue's completion hook: the one place a fleet request
+/// is counted out — `served`/`failed` and the in-flight gauges move
+/// when the dispatcher completes the lane, whether or not anyone ever
+/// collects the ticket.
 #[derive(Debug)]
-struct ReqSlot {
-    result: Mutex<Option<Result<Vec<f64>, FleetError>>>,
-    cv: Condvar,
-    bytes: usize,
+struct TenantObserver {
     gauge: Arc<TenantGauge>,
     counters: Arc<FleetCounters>,
+    /// Payload bytes of one request (`n × 8`).
+    bytes: usize,
+    /// The tenant thread's control mailbox, to wake it on abort.
+    control: Sender<TenantMsg>,
 }
 
-impl ReqSlot {
-    fn complete(&self, r: Result<Vec<f64>, FleetError>) {
-        let mut slot = self.result.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_some() {
-            debug_assert!(false, "fleet request completed twice");
-            return;
-        }
-        match &r {
-            Ok(_) => self.counters.served.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.counters.failed.fetch_add(1, Ordering::Relaxed),
-        };
+impl QueueObserver for TenantObserver {
+    fn completed(&self, ok: bool) {
+        let counter = if ok { &self.counters.served } else { &self.counters.failed };
+        counter.fetch_add(1, Ordering::Relaxed);
+        // Release pairs with the Acquire loads in `pick_victim` and the
+        // budget check: a tenant seen idle has published its results
         self.gauge.inflight_requests.fetch_sub(1, Ordering::AcqRel);
         self.gauge.inflight_bytes.fetch_sub(self.bytes, Ordering::AcqRel);
-        *slot = Some(r);
-        self.cv.notify_all();
-    }
-}
-
-/// The no-hang guarantee, mechanized: a mailbox message owns its slot
-/// through this guard, and dropping the guard un-completed (pump
-/// panic, dead mailbox, `SendError`) resolves the ticket with a typed
-/// retryable error instead of stranding the waiting client.
-#[derive(Debug)]
-struct SlotGuard(Option<Arc<ReqSlot>>);
-
-impl SlotGuard {
-    fn new(slot: Arc<ReqSlot>) -> SlotGuard {
-        SlotGuard(Some(slot))
     }
 
-    fn complete(mut self, r: Result<Vec<f64>, FleetError>) {
-        if let Some(s) = self.0.take() {
-            s.complete(r);
-        }
-    }
-}
-
-impl Drop for SlotGuard {
-    fn drop(&mut self) {
-        if let Some(s) = self.0.take() {
-            s.complete(Err(FleetError::Serve(ServeError::Retryable {
-                reason: "tenant dispatcher exited before serving the request",
-            })));
-        }
+    fn aborted(&self) {
+        // the control loop is blocked in `recv`; Stop returns it so
+        // the service can re-raise the dispatcher's panic into
+        // `serve_tenant`'s containment
+        let _ = self.control.send(TenantMsg::Stop);
     }
 }
 
@@ -501,19 +479,14 @@ impl Drop for SlotGuard {
 #[derive(Debug)]
 #[must_use = "the FleetTicket is the only way to collect this request's result"]
 pub struct FleetTicket {
-    slot: Arc<ReqSlot>,
+    ticket: Ticket,
+    gauge: Arc<TenantGauge>,
 }
 
 impl FleetTicket {
     /// Block until the request completes.
     pub fn wait(self) -> Result<Vec<f64>, FleetError> {
-        let mut g = self.slot.result.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(r) = g.take() {
-                return r;
-            }
-            g = self.slot.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
+        self.ticket.wait().map_err(|e| self.gauge.lift(e))
     }
 
     /// Block at most `timeout`. `Ok(result)` if the request completed
@@ -523,26 +496,11 @@ impl FleetTicket {
         self,
         timeout: Duration,
     ) -> Result<Result<Vec<f64>, FleetError>, FleetTicket> {
-        let deadline = Instant::now() + timeout;
-        {
-            let slot = Arc::clone(&self.slot);
-            let mut g = slot.result.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(r) = g.take() {
-                    return Ok(r);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                g = slot
-                    .cv
-                    .wait_timeout(g, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
+        let FleetTicket { ticket, gauge } = self;
+        match ticket.wait_timeout(timeout) {
+            Ok(r) => Ok(r.map_err(|e| gauge.lift(e))),
+            Err(ticket) => Err(FleetTicket { ticket, gauge }),
         }
-        Err(self)
     }
 
     /// Non-blocking poll: `wait_timeout(Duration::ZERO)`.
@@ -551,14 +509,15 @@ impl FleetTicket {
     }
 }
 
+/// What still travels to the tenant thread: control only. Requests go
+/// straight into the tenant's [`ServiceQueue`] from the client thread.
 enum TenantMsg {
-    Req(Vec<f64>, SlotGuard),
     /// In-place value refresh of the tenant's engine. The reply sender
     /// carries the outcome plus the refreshed engine's actual
-    /// footprint (for the cache recharge); dropping it unread — dead
-    /// mailbox, pump panic — closes the channel, which the waiting
+    /// footprint (for the cache recharge); dropping it unread — the
+    /// tenant thread gone — closes the channel, which the waiting
     /// [`EngineFleet::refresh_tenant`] maps to a typed retryable
-    /// error. The no-hang guarantee, again.
+    /// error. The no-hang guarantee, for refreshes.
     Refresh(Arc<CscMatrix>, Sender<Result<(RefreshReport, u64), FleetError>>),
     Stop,
 }
@@ -567,6 +526,9 @@ struct TenantEntry {
     tx: Sender<TenantMsg>,
     join: Option<JoinHandle<()>>,
     gauge: Arc<TenantGauge>,
+    /// Where this tenant's requests are enqueued — created at
+    /// admission, so it accepts work while the engine still builds.
+    queue: Arc<ServiceQueue>,
     /// Bytes currently charged against the cache budget for this
     /// tenant (reservation until the build recharges to actual).
     bytes: u64,
@@ -574,7 +536,21 @@ struct TenantEntry {
     /// Until the build recharges: never an eviction victim, and the
     /// charged bytes are still the admission estimate.
     building: bool,
-    n: usize,
+}
+
+impl TenantEntry {
+    /// `Building` until the recharge, then whatever the live queue
+    /// says.
+    fn health(&self) -> TenantHealth {
+        if self.building {
+            return TenantHealth::Building;
+        }
+        match self.queue.health() {
+            ServiceHealth::Ok => TenantHealth::Ok,
+            ServiceHealth::Degraded { reason } => TenantHealth::Degraded { reason },
+            ServiceHealth::Draining => TenantHealth::Draining,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -682,7 +658,11 @@ impl FleetShared {
             }
             let delta = actual - reserved;
             let Some(victim) = pick_victim(&st, Some(fp)) else {
-                st.tenants.remove(&fp);
+                if let Some(e) = st.tenants.remove(&fp) {
+                    // a live tenant shed by a refresh-time recharge
+                    // must not keep serving with no bytes charged
+                    let _ = e.tx.send(TenantMsg::Stop);
+                }
                 st.cache_bytes = st.cache_bytes.saturating_sub(reserved);
                 return Err(FleetError::CacheFull {
                     needed_bytes: delta,
@@ -705,17 +685,6 @@ impl FleetShared {
         }
         self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         telemetry::instant(Site::FleetEvict, e.bytes);
-    }
-
-    /// Complete everything already queued in a dying mailbox with a
-    /// typed error. Later sends fail (`SendError`) or are dropped with
-    /// the receiver — either way the [`SlotGuard`] resolves them.
-    fn fail_mailbox(&self, rx: &Receiver<TenantMsg>, err: impl Fn() -> FleetError) {
-        while let Ok(msg) = rx.try_recv() {
-            if let TenantMsg::Req(_, guard) = msg {
-                guard.complete(Err(err()));
-            }
-        }
     }
 }
 
@@ -817,16 +786,20 @@ impl EngineFleet {
     }
 
     /// Submit right-hand side `b` against the factor registered under
-    /// `fp`. Warm tenants enqueue immediately; a cold fingerprint is
-    /// admitted (reserving cache bytes, evicting coldest idle engines
-    /// if needed) and its engine built on a fresh bulkhead thread
-    /// while the request waits in the tenant mailbox.
+    /// `fp`. The request is copied into the tenant's service queue on
+    /// the calling thread; a cold fingerprint is first admitted
+    /// (reserving cache bytes, evicting coldest idle engines if
+    /// needed), which creates that queue and starts the engine build
+    /// on a fresh bulkhead thread — the request waits in the queue
+    /// until the dispatcher exists.
     ///
     /// Never blocks on a solve. Typed rejections:
     /// [`FleetError::UnknownFactor`], [`FleetError::Quarantined`],
     /// [`FleetError::TenantQueueFull`], [`FleetError::CacheFull`],
-    /// [`FleetError::ShuttingDown`], and dimension mismatches as
-    /// [`FleetError::Serve`].
+    /// [`FleetError::ShuttingDown`] (also through a handle whose
+    /// tenant was torn down since the lookup), and what the tenant's
+    /// queue refuses at its door — a wrong-length or non-finite `b`,
+    /// its own queue bound — as [`FleetError::Serve`].
     pub fn submit(&self, fp: FactorFingerprint, b: &[f64]) -> Result<FleetTicket, FleetError> {
         loop {
             let mut st = self.shared.lock();
@@ -846,18 +819,10 @@ impl EngineFleet {
             st.lru_clock += 1;
             let clock = st.lru_clock;
 
-            // warm path: the tenant exists (serving or still building)
+            // warm path: the tenant exists (serving or still building);
+            // budget-check and pin it under the fleet lock, then enqueue
+            // straight into its queue from this thread
             if let Some(entry) = st.tenants.get_mut(&fp) {
-                if b.len() != entry.n {
-                    return Err(FleetError::Serve(ServeError::Solve(
-                        SolveError::DimensionMismatch {
-                            n: entry.n,
-                            rhs: b.len(),
-                            index: None,
-                            buffer: "b",
-                        },
-                    )));
-                }
                 let depth = entry.gauge.inflight_requests.load(Ordering::Acquire);
                 let bytes_inflight = entry.gauge.inflight_bytes.load(Ordering::Acquire);
                 let bytes = std::mem::size_of_val(b);
@@ -871,21 +836,23 @@ impl EngineFleet {
                 entry.gauge.inflight_requests.fetch_add(1, Ordering::AcqRel);
                 entry.gauge.inflight_bytes.fetch_add(bytes, Ordering::AcqRel);
                 let gauge = Arc::clone(&entry.gauge);
-                let tx = entry.tx.clone();
-                self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+                let queue = Arc::clone(&entry.queue);
                 drop(st);
-                let slot = Arc::new(ReqSlot {
-                    result: Mutex::new(None),
-                    cv: Condvar::new(),
-                    bytes,
-                    gauge,
-                    counters: Arc::clone(&self.shared.counters),
-                });
-                let ticket = FleetTicket { slot: Arc::clone(&slot) };
-                // a SendError drops the message, whose SlotGuard then
-                // completes the ticket — the no-hang guarantee again
-                let _ = tx.send(TenantMsg::Req(b.to_vec(), SlotGuard::new(slot)));
-                return Ok(ticket);
+                return match queue.submit(b, None) {
+                    Ok(ticket) => {
+                        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+                        Ok(FleetTicket { ticket, gauge })
+                    }
+                    Err(e) => {
+                        // refused at the door (wrong length, non-finite,
+                        // queue bound, or a tenant torn down since the
+                        // lookup): nothing was queued, so the completion
+                        // hook will not fire — unpin here
+                        gauge.inflight_requests.fetch_sub(1, Ordering::AcqRel);
+                        gauge.inflight_bytes.fetch_sub(bytes, Ordering::AcqRel);
+                        Err(gauge.lift(e))
+                    }
+                };
             }
 
             // cold path: admit, reserve bytes, spawn the bulkhead
@@ -923,28 +890,39 @@ impl EngineFleet {
                 self.shared.stop_tenant(&mut ve);
                 continue;
             }
+            // the tenant's queue exists from admission on, so requests
+            // that arrive during the build wait in the service FIFO
+            let gauge = Arc::new(TenantGauge::default());
+            let (tx, rx) = channel();
+            let mut svc_cfg = self.shared.cfg.service.clone();
+            svc_cfg.supervision_seed = self.shared.cfg.seed ^ fp.structural;
+            let observer = TenantObserver {
+                gauge: Arc::clone(&gauge),
+                counters: Arc::clone(&self.shared.counters),
+                bytes: matrix.n() * std::mem::size_of::<f64>(),
+                control: tx.clone(),
+            };
+            let queue = ServiceQueue::new(matrix.n(), &svc_cfg, Some(Box::new(observer)))?;
             st.cache_bytes += needed;
             st.cache_high_water = st.cache_high_water.max(st.cache_bytes);
             self.shared.counters.builds_started.fetch_add(1, Ordering::Relaxed);
-            let gauge = Arc::new(TenantGauge::new(TenantHealth::Building));
-            let (tx, rx) = channel();
             st.tenants.insert(
                 fp,
                 TenantEntry {
                     tx,
                     join: None,
                     gauge: Arc::clone(&gauge),
+                    queue: Arc::clone(&queue),
                     bytes: needed,
                     last_used: clock,
                     building: true,
-                    n: matrix.n(),
                 },
             );
             let shared = Arc::clone(&self.shared);
             let resources = Arc::clone(&self.resources);
             let spawned = std::thread::Builder::new()
                 .name(format!("sptrsv-fleet-{fp}"))
-                .spawn(move || tenant_main(fp, matrix, shared, resources, gauge, rx));
+                .spawn(move || tenant_main(fp, matrix, shared, resources, gauge, queue, rx));
             match spawned {
                 Ok(j) => {
                     st.tenants.get_mut(&fp).expect("just inserted").join = Some(j);
@@ -967,8 +945,9 @@ impl EngineFleet {
     /// stays `fp`.
     ///
     /// A **live** tenant is refreshed on its own bulkhead thread: the
-    /// refresh rides the mailbox between request batches, commits at a
-    /// panel boundary under the engine's numeric write lock, replaces
+    /// refresh is handled at once (it queues behind no request),
+    /// commits at a panel boundary under the engine's numeric write
+    /// lock while the dispatcher stands aside, replaces
     /// the stored factor (so a later eviction + rebuild uses the new
     /// values), corrects the cache charge to the refreshed footprint,
     /// and bumps [`EngineFleet::tenant_value_epoch`]. A registered but
@@ -1099,7 +1078,7 @@ impl EngineFleet {
     pub fn health(&self) -> Vec<(FactorFingerprint, TenantHealth)> {
         let st = self.shared.lock();
         let now = Instant::now();
-        let mut v: Vec<_> = st.tenants.iter().map(|(fp, e)| (*fp, e.gauge.health())).collect();
+        let mut v: Vec<_> = st.tenants.iter().map(|(fp, e)| (*fp, e.health())).collect();
         for (fp, q) in &st.quarantine {
             if !st.tenants.contains_key(fp) && q.until > now {
                 v.push((
@@ -1112,15 +1091,14 @@ impl EngineFleet {
         v
     }
 
-    /// The last [`ServiceReport`] a tenant's service published (the
-    /// pump refreshes it after every batch, and the final report lands
-    /// when the tenant drains). `None` for unknown or never-built
-    /// fingerprints.
+    /// The live [`ServiceReport`] of a tenant's queue, read at the call
+    /// (counters only — the pool-wide
+    /// [`ServiceReport::spawn_shortfalls`] is not attributed to a
+    /// tenant and reads 0). All zeros while the tenant is still
+    /// building; `None` for fingerprints without a live tenant.
     pub fn tenant_report(&self, fp: FactorFingerprint) -> Option<ServiceReport> {
-        let st = self.shared.lock();
-        st.tenants
-            .get(&fp)
-            .map(|e| e.gauge.last_report.lock().unwrap_or_else(PoisonError::into_inner).clone())
+        let queue = Arc::clone(&self.shared.lock().tenants.get(&fp)?.queue);
+        Some(queue.stats())
     }
 
     /// A point-in-time snapshot of the fleet counters and gauges.
@@ -1188,22 +1166,43 @@ impl Drop for EngineFleet {
 
 /// The bulkhead: one tenant's whole life on its own OS thread — build
 /// (with retries, deadline and quarantine), recharge the byte
-/// reservation, then serve the mailbox through a supervised
-/// [`SolverService`] until stopped. Every exit path drains the mailbox
-/// with typed errors; a panic here is caught and contained.
+/// reservation, then run a supervised [`SolverService`] over the
+/// tenant's queue until stopped. Every exit path closes the queue, so
+/// whatever clients enqueued resolves with a typed error; a panic here
+/// is caught and contained.
 fn tenant_main(
     fp: FactorFingerprint,
     matrix: Arc<CscMatrix>,
     shared: Arc<FleetShared>,
     resources: Arc<EngineResources>,
     gauge: Arc<TenantGauge>,
+    queue: Arc<ServiceQueue>,
     rx: Receiver<TenantMsg>,
 ) {
-    let cfg = shared.cfg.clone();
+    if let Err(why) = serve_tenant(fp, &matrix, &shared, resources, &gauge, &queue, &rx) {
+        // first writer wins: a queue closes for exactly one reason
+        let _ = gauge.terminal.set(why);
+    }
+    queue.close();
+}
+
+/// [`tenant_main`]'s body. `Ok` is a Stop-driven exit (the service
+/// drained its queue on the way out); `Err` is why the tenant is going
+/// away with requests possibly still queued — the entry is already
+/// removed and its bytes released when it returns.
+fn serve_tenant(
+    fp: FactorFingerprint,
+    matrix: &CscMatrix,
+    shared: &FleetShared,
+    resources: Arc<EngineResources>,
+    gauge: &TenantGauge,
+    queue: &Arc<ServiceQueue>,
+    rx: &Receiver<TenantMsg>,
+) -> Result<(), FleetError> {
+    let cfg = &shared.cfg;
     if !shared.acquire_build_permit() {
         shared.remove_and_release(fp);
-        shared.fail_mailbox(&rx, || FleetError::ShuttingDown);
-        return;
+        return Err(FleetError::ShuttingDown);
     }
     let deadline = Instant::now() + cfg.build_deadline;
     let mut attempts = 0u32;
@@ -1216,7 +1215,7 @@ fn tenant_main(
         let built = catch_unwind(AssertUnwindSafe(|| {
             fault::fire_panic(FaultSite::EngineBuild);
             SolverEngine::build_shared(
-                &matrix,
+                matrix,
                 cfg.machine.clone(),
                 &cfg.solve,
                 Arc::clone(&resources),
@@ -1248,105 +1247,88 @@ fn tenant_main(
     let Some(engine) = engine else {
         shared.counters.builds_failed.fetch_add(1, Ordering::Relaxed);
         shared.quarantine_and_remove(fp);
-        gauge.set_health(TenantHealth::Draining);
-        shared.fail_mailbox(&rx, || FleetError::BuildFailed { attempts });
-        return;
+        return Err(FleetError::BuildFailed { attempts });
     };
-    let actual = matrix_host_bytes(&matrix) + engine.footprint_bytes();
-    if let Err(e) = shared.recharge(fp, actual) {
-        gauge.set_health(TenantHealth::Draining);
-        shared.fail_mailbox(&rx, || e.clone());
-        return;
-    }
+    let actual = matrix_host_bytes(matrix) + engine.footprint_bytes();
+    shared.recharge(fp, actual)?;
     shared.counters.builds_ok.fetch_add(1, Ordering::Relaxed);
-    gauge.set_health(TenantHealth::Ok);
-    let mut svc_cfg = cfg.service.clone();
-    svc_cfg.supervision_seed = cfg.seed ^ fp.structural;
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        SolverService::run_supervised(ServiceEngine::Solver(&engine), &svc_cfg, |svc| {
-            pump(&rx, svc, &gauge)
+        SolverService::run_on(ServiceEngine::Solver(&engine), Arc::clone(queue), true, |svc| {
+            control_loop(rx, svc, &engine, gauge)
         })
     }));
     match ran {
-        Ok(Ok(((), report))) => {
-            // normal Stop-driven exit: whoever sent Stop (evictor or
-            // shutdown) already removed the entry and released bytes
-            *gauge.last_report.lock().unwrap_or_else(PoisonError::into_inner) = report;
-            gauge.set_health(TenantHealth::Draining);
-            shared.fail_mailbox(&rx, || FleetError::ShuttingDown);
-        }
+        // normal Stop-driven exit: whoever sent Stop (evictor or
+        // shutdown) already removed the entry and released bytes
+        Ok(Ok(((), _report))) => Ok(()),
         Ok(Err(e)) => {
             shared.remove_and_release(fp);
-            gauge.set_health(TenantHealth::Draining);
-            shared.fail_mailbox(&rx, || FleetError::Serve(e.clone()));
+            Err(FleetError::Serve(e))
         }
         Err(_panic) => {
             // the dispatcher exhausted its restart budget and aborted;
             // the blast radius ends at this bulkhead
             shared.counters.tenant_aborts.fetch_add(1, Ordering::Relaxed);
             shared.quarantine_and_remove(fp);
-            gauge.set_health(TenantHealth::Draining);
-            shared.fail_mailbox(&rx, || {
-                FleetError::Serve(ServeError::Retryable {
-                    reason: "tenant dispatcher aborted after exhausting its restart budget",
-                })
-            });
+            Err(FleetError::Serve(ServeError::Retryable {
+                reason: "tenant dispatcher aborted after exhausting its restart budget",
+            }))
         }
     }
 }
 
-/// The tenant thread's serving loop: batch the mailbox into the
-/// service, resolve tickets, mirror service health into the gauge.
-/// Returns on Stop, a dead mailbox, or a service abort (Draining
-/// without Stop — returning lets `run_supervised` re-raise the panic
-/// into `tenant_main`'s containment).
-fn pump(rx: &Receiver<TenantMsg>, svc: &SolverService<'_, '_>, gauge: &TenantGauge) {
-    let mut stop = false;
-    let mut msgs = Vec::new();
-    let mut inflight = Vec::new();
-    while !stop {
-        let Ok(first) = rx.recv() else { return };
-        msgs.push(first);
-        while let Ok(m) = rx.try_recv() {
-            msgs.push(m);
-        }
-        for m in msgs.drain(..) {
-            match m {
-                TenantMsg::Req(b, guard) => match svc.submit(&b) {
-                    Ok(t) => inflight.push((t, guard)),
-                    Err(e) => guard.complete(Err(FleetError::Serve(e))),
-                },
-                TenantMsg::Refresh(m2, reply) => {
-                    let r = svc
-                        .refresh_solver(&m2)
-                        .map(|rep| {
-                            let bytes = match svc.engine() {
-                                ServiceEngine::Solver(e) => {
-                                    matrix_host_bytes(&m2) + e.footprint_bytes()
-                                }
-                                ServiceEngine::Preconditioner(_) => 0,
-                            };
-                            gauge.value_epoch.store(rep.value_epoch, Ordering::Release);
-                            (rep, bytes)
-                        })
-                        .map_err(FleetError::Serve);
-                    let _ = reply.send(r);
-                }
-                TenantMsg::Stop => stop = true,
-            }
-        }
-        for (t, guard) in inflight.drain(..) {
-            guard.complete(t.wait().map_err(FleetError::Serve));
-        }
-        let h = svc.health();
-        gauge.set_health(match h {
-            ServiceHealth::Ok => TenantHealth::Ok,
-            ServiceHealth::Degraded { reason } => TenantHealth::Degraded { reason },
-            ServiceHealth::Draining => TenantHealth::Draining,
-        });
-        *gauge.last_report.lock().unwrap_or_else(PoisonError::into_inner) = svc.stats();
-        if matches!(h, ServiceHealth::Draining) && !stop {
-            return;
-        }
+/// What is left of the tenant thread once its service runs: value
+/// refreshes (they need the engine, which lives on this stack) and
+/// Stop. Requests never pass through here. Returns on Stop — sent by
+/// an evictor, by shutdown, or by the queue's abort hook, in which
+/// case returning lets `run_on` re-raise the dispatcher's panic into
+/// [`serve_tenant`]'s containment.
+fn control_loop(
+    rx: &Receiver<TenantMsg>,
+    svc: &SolverService<'_, '_>,
+    engine: &SolverEngine<'_>,
+    gauge: &TenantGauge,
+) {
+    while let Ok(TenantMsg::Refresh(m2, reply)) = rx.recv() {
+        let r = svc
+            .refresh_solver(&m2)
+            .map(|rep| {
+                gauge.value_epoch.store(rep.value_epoch, Ordering::Release);
+                (rep, matrix_host_bytes(&m2) + engine.footprint_bytes())
+            })
+            .map_err(FleetError::Serve);
+        let _ = reply.send(r);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A handle cloned before its tenant went away — what a submit
+    /// holds between the lookup and the enqueue — gets a typed refusal
+    /// from the closed queue, in the fleet's vocabulary: never a hang,
+    /// never a panic, nothing left pinned.
+    #[test]
+    fn a_stale_tenant_handle_is_refused_typed() {
+        let fleet = EngineFleet::new(FleetConfig::default()).unwrap();
+        let m = Arc::new(sparsemat::gen::banded_lower(64, 3, 3.0, 5));
+        let fp = fleet.register(Arc::clone(&m));
+        let (_, b) = crate::verify::rhs_for(&m, 1);
+        fleet.submit(fp, &b).unwrap().wait().unwrap();
+        let (queue, gauge) = {
+            let st = fleet.shared.lock();
+            let e = &st.tenants[&fp];
+            (Arc::clone(&e.queue), Arc::clone(&e.gauge))
+        };
+        fleet.shutdown(); // stops the tenant exactly like an eviction: Stop + join
+        let refused = queue.submit(&b, None).map(drop).map_err(|e| gauge.lift(e));
+        assert_eq!(refused, Err(FleetError::ShuttingDown));
+        assert_eq!(gauge.inflight_requests.load(Ordering::Acquire), 0);
+
+        // a tenant that closed for a reason hands that reason out instead
+        gauge.terminal.set(FleetError::BuildFailed { attempts: 3 }).unwrap();
+        let refused = queue.submit(&b, None).map(drop).map_err(|e| gauge.lift(e));
+        assert_eq!(refused, Err(FleetError::BuildFailed { attempts: 3 }));
     }
 }

@@ -17,17 +17,23 @@
 //!
 //! Clients call [`SolverService::submit`] (or
 //! [`SolverService::submit_with_deadline`]) from any number of
-//! threads. Each accepted request is copied into a recycled slot,
-//! appended to a FIFO queue, and acknowledged with a [`Ticket`] — a
-//! future-like handle with [`Ticket::wait`], [`Ticket::try_wait`] and
-//! [`Ticket::wait_timeout`]. A single dispatcher thread (owned by the
-//! service, started by [`SolverService::run`]) pops requests in FIFO
-//! order, groups up to [`ServiceConfig::max_lanes`] of them, and runs
-//! the group through the engine's fused panel kernel
+//! threads. Each accepted request is copied — on the client's thread,
+//! outside the queue lock, in one pass that also carries the
+//! non-finite check — into a recycled slot, appended to a FIFO queue,
+//! and acknowledged with a [`Ticket`]: a future-like handle with
+//! [`Ticket::wait`], [`Ticket::try_wait`] and [`Ticket::wait_timeout`]
+//! that owns its share of the queue, so it borrows nothing from the
+//! service. A single dispatcher thread (owned by the service, started
+//! by [`SolverService::run`]) pops requests in FIFO order, groups up
+//! to [`ServiceConfig::max_lanes`] of them, and runs the group through
+//! the engine's fused panel kernel
 //! ([`SolverEngine::panel_into_prevalidated`] — lengths were validated
 //! once at admission, so dispatch never re-pays a per-lane validation
 //! sweep). Results are written back into the slots and the tickets
-//! are woken.
+//! are woken. A request therefore crosses exactly two thread
+//! hand-offs — submitter → dispatcher, dispatcher → waiter — and the
+//! multi-tenant [`crate::fleet`] adds none: it enqueues into the same
+//! queue, which it creates before the engine exists.
 //!
 //! Because the panel kernels never mix lanes, **every result is
 //! bit-identical to a serial [`SolverEngine::solve`] of the same
@@ -42,8 +48,9 @@
 //! fires:
 //!
 //! * **Full** — [`ServiceConfig::max_lanes`] requests are queued;
-//! * **Linger** — the oldest queued request has waited
-//!   [`ServiceConfig::max_linger`];
+//! * **Linger** — the oldest queued request has waited out the
+//!   linger: [`ServiceConfig::max_linger`] while waiting can pay,
+//!   nothing once it has proved futile (see below);
 //! * **Deadline** — some request in the next panel has a deadline `d`
 //!   and `d - est` is due, where `est` is an exponential moving
 //!   average of recent panel solve times (deadline *slack*: the flush
@@ -55,6 +62,23 @@
 //! (submit with a tight deadline), while throughput floods fill whole
 //! panels; both get correct answers, and [`ServiceReport`] records
 //! which trigger fired how often.
+//!
+//! **The linger is idle-aware.** Holding a partial panel open pays
+//! only when a second request turns up while the first waits; at low
+//! load every request would otherwise pay the full
+//! [`ServiceConfig::max_linger`] to ride alone. The dispatcher keeps a
+//! record of what lingering last bought: after a short run of `Linger`
+//! flushes that each left with one lane and an empty queue behind
+//! them, a partial panel on the idle dispatcher is flushed at once
+//! (still counted as a linger flush, of zero wait). The moment a panel
+//! leaves with two or more lanes, or a request is found queued when a
+//! panel completes, the full `max_linger` is armed again. `max_linger`
+//! stays the upper bound and the only knob: `Duration::ZERO` still
+//! means "never wait", and a very long linger still means "hold until
+//! full, hinted or due" — a wait that never expires never produces the
+//! evidence that would shorten it. Hint, deadline, full and shutdown
+//! flushes say nothing about what waiting would have bought and leave
+//! the record alone.
 //!
 //! ## Backpressure contract
 //!
@@ -79,8 +103,10 @@
 //! [`ServiceConfig::drain_on_shutdown`] is false, and the dispatcher
 //! is joined before `run` returns the closure's result plus the final
 //! [`ServiceReport`]. The scoped shape is what lets the service stay
-//! entirely safe Rust: tickets and the dispatcher borrow the service,
-//! and the borrow provably outlives both.
+//! entirely safe Rust: the dispatcher borrows the engine, and the
+//! borrow provably outlives it. Tickets borrow nothing — a ticket
+//! still held after `run` returns resolves (its request was drained or
+//! rejected) and recycles into a queue nobody serves any more.
 //!
 //! ## Zero allocation in steady state
 //!
@@ -101,12 +127,16 @@
 //! [`SolverService::refresh_preconditioner`] for a
 //! preconditioner-backed service) swaps new numeric values into the
 //! warm engine **while traffic is flowing** — no re-analysis, no
-//! service restart, no queue drain. The quiesce point is the engine's
-//! own numeric lock: every panel solve holds a read guard for the
-//! duration of the panel, and the refresh commit takes the write
-//! guard, so the swap waits for the in-flight panel, blocks the next
-//! one, and every ticket resolves against **exactly one value epoch**
-//! (old or new, never a mix). Validation — structure identity plus the
+//! service restart, no queue drain. The quiesce point is a panel
+//! boundary: every panel solve holds a read guard on the engine's
+//! numeric lock for the duration of the panel, the refresh commit
+//! takes the write guard, and a refresh in progress is announced in
+//! the queue so the dispatcher starts no new panel until it has
+//! committed (the lock alone would let a saturated dispatcher re-take
+//! its read guard ahead of the waiting writer, indefinitely). The swap
+//! therefore waits for at most the in-flight panel, and every ticket
+//! resolves against **exactly one value epoch** (old or new, never a
+//! mix). Validation — structure identity plus the
 //! factor audit — happens before any mutation, so a rejected refresh
 //! (structure drift → [`SolveError::StructureMismatch`], a non-finite
 //! or zero pivot → the audit's typed error) leaves the engine serving
@@ -303,7 +333,9 @@ pub struct ServiceConfig {
     /// `Duration::ZERO` is a valid, documented setting: every flush
     /// plan is already due, so each request is dispatched immediately
     /// in whatever partial panel is queued — maximum latency priority,
-    /// minimum coalescing.
+    /// minimum coalescing. An upper bound, not a fixed cost: the
+    /// dispatcher stops waiting while recent lingers bought no company
+    /// (the idle-aware linger of the [module docs](self#deadline-semantics)).
     pub max_linger: Duration,
     /// On shutdown, solve what is still queued (`true`, default) or
     /// complete it with [`ServeError::ShuttingDown`] (`false`).
@@ -600,6 +632,59 @@ enum FlushCause {
     Shutdown,
 }
 
+/// Consecutive futile lingers after which the dispatcher stops
+/// lingering: long enough that one quiet gap inside a burst does not
+/// disarm coalescing, short enough that idle traffic stops paying
+/// [`ServiceConfig::max_linger`] within a handful of requests.
+const LINGER_FUTILE_RUN: u8 = 3;
+
+/// What lingering last bought — the dispatcher's evidence for whether
+/// holding a partial panel open can pay. A pure fold over the panels
+/// dispatched so far (the [`crate::engine`] tier probe's shape: a few
+/// observations in, one decision out), so the policy is testable
+/// without a clock.
+///
+/// Lingering pays only when a second request turns up while the first
+/// waits. A panel that lingered the full wait and still left alone,
+/// with nothing queued behind it when it completed, is one piece of
+/// evidence that it does not; [`LINGER_FUTILE_RUN`] of those in a row
+/// and a partial panel is flushed at once. Any sign of concurrent
+/// traffic — a panel of two or more lanes, or a request found queued
+/// when a panel completes — re-arms the full wait immediately. `Hint`,
+/// `Deadline`, `Full` and `Shutdown` flushes cut the wait short for
+/// their own reasons and say nothing about what it would have bought.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LingerRecord {
+    /// Consecutive `Linger` flushes of one lane with an empty queue
+    /// behind them.
+    futile: u8,
+}
+
+impl LingerRecord {
+    /// Fold in one dispatched panel: `cause` flushed it, `fill` lanes
+    /// rode it, `backlog` requests were queued when it completed.
+    fn observe(self, cause: FlushCause, fill: usize, backlog: usize) -> LingerRecord {
+        if fill > 1 || backlog > 0 {
+            LingerRecord { futile: 0 }
+        } else if cause == FlushCause::Linger {
+            LingerRecord { futile: self.futile.saturating_add(1) }
+        } else {
+            self
+        }
+    }
+
+    /// How long the next partial panel may wait for company:
+    /// `max_linger` while waiting can pay, nothing once it has proved
+    /// futile.
+    fn linger(self, max_linger: Duration) -> Duration {
+        if self.futile >= LINGER_FUTILE_RUN {
+            Duration::ZERO
+        } else {
+            max_linger
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct QueueState {
     pending: VecDeque<Pending>,
@@ -616,20 +701,243 @@ struct QueueState {
     /// Panels completed since the last supervised dispatcher restart
     /// (or since start); drives the `Degraded → Ok` health recovery.
     panels_since_restart: u64,
+    /// Value refreshes announced and not yet finished; the dispatcher
+    /// starts no panel while this is non-zero.
+    refreshers: usize,
 }
 
-/// The client-facing shared state: FIFO + free list behind one mutex,
-/// and the condvar that wakes the dispatcher. Split from
-/// [`SolverService`] so a [`Ticket`] needs only this one borrow.
-#[derive(Debug, Default)]
-struct Shared {
+/// What a [`ServiceQueue`]'s owner is told about the requests it
+/// accepted — the fleet hangs its per-tenant accounting here, so a
+/// request is counted where it completes, not where it is collected.
+pub(crate) trait QueueObserver: Send + Sync + std::fmt::Debug {
+    /// Fired exactly once per accepted request, on whichever path
+    /// completes it (panel, restart recovery, abort, close), *before*
+    /// its ticket is woken — a client that has seen its result has
+    /// also seen the accounting.
+    fn completed(&self, ok: bool);
+    /// The dispatcher gave up for good (restart budget exhausted, or
+    /// an unsupervised panic): the queue is shut and everything queued
+    /// has been failed. Lets an owner blocked elsewhere tear down.
+    fn aborted(&self);
+}
+
+/// The service's queue: FIFO + free list behind one mutex, the condvar
+/// that wakes the dispatcher, and the admission contract (`n`, the
+/// validated config). `Arc`-owned and `'static`, so it can exist
+/// before the engine it will feed — the fleet creates one at tenant
+/// admission and enqueues into it from client threads while the engine
+/// is still building — and so a [`Ticket`] owns its way back to the
+/// free list instead of borrowing the service.
+#[derive(Debug)]
+pub(crate) struct ServiceQueue {
     q: Mutex<QueueState>,
     dispatch_cv: Condvar,
+    /// The dimension every right-hand side must have.
+    n: usize,
+    /// Validated ([`ServiceConfig::validated`]) at construction.
+    cfg: ServiceConfig,
+    observer: Option<Box<dyn QueueObserver>>,
 }
 
-impl Shared {
+impl ServiceQueue {
+    /// An empty open queue for `n`-length requests under `config`
+    /// (validated here, once).
+    pub(crate) fn new(
+        n: usize,
+        config: &ServiceConfig,
+        observer: Option<Box<dyn QueueObserver>>,
+    ) -> Result<Arc<ServiceQueue>, ServeError> {
+        Ok(Arc::new(ServiceQueue {
+            q: Mutex::default(),
+            dispatch_cv: Condvar::new(),
+            n,
+            cfg: config.validated(n)?,
+            observer,
+        }))
+    }
+
     fn lock(&self) -> MutexGuard<'_, QueueState> {
         self.q.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The admission verdict for one more `bytes`-sized request, under
+    /// the queue lock; a refusal is counted before it is returned.
+    fn admit(&self, q: &mut QueueState, bytes: usize) -> Result<(), ServeError> {
+        if q.shutdown {
+            q.stats.rejected_shutdown += 1;
+            return Err(ServeError::ShuttingDown);
+        }
+        if q.pending.len() >= self.cfg.max_queue_requests
+            || q.bytes.saturating_add(bytes) > self.cfg.max_queue_bytes
+        {
+            q.stats.rejected_full += 1;
+            return Err(ServeError::QueueFull { depth: q.pending.len(), bytes: q.bytes });
+        }
+        Ok(())
+    }
+
+    /// Admit `b` and hand back its ticket — the body of every submit
+    /// flavor. The `O(n)` work (one fused copy + non-finite scan) runs
+    /// between two short critical sections, never under the queue
+    /// lock, so concurrent submitters copy in parallel and the
+    /// dispatcher is never held off by a client's memcpy.
+    pub(crate) fn submit(
+        self: &Arc<Self>,
+        b: &[f64],
+        deadline: Option<Instant>,
+    ) -> Result<Ticket, ServeError> {
+        let _admit = SpanGuard::enter(Site::ServeAdmit);
+        let n = self.n;
+        if b.len() != n {
+            return Err(ServeError::Solve(SolveError::DimensionMismatch {
+                n,
+                rhs: b.len(),
+                index: None,
+                buffer: "b",
+            }));
+        }
+        let bytes = n * mem::size_of::<f64>();
+        let slot = {
+            let mut q = self.lock();
+            self.admit(&mut q, bytes)?;
+            if fault::fire(FaultSite::AdmissionAlloc) {
+                // injected allocation pressure: shed exactly like a full
+                // queue so clients exercise their QueueFull handling
+                q.stats.rejected_full += 1;
+                q.stats.admission_shed += 1;
+                return Err(ServeError::QueueFull { depth: q.pending.len(), bytes: q.bytes });
+            }
+            q.free.pop()
+        }
+        .unwrap_or_else(|| Arc::new(Slot::new()));
+        // admission guardrail: one NaN lane would propagate through a
+        // fused panel's shared schedule replay, so it must be refused
+        // before it can ride with anyone. The flag rides the copy; only
+        // a refusal pays a second scan, for the first offending index.
+        let mut nonfinite = false;
+        {
+            let mut st = slot.lock();
+            st.rhs.clear();
+            st.rhs.extend(b.iter().map(|&v| {
+                nonfinite |= !v.is_finite();
+                v
+            }));
+        }
+        if nonfinite {
+            self.lock().free.push(slot);
+            let index = b.iter().position(|v| !v.is_finite()).expect("flag set by this scan");
+            return Err(ServeError::Solve(SolveError::NonFinite { buffer: "b", index }));
+        }
+        let mut q = self.lock();
+        // the queue may have filled or shut while the copy ran
+        if let Err(e) = self.admit(&mut q, bytes) {
+            q.free.push(slot);
+            return Err(e);
+        }
+        {
+            let mut st = slot.lock();
+            if fault::fire(FaultSite::RhsCorruptNonFinite) && !st.rhs.is_empty() {
+                // post-admission corruption: models a bit-flip between
+                // the scan and the solve; only the output scan can
+                // catch it now
+                let mid = st.rhs.len() / 2;
+                st.rhs[mid] = f64::NAN;
+            }
+            st.phase = Phase::Queued;
+            st.err = None;
+            st.abandoned = false;
+        }
+        let ticket = Ticket { slot: Some(Arc::clone(&slot)), queue: Arc::clone(self) };
+        q.pending.push_back(Pending { slot, submitted_at: Instant::now(), deadline, bytes });
+        q.bytes += bytes;
+        q.stats.submitted += 1;
+        q.stats.queue_depth_high_water = q.stats.queue_depth_high_water.max(q.pending.len());
+        q.stats.queue_bytes_high_water = q.stats.queue_bytes_high_water.max(q.bytes);
+        telemetry::gauge_set(Gauge::ServeQueueDepth, q.pending.len() as u64);
+        drop(q);
+        self.dispatch_cv.notify_one();
+        Ok(ticket)
+    }
+
+    /// The one place a request becomes `Done`: tell the observer, hand
+    /// back the buffers a panel borrowed (`bufs`), publish the outcome
+    /// and wake the ticket. Returns whether the ticket was dropped —
+    /// the caller then recycles the slot.
+    fn finish(
+        &self,
+        slot: &Slot,
+        bufs: Option<(Vec<f64>, Vec<f64>)>,
+        err: Option<ServeError>,
+    ) -> bool {
+        if let Some(o) = &self.observer {
+            o.completed(err.is_none());
+        }
+        let abandoned = {
+            let mut s = slot.lock();
+            if let Some((rhs, out)) = bufs {
+                s.rhs = rhs;
+                s.out = out;
+            }
+            s.err = err;
+            s.phase = Phase::Done;
+            s.abandoned
+        };
+        slot.cv.notify_all();
+        abandoned
+    }
+
+    /// Refuse every future submit and complete everything still queued
+    /// with `err`, so no ticket ever hangs on a queue nobody will
+    /// serve. Idempotent.
+    fn fail_pending(&self, err: &ServeError) {
+        let mut q = self.lock();
+        q.shutdown = true;
+        while let Some(p) = q.pending.pop_front() {
+            q.bytes -= p.bytes;
+            match err {
+                ServeError::ShuttingDown => q.stats.shutdown_rejected += 1,
+                _ => q.stats.failed += 1,
+            }
+            if self.finish(&p.slot, None, Some(err.clone())) {
+                q.free.push(p.slot);
+            }
+        }
+    }
+
+    /// Close a queue no dispatcher will serve (again): submits are
+    /// refused with [`ServeError::ShuttingDown`] from here on and
+    /// whatever is still queued resolves the same way. A no-op after a
+    /// service ran to completion over the queue (its shutdown already
+    /// drained it); the terminal step when none ever will — the fleet
+    /// calls it on every tenant exit path.
+    pub(crate) fn close(&self) {
+        self.fail_pending(&ServeError::ShuttingDown);
+    }
+
+    /// See [`SolverService::health`].
+    pub(crate) fn health(&self) -> ServiceHealth {
+        let q = self.lock();
+        if q.shutdown {
+            return ServiceHealth::Draining;
+        }
+        if q.breaker_open {
+            return ServiceHealth::Degraded {
+                reason: "circuit breaker open: panels degraded to per-request serial solves",
+            };
+        }
+        if q.stats.dispatcher_restarts > 0 && q.panels_since_restart < HEALTH_RECOVERY_PANELS {
+            return ServiceHealth::Degraded { reason: "dispatcher recently restarted" };
+        }
+        ServiceHealth::Ok
+    }
+
+    /// The live counters, without the engine-side
+    /// [`ServiceReport::spawn_shortfalls`] (a service adds its own
+    /// engine's in [`SolverService::stats`]).
+    pub(crate) fn stats(&self) -> ServiceReport {
+        let mut s = self.lock().stats.clone();
+        s.telemetry = telemetry::report();
+        s
     }
 }
 
@@ -789,6 +1097,8 @@ struct DispatchState {
     /// Degraded panels served since the breaker opened; closes it at
     /// [`BREAKER_COOLDOWN_PANELS`].
     degraded_panels: u32,
+    /// What lingering last bought; sets the next partial panel's wait.
+    linger: LingerRecord,
 }
 
 impl DispatchState {
@@ -803,6 +1113,7 @@ impl DispatchState {
             consec_panel_failures: 0,
             breaker_open: false,
             degraded_panels: 0,
+            linger: LingerRecord::default(),
         }
     }
 }
@@ -820,8 +1131,7 @@ impl DispatchState {
 #[derive(Debug)]
 pub struct SolverService<'e, 'm> {
     engine: ServiceEngine<'e, 'm>,
-    cfg: ServiceConfig,
-    shared: Shared,
+    queue: Arc<ServiceQueue>,
     /// Engine-pool spawn shortfalls at service start; the report shows
     /// the delta accrued during this run.
     shortfall_base: u64,
@@ -843,7 +1153,8 @@ impl<'e, 'm> SolverService<'e, 'm> {
         config: &ServiceConfig,
         body: impl FnOnce(&SolverService<'e, 'm>) -> R,
     ) -> Result<(R, ServiceReport), ServeError> {
-        SolverService::run_inner(engine, config, false, body)
+        let queue = ServiceQueue::new(engine.n(), config, None)?;
+        SolverService::run_on(engine, queue, false, body)
     }
 
     /// [`SolverService::run`] under supervision: a dispatcher panic no
@@ -862,18 +1173,28 @@ impl<'e, 'm> SolverService<'e, 'm> {
         config: &ServiceConfig,
         body: impl FnOnce(&SolverService<'e, 'm>) -> R,
     ) -> Result<(R, ServiceReport), ServeError> {
-        SolverService::run_inner(engine, config, true, body)
+        let queue = ServiceQueue::new(engine.n(), config, None)?;
+        SolverService::run_on(engine, queue, true, body)
     }
 
-    fn run_inner<R>(
+    /// Run a service over a `queue` that already exists — and may
+    /// already hold requests, which the dispatcher serves first, in
+    /// submit order. How the fleet serves what clients enqueued while
+    /// the engine was still building. The queue is shut when this
+    /// returns; it cannot be served twice.
+    pub(crate) fn run_on<R>(
         engine: ServiceEngine<'e, 'm>,
-        config: &ServiceConfig,
+        queue: Arc<ServiceQueue>,
         supervised: bool,
         body: impl FnOnce(&SolverService<'e, 'm>) -> R,
     ) -> Result<(R, ServiceReport), ServeError> {
-        let cfg = config.validated(engine.n())?;
+        if queue.n != engine.n() {
+            return Err(ServeError::InvalidConfig {
+                what: "the queue was sized for a different dimension than the engine's",
+            });
+        }
         let shortfall_base = engine.resources().spawn_shortfalls();
-        let svc = SolverService { engine, cfg, shared: Shared::default(), shortfall_base };
+        let svc = SolverService { engine, queue, shortfall_base };
         std::thread::scope(|s| {
             let dispatcher = std::thread::Builder::new()
                 .name("sptrsv-dispatch".into())
@@ -899,7 +1220,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
 
     /// The dimension every submitted right-hand side must have.
     pub fn n(&self) -> usize {
-        self.engine.n()
+        self.queue.n
     }
 
     /// The engine this service dispatches to.
@@ -918,8 +1239,8 @@ impl<'e, 'm> SolverService<'e, 'm> {
     /// with [`SolveError::NonFinite`] — one poisoned request must
     /// never reach a coalesced panel.
     #[must_use = "the Ticket is the only way to collect this request's result"]
-    pub fn submit(&self, b: &[f64]) -> Result<Ticket<'_>, ServeError> {
-        self.submit_inner(b, None)
+    pub fn submit(&self, b: &[f64]) -> Result<Ticket, ServeError> {
+        self.queue.submit(b, None)
     }
 
     /// [`SolverService::submit`] with bounded client-side retries on
@@ -932,11 +1253,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
     /// the loop can never spin forever against a queue that never
     /// drains.
     #[must_use = "the Ticket is the only way to collect this request's result"]
-    pub fn submit_with_retry(
-        &self,
-        b: &[f64],
-        policy: &RetryPolicy,
-    ) -> Result<Ticket<'_>, ServeError> {
+    pub fn submit_with_retry(&self, b: &[f64], policy: &RetryPolicy) -> Result<Ticket, ServeError> {
         run_retry(policy, |e| matches!(e, ServeError::QueueFull { .. }), || self.submit(b))
     }
 
@@ -947,84 +1264,16 @@ impl<'e, 'm> SolverService<'e, 'm> {
     /// best-effort — [`ServiceReport::deadline_misses`] counts the
     /// ones that completed late.
     #[must_use = "the Ticket is the only way to collect this request's result"]
-    pub fn submit_with_deadline(
-        &self,
-        b: &[f64],
-        deadline: Instant,
-    ) -> Result<Ticket<'_>, ServeError> {
-        self.submit_inner(b, Some(deadline))
-    }
-
-    fn submit_inner(&self, b: &[f64], deadline: Option<Instant>) -> Result<Ticket<'_>, ServeError> {
-        let _admit = SpanGuard::enter(Site::ServeAdmit);
-        let n = self.n();
-        if b.len() != n {
-            return Err(ServeError::Solve(SolveError::DimensionMismatch {
-                n,
-                rhs: b.len(),
-                index: None,
-                buffer: "b",
-            }));
-        }
-        // admission guardrail: one NaN lane would propagate through a
-        // fused panel's shared schedule replay, so reject it before it
-        // can ride with anyone (no lock held — pure read of `b`)
-        if let Some(index) = b.iter().position(|v| !v.is_finite()) {
-            return Err(ServeError::Solve(SolveError::NonFinite { buffer: "b", index }));
-        }
-        let bytes = n * mem::size_of::<f64>();
-        let mut q = self.shared.lock();
-        if q.shutdown {
-            q.stats.rejected_shutdown += 1;
-            return Err(ServeError::ShuttingDown);
-        }
-        if q.pending.len() >= self.cfg.max_queue_requests
-            || q.bytes.saturating_add(bytes) > self.cfg.max_queue_bytes
-        {
-            q.stats.rejected_full += 1;
-            return Err(ServeError::QueueFull { depth: q.pending.len(), bytes: q.bytes });
-        }
-        if fault::fire(FaultSite::AdmissionAlloc) {
-            // injected allocation pressure: shed exactly like a full
-            // queue so clients exercise their QueueFull handling
-            q.stats.rejected_full += 1;
-            q.stats.admission_shed += 1;
-            return Err(ServeError::QueueFull { depth: q.pending.len(), bytes: q.bytes });
-        }
-        let slot = q.free.pop().unwrap_or_else(|| Arc::new(Slot::new()));
-        {
-            let mut st = slot.lock();
-            st.phase = Phase::Queued;
-            st.rhs.clear();
-            st.rhs.extend_from_slice(b);
-            if fault::fire(FaultSite::RhsCorruptNonFinite) && !st.rhs.is_empty() {
-                // post-admission corruption: models a bit-flip between
-                // the scan and the solve; only the output scan can
-                // catch it now
-                let mid = st.rhs.len() / 2;
-                st.rhs[mid] = f64::NAN;
-            }
-            st.err = None;
-            st.abandoned = false;
-        }
-        let ticket = Ticket { slot: Some(Arc::clone(&slot)), shared: &self.shared };
-        q.pending.push_back(Pending { slot, submitted_at: Instant::now(), deadline, bytes });
-        q.bytes += bytes;
-        q.stats.submitted += 1;
-        q.stats.queue_depth_high_water = q.stats.queue_depth_high_water.max(q.pending.len());
-        q.stats.queue_bytes_high_water = q.stats.queue_bytes_high_water.max(q.bytes);
-        telemetry::gauge_set(Gauge::ServeQueueDepth, q.pending.len() as u64);
-        self.shared.dispatch_cv.notify_one();
-        Ok(ticket)
+    pub fn submit_with_deadline(&self, b: &[f64], deadline: Instant) -> Result<Ticket, ServeError> {
+        self.queue.submit(b, Some(deadline))
     }
 
     /// Ask the dispatcher to flush the current partial panel now
     /// instead of lingering for more lanes — a latency hint, not a
     /// barrier (the flushed requests still complete asynchronously).
     pub fn flush(&self) {
-        let mut q = self.shared.lock();
-        q.flush_hint = true;
-        self.shared.dispatch_cv.notify_one();
+        self.queue.lock().flush_hint = true;
+        self.queue.dispatch_cv.notify_one();
     }
 
     /// Begin shutdown: subsequent submits are rejected with
@@ -1032,24 +1281,22 @@ impl<'e, 'm> SolverService<'e, 'm> {
     /// rejected per the config. Idempotent; called automatically when
     /// the [`SolverService::run`] closure returns.
     pub fn shutdown(&self) {
-        let mut q = self.shared.lock();
-        q.shutdown = true;
-        self.shared.dispatch_cv.notify_one();
+        self.queue.lock().shutdown = true;
+        self.queue.dispatch_cv.notify_one();
     }
 
     /// Requests currently queued (excludes in-flight panels).
     pub fn queue_depth(&self) -> usize {
-        self.shared.lock().pending.len()
+        self.queue.lock().pending.len()
     }
 
     /// A point-in-time copy of the service counters. When the
     /// [`crate::telemetry`] plane is armed the snapshot carries a
     /// [`TelemetryReport`] digest of the spans recorded so far.
     pub fn stats(&self) -> ServiceReport {
-        let mut s = self.shared.lock().stats.clone();
+        let mut s = self.queue.stats();
         s.spawn_shortfalls =
             self.engine.resources().spawn_shortfalls().saturating_sub(self.shortfall_base);
-        s.telemetry = telemetry::report();
         s
     }
 
@@ -1059,19 +1306,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
     /// [`HEALTH_RECOVERY_PANELS`] panels of a supervised dispatcher
     /// restart, `Ok` otherwise.
     pub fn health(&self) -> ServiceHealth {
-        let q = self.shared.lock();
-        if q.shutdown {
-            return ServiceHealth::Draining;
-        }
-        if q.breaker_open {
-            return ServiceHealth::Degraded {
-                reason: "circuit breaker open: panels degraded to per-request serial solves",
-            };
-        }
-        if q.stats.dispatcher_restarts > 0 && q.panels_since_restart < HEALTH_RECOVERY_PANELS {
-            return ServiceHealth::Degraded { reason: "dispatcher recently restarted" };
-        }
-        ServiceHealth::Ok
+        self.queue.health()
     }
 
     // ---- value refresh ----------------------------------------------
@@ -1104,7 +1339,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
                        use refresh_preconditioner",
             });
         };
-        self.record_refresh(catch_unwind(AssertUnwindSafe(|| e.refresh_values(m2))))
+        self.run_refresh(|| e.refresh_values(m2))
     }
 
     /// [`SolverService::refresh_solver`] for a preconditioner-backed
@@ -1127,30 +1362,43 @@ impl<'e, 'm> SolverService<'e, 'm> {
                        use refresh_solver",
             });
         };
-        self.record_refresh(catch_unwind(AssertUnwindSafe(|| p.refresh(f))))
+        self.run_refresh(|| p.refresh(f))
     }
 
-    /// Map a caught refresh outcome to the service error surface and
-    /// bump the matching counter. A panic payload is dropped, not
+    /// Run one refresh with the dispatcher held at its next panel
+    /// boundary, map the outcome to the service error surface and bump
+    /// the matching counter.
+    ///
+    /// The engine's write lock alone is not a fair quiesce: a
+    /// saturated dispatcher re-takes the read lock for its next panel
+    /// before a woken writer is scheduled, and the refresh starves
+    /// (188 ms measured against a 2.4 ms commit). Announcing the
+    /// refresh in the queue makes the dispatcher stand aside between
+    /// panels until it has committed. A panic payload is dropped, not
     /// resumed: the engine's refresh probe fires before the first
     /// mutation, so the old epoch is intact and the failure is typed
     /// [`ServeError::Retryable`].
-    fn record_refresh<T>(
+    fn run_refresh<T>(
         &self,
-        caught: std::thread::Result<Result<T, SolveError>>,
+        refresh: impl FnOnce() -> Result<T, SolveError>,
     ) -> Result<T, ServeError> {
-        let out = match caught {
+        self.queue.lock().refreshers += 1;
+        let out = match catch_unwind(AssertUnwindSafe(refresh)) {
             Ok(Ok(v)) => Ok(v),
             Ok(Err(e)) => Err(ServeError::Solve(e)),
             Err(_) => Err(ServeError::Retryable {
                 reason: "value refresh interrupted before commit; the old epoch is intact",
             }),
         };
-        let mut q = self.shared.lock();
-        match &out {
-            Ok(_) => q.stats.value_refreshes += 1,
-            Err(_) => q.stats.refresh_failures += 1,
+        {
+            let mut q = self.queue.lock();
+            q.refreshers -= 1;
+            match &out {
+                Ok(_) => q.stats.value_refreshes += 1,
+                Err(_) => q.stats.refresh_failures += 1,
+            }
         }
+        self.queue.dispatch_cv.notify_one();
         out
     }
 
@@ -1165,7 +1413,8 @@ impl<'e, 'm> SolverService<'e, 'm> {
     /// group is recovered the same way but the dispatcher restarts
     /// after a seeded backoff and keeps serving.
     fn dispatcher_loop(&self, supervised: bool) {
-        let mut st = DispatchState::new(self.cfg.max_lanes);
+        let cfg = &self.queue.cfg;
+        let mut st = DispatchState::new(cfg.max_lanes);
         let mut restarts = 0u32;
         loop {
             let caught = catch_unwind(AssertUnwindSafe(|| self.dispatch(&mut st)));
@@ -1174,24 +1423,30 @@ impl<'e, 'm> SolverService<'e, 'm> {
                 Err(p) => p,
             };
             let failed = self.recover_inflight(&mut st);
-            if supervised && restarts < self.cfg.max_dispatcher_restarts {
+            if supervised && restarts < cfg.max_dispatcher_restarts {
                 restarts += 1;
                 {
-                    let mut q = self.shared.lock();
+                    let mut q = self.queue.lock();
                     q.stats.dispatcher_restarts += 1;
                     q.stats.failed += failed;
                     q.panels_since_restart = 0;
                 }
                 std::thread::sleep(backoff_delay(
-                    self.cfg.restart_backoff,
+                    cfg.restart_backoff,
                     Duration::from_millis(100),
-                    self.cfg.supervision_seed,
+                    cfg.supervision_seed,
                     restarts,
                 ));
                 continue;
             }
-            self.shared.lock().stats.failed += failed;
-            self.abort_service();
+            self.queue.lock().stats.failed += failed;
+            // terminal: no ticket may hang on a dead dispatcher
+            self.queue.fail_pending(&ServeError::Retryable {
+                reason: "service aborted after repeated dispatcher panics",
+            });
+            if let Some(o) = &self.queue.observer {
+                o.aborted();
+            }
             resume_unwind(payload);
         }
     }
@@ -1200,7 +1455,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
     /// flush, run the panel, complete the tickets — until shutdown
     /// with an empty queue.
     fn dispatch(&self, st: &mut DispatchState) {
-        while let Some(cause) = self.next_group(&mut st.group, st.est_solve) {
+        while let Some(cause) = self.next_group(st) {
             fault::fire_panic(FaultSite::DispatcherPanic);
             self.run_group(st, cause);
         }
@@ -1213,23 +1468,16 @@ impl<'e, 'm> SolverService<'e, 'm> {
     fn recover_inflight(&self, st: &mut DispatchState) -> u64 {
         let mut failed = 0u64;
         for p in st.group.drain(..) {
-            let abandoned = {
-                let mut s = p.slot.lock();
-                if s.phase == Phase::Done {
-                    // completed before the panic landed; nothing to do
-                    false
-                } else {
-                    s.err = Some(ServeError::Retryable {
-                        reason: "dispatcher restarted while the request was in flight",
-                    });
-                    s.phase = Phase::Done;
-                    p.slot.cv.notify_all();
-                    failed += 1;
-                    s.abandoned
-                }
+            if p.slot.lock().phase == Phase::Done {
+                // completed before the panic landed; nothing to do
+                continue;
+            }
+            failed += 1;
+            let err = ServeError::Retryable {
+                reason: "dispatcher restarted while the request was in flight",
             };
-            if abandoned {
-                self.shared.lock().free.push(p.slot);
+            if self.queue.finish(&p.slot, None, Some(err)) {
+                self.queue.lock().free.push(p.slot);
             }
         }
         st.bs.clear();
@@ -1239,37 +1487,22 @@ impl<'e, 'm> SolverService<'e, 'm> {
         failed
     }
 
-    /// Terminal failure path: reject future submits and complete
-    /// everything still queued with [`ServeError::Retryable`], so no
-    /// ticket ever hangs on a dead dispatcher.
-    fn abort_service(&self) {
-        let mut q = self.shared.lock();
-        q.shutdown = true;
-        while let Some(p) = q.pending.pop_front() {
-            q.bytes -= p.bytes;
-            let abandoned = {
-                let mut s = p.slot.lock();
-                s.err = Some(ServeError::Retryable {
-                    reason: "service aborted after repeated dispatcher panics",
-                });
-                s.phase = Phase::Done;
-                p.slot.cv.notify_all();
-                s.abandoned
-            };
-            q.stats.failed += 1;
-            if abandoned {
-                q.free.push(p.slot);
-            }
-        }
-    }
-
     /// Block until a panel should be dispatched, then move up to
     /// `max_lanes` requests from the FIFO into `group`. Returns `None`
     /// exactly once: shutdown with an empty queue.
-    fn next_group(&self, group: &mut Vec<Pending>, est_solve: Duration) -> Option<FlushCause> {
-        let lanes = self.cfg.max_lanes;
-        let mut q = self.shared.lock();
+    fn next_group(&self, st: &mut DispatchState) -> Option<FlushCause> {
+        let lanes = self.queue.cfg.max_lanes;
+        // what lingering last bought decides whether a partial panel
+        // waits at all; `max_linger` stays the upper bound
+        let linger = st.linger.linger(self.queue.cfg.max_linger);
+        let mut q = self.queue.lock();
         let cause = loop {
+            if q.refreshers > 0 {
+                // a value refresh is after the engine's write lock:
+                // stand aside at this panel boundary until it commits
+                q = self.queue.dispatch_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
             let depth = q.pending.len();
             // shutdown wins over every other trigger: once it is
             // observed, EVERY remaining group carries Shutdown — so a
@@ -1287,7 +1520,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
             }
             if depth == 0 {
                 q.flush_hint = false;
-                q = self.shared.dispatch_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
+                q = self.queue.dispatch_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
             if q.flush_hint {
@@ -1295,12 +1528,12 @@ impl<'e, 'm> SolverService<'e, 'm> {
                 break FlushCause::Hint;
             }
             let now = Instant::now();
-            let (at, cause) = flush_plan(&q, lanes, self.cfg.max_linger, est_solve, now);
+            let (at, cause) = flush_plan(&q, lanes, linger, st.est_solve, now);
             if at <= now {
                 break cause;
             }
             q = self
-                .shared
+                .queue
                 .dispatch_cv
                 .wait_timeout(q, at - now)
                 .unwrap_or_else(PoisonError::into_inner)
@@ -1313,7 +1546,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
         for _ in 0..lanes.min(q.pending.len()) {
             let p = q.pending.pop_front().expect("depth checked");
             q.bytes -= p.bytes;
-            group.push(p);
+            st.group.push(p);
         }
         telemetry::instant(Site::ServeFlush, cause as u64);
         telemetry::gauge_set(Gauge::ServeQueueDepth, q.pending.len() as u64);
@@ -1348,7 +1581,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
         st.lane_err.clear();
         st.lane_err.resize(fill, None);
 
-        let reject = cause == FlushCause::Shutdown && !self.cfg.drain_on_shutdown;
+        let reject = cause == FlushCause::Shutdown && !self.queue.cfg.drain_on_shutdown;
         let panel_span = SpanGuard::enter_on(!reject, Site::ServePanel);
         let mut solve_ns = 0u64;
         let mut poisoned = 0u64;
@@ -1408,7 +1641,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
                 }
             } else {
                 st.consec_panel_failures = 0;
-                if self.cfg.scan_outputs {
+                if self.queue.cfg.scan_outputs {
                     let (p, r) = self.scan_and_retry(st);
                     poisoned += p;
                     retries += r;
@@ -1421,71 +1654,64 @@ impl<'e, 'm> SolverService<'e, 'm> {
         }
 
         let completed_at = Instant::now();
-        let mut misses = 0u64;
+        let misses =
+            st.group.iter().filter(|p| p.deadline.is_some_and(|d| completed_at > d)).count() as u64;
         let mut served = 0u64;
         let mut failed = 0u64;
         let mut shutdown_rej = 0u64;
-        let mut lane_err = mem::take(&mut st.lane_err);
-        for (i, (p, (rhs, out))) in
-            st.group.drain(..).zip(st.bs.drain(..).zip(st.outs.drain(..))).enumerate()
-        {
-            if p.deadline.is_some_and(|d| completed_at > d) {
-                misses += 1;
-            }
-            let err = lane_err[i].take();
-            match &err {
+        for err in &st.lane_err {
+            match err {
                 None => served += 1,
                 Some(ServeError::ShuttingDown) => shutdown_rej += 1,
                 Some(_) => failed += 1,
             }
-            let abandoned = {
-                let mut s = p.slot.lock();
-                s.rhs = rhs;
-                s.out = out;
-                s.err = err;
-                s.phase = Phase::Done;
-                p.slot.cv.notify_all();
-                s.abandoned
-            };
-            if abandoned {
-                // the ticket is gone; the dispatcher recycles
-                self.shared.lock().free.push(p.slot);
+        }
+
+        // the panel's accounting lands before its tickets wake: a
+        // client that has its result can already read it in the stats
+        {
+            let mut q = self.queue.lock();
+            st.linger = st.linger.observe(cause, fill, q.pending.len());
+            if breaker_tripped {
+                q.breaker_open = true;
+                q.stats.breaker_trips += 1;
+            }
+            if breaker_closed {
+                q.breaker_open = false;
+            }
+            q.panels_since_restart += 1;
+            let s = &mut q.stats;
+            s.panels += 1;
+            s.fill_sum += fill as u64;
+            s.max_fill = s.max_fill.max(fill);
+            s.deadline_misses += misses;
+            s.wait_ns_total += wait_ns;
+            s.max_wait_ns = s.max_wait_ns.max(max_wait);
+            s.solve_ns_total += solve_ns;
+            s.poisoned_lanes += poisoned;
+            s.panel_retries += retries;
+            s.degraded_solves += degraded;
+            match cause {
+                FlushCause::Full => s.full_flushes += 1,
+                FlushCause::Linger => s.linger_flushes += 1,
+                FlushCause::Deadline => s.deadline_flushes += 1,
+                FlushCause::Hint => s.hint_flushes += 1,
+                FlushCause::Shutdown => {}
+            }
+            s.served += served;
+            s.failed += failed;
+            s.shutdown_rejected += shutdown_rej;
+            if cause == FlushCause::Shutdown {
+                s.drained += served;
             }
         }
-        st.lane_err = lane_err;
 
-        let mut q = self.shared.lock();
-        if breaker_tripped {
-            q.breaker_open = true;
-            q.stats.breaker_trips += 1;
-        }
-        if breaker_closed {
-            q.breaker_open = false;
-        }
-        q.panels_since_restart += 1;
-        let s = &mut q.stats;
-        s.panels += 1;
-        s.fill_sum += fill as u64;
-        s.max_fill = s.max_fill.max(fill);
-        s.deadline_misses += misses;
-        s.wait_ns_total += wait_ns;
-        s.max_wait_ns = s.max_wait_ns.max(max_wait);
-        s.solve_ns_total += solve_ns;
-        s.poisoned_lanes += poisoned;
-        s.panel_retries += retries;
-        s.degraded_solves += degraded;
-        match cause {
-            FlushCause::Full => s.full_flushes += 1,
-            FlushCause::Linger => s.linger_flushes += 1,
-            FlushCause::Deadline => s.deadline_flushes += 1,
-            FlushCause::Hint => s.hint_flushes += 1,
-            FlushCause::Shutdown => {}
-        }
-        s.served += served;
-        s.failed += failed;
-        s.shutdown_rejected += shutdown_rej;
-        if cause == FlushCause::Shutdown {
-            s.drained += served;
+        let lanes = st.bs.drain(..).zip(st.outs.drain(..)).zip(st.lane_err.drain(..));
+        for (p, (bufs, err)) in st.group.drain(..).zip(lanes) {
+            if self.queue.finish(&p.slot, Some(bufs), err) {
+                // the ticket is gone; the dispatcher recycles
+                self.queue.lock().free.push(p.slot);
+            }
         }
     }
 
@@ -1534,7 +1760,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
             };
             st.lane_err[i] = match solved {
                 Ok(Ok(())) => {
-                    if self.cfg.scan_outputs {
+                    if self.queue.cfg.scan_outputs {
                         if let Some(index) = st.outs[i].iter().position(|v| !v.is_finite()) {
                             poisoned += 1;
                             Some(ServeError::Solve(SolveError::NonFinite { buffer: "x", index }))
@@ -1655,13 +1881,15 @@ fn flush_plan(
 /// result is recycled instead of delivered.
 #[derive(Debug)]
 #[must_use = "dropping a Ticket abandons its request; wait/try_wait/wait_timeout collect it"]
-pub struct Ticket<'s> {
+pub struct Ticket {
     /// `Some` until the result is collected or the ticket dropped.
     slot: Option<Arc<Slot>>,
-    shared: &'s Shared,
+    /// The way back to the free list — owned, so a ticket outlives
+    /// the scope that served it (and a dead queue) without dangling.
+    queue: Arc<ServiceQueue>,
 }
 
-impl<'s> Ticket<'s> {
+impl Ticket {
     /// Block until the request completes; returns the solution vector
     /// or the panel's error. Allocation note: the returned vector is
     /// the slot's buffer, so the slot regrows on its next reuse —
@@ -1713,7 +1941,7 @@ impl<'s> Ticket<'s> {
     /// Non-blocking poll: `Ok(result)` if the request has completed,
     /// `Err(self)` (the ticket, returned for another try) if it is
     /// still queued or in flight.
-    pub fn try_wait(self) -> Result<Result<Vec<f64>, ServeError>, Ticket<'s>> {
+    pub fn try_wait(self) -> Result<Result<Vec<f64>, ServeError>, Ticket> {
         self.wait_timeout(Duration::ZERO)
     }
 
@@ -1724,7 +1952,7 @@ impl<'s> Ticket<'s> {
     pub fn wait_timeout(
         mut self,
         timeout: Duration,
-    ) -> Result<Result<Vec<f64>, ServeError>, Ticket<'s>> {
+    ) -> Result<Result<Vec<f64>, ServeError>, Ticket> {
         let slot = self.slot.take().expect("ticket not yet collected");
         let deadline = Instant::now().checked_add(timeout);
         let mut st = slot.lock();
@@ -1751,11 +1979,11 @@ impl<'s> Ticket<'s> {
 
     /// Return a finished slot to the service free list.
     fn recycle(&self, slot: Arc<Slot>) {
-        self.shared.lock().free.push(slot);
+        self.queue.lock().free.push(slot);
     }
 }
 
-impl Drop for Ticket<'_> {
+impl Drop for Ticket {
     fn drop(&mut self) {
         let Some(slot) = self.slot.take() else { return };
         let recycle_now = {
@@ -1777,7 +2005,7 @@ impl Drop for Ticket<'_> {
             }
         };
         if recycle_now {
-            self.shared.lock().free.push(slot);
+            self.queue.lock().free.push(slot);
         }
     }
 }
@@ -1962,6 +2190,86 @@ mod tests {
         );
         assert_eq!(r, Ok("drained"));
         assert_eq!(calls, 3);
+    }
+
+    /// Fold a sequence of dispatched panels `(cause, fill, backlog)`
+    /// into the record and return the linger it arms next.
+    fn linger_after(panels: &[(FlushCause, usize, usize)]) -> Duration {
+        const MAX: Duration = Duration::from_micros(200);
+        panels
+            .iter()
+            .fold(LingerRecord::default(), |r, &(cause, fill, backlog)| {
+                r.observe(cause, fill, backlog)
+            })
+            .linger(MAX)
+    }
+
+    const ARMED: Duration = Duration::from_micros(200);
+    const LONE: (FlushCause, usize, usize) = (FlushCause::Linger, 1, 0);
+
+    /// The linger policy as a pure function: a run of futile lingers
+    /// disarms the wait, nothing shorter does, and `max_linger` is the
+    /// only other value it ever returns.
+    #[test]
+    fn linger_record_disarms_only_after_a_full_run_of_futile_lingers() {
+        assert_eq!(linger_after(&[]), ARMED, "a new dispatcher lingers");
+        for run in 0..LINGER_FUTILE_RUN as usize {
+            assert_eq!(linger_after(&vec![LONE; run]), ARMED, "{run} futile lingers");
+        }
+        let futile = vec![LONE; LINGER_FUTILE_RUN as usize];
+        assert_eq!(linger_after(&futile), Duration::ZERO);
+        // saturating: a long idle stretch neither overflows nor re-arms
+        assert_eq!(linger_after(&vec![LONE; 1000]), Duration::ZERO);
+    }
+
+    /// Any sign of concurrent traffic re-arms the full wait at once —
+    /// from the disarmed state and from a partial run alike.
+    #[test]
+    fn linger_record_rearms_on_company_or_backlog() {
+        let futile = vec![LONE; LINGER_FUTILE_RUN as usize];
+        let after = |last| linger_after(&[futile.as_slice(), &[last]].concat());
+        assert_eq!(after((FlushCause::Linger, 2, 0)), ARMED, "a panel left with company");
+        assert_eq!(after((FlushCause::Linger, 1, 1)), ARMED, "a request queued behind the panel");
+        assert_eq!(after((FlushCause::Full, 8, 0)), ARMED, "fill counts whatever the cause");
+        // and the run must start over: one futile linger after a re-arm
+        // is not enough to disarm again
+        assert_eq!(
+            linger_after(&[futile.as_slice(), &[(FlushCause::Linger, 3, 0), LONE]].concat()),
+            ARMED
+        );
+        let mut rerun = futile.clone();
+        rerun.push((FlushCause::Linger, 1, 2));
+        rerun.extend(&futile);
+        assert_eq!(linger_after(&rerun), Duration::ZERO, "a fresh full run disarms again");
+    }
+
+    /// `Hint`, `Deadline`, `Full` and `Shutdown` flushes of a lone
+    /// request cut the wait short for their own reasons: they neither
+    /// count toward the futile run nor interrupt it.
+    #[test]
+    fn linger_record_ignores_flushes_that_did_not_linger() {
+        for cause in
+            [FlushCause::Hint, FlushCause::Deadline, FlushCause::Full, FlushCause::Shutdown]
+        {
+            assert_eq!(linger_after(&vec![(cause, 1, 0); 100]), ARMED, "{cause:?} is not evidence");
+            let mut mixed = vec![LONE; LINGER_FUTILE_RUN as usize - 1];
+            mixed.push((cause, 1, 0));
+            assert_eq!(linger_after(&mixed), ARMED, "{cause:?} does not complete a run");
+            mixed.push(LONE);
+            assert_eq!(linger_after(&mixed), Duration::ZERO, "{cause:?} does not break a run");
+        }
+    }
+
+    /// The documented fixed points: a zero `max_linger` stays zero and
+    /// a 300 s hold-until-hint linger is never shortened by anything
+    /// but a futile run of *expired* lingers — which takes 300 s each.
+    #[test]
+    fn linger_record_never_exceeds_or_invents_a_wait() {
+        let disarmed = LingerRecord { futile: LINGER_FUTILE_RUN };
+        for max in [Duration::ZERO, Duration::from_micros(200), Duration::from_secs(300)] {
+            assert_eq!(LingerRecord::default().linger(max), max);
+            assert_eq!(disarmed.linger(max), Duration::ZERO);
+        }
     }
 
     #[test]

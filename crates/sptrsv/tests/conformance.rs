@@ -16,15 +16,20 @@
 //! * **adversarial rows** — signed zeros, empty rows, `n ∈ {0, 1}`,
 //!   levels narrower than the shard count, single-chain factors.
 //!
-//! New warm paths add a row to [`every_tier`], not a file.
+//! New warm paths add a row to [`every_tier`], not a file — the
+//! coalescing service is one such row, and [`fleet_routed`] holds the
+//! fleet (which builds its own engine from the registered factor) to
+//! the same oracle, cold and refreshed.
 
 use mgpu_sim::MachineConfig;
 use sparsemat::gen::{self, LevelSpec};
 use sparsemat::{corpus, CscMatrix, LevelSets, Triangle, TripletBuilder};
 use sptrsv::plan::{ExecutionPlan, Partition};
 use sptrsv::{
-    verify, PreconditionerEngine, Schedule, SolveOptions, SolveWorkspace, SolverEngine, SolverKind,
+    serve_solver, verify, EngineFleet, FleetConfig, PreconditionerEngine, Schedule, ServiceConfig,
+    SolveOptions, SolveWorkspace, SolverEngine, SolverKind,
 };
+use std::sync::Arc;
 
 const CANONICAL: SolverKind = SolverKind::ZeroCopy { per_gpu: 8 };
 const GPUS: usize = 4;
@@ -96,7 +101,8 @@ fn perturbed(m: &CscMatrix) -> CscMatrix {
 /// the oracle's solutions `want[k]` of `bs[k]`: scalar (auto tier,
 /// allocating and not — repeated past the auto tier's probe window),
 /// K ∈ {1, 2, 4, 8} lanes plus the ragged 13 = 8 + 4 + 1, the pooled
-/// batch, and workers ∈ {1, 2, 3, 8, 16}.
+/// batch, workers ∈ {1, 2, 3, 8, 16}, and all of `bs` at once through
+/// a coalescing [`sptrsv::SolverService`] (panels of 8 + 5).
 fn every_tier(engine: &SolverEngine<'_>, bs: &[Vec<f64>], want: &[Vec<f64>], cell: &str) {
     let n = engine.matrix().n();
     let mut ws = SolveWorkspace::new();
@@ -123,6 +129,48 @@ fn every_tier(engine: &SolverEngine<'_>, bs: &[Vec<f64>], want: &[Vec<f64>], cel
         out.fill(f64::NAN);
         engine.solve_sharded_into(&bs[0], &mut out, &mut ws, workers).unwrap();
         assert_eq!(bits(&out), bits(&want[0]), "{cell} workers={workers}");
+    }
+    let (served, _) = serve_solver(engine, &ServiceConfig::default(), |svc| {
+        let tickets: Vec<_> = bs.iter().map(|b| svc.submit(b).unwrap()).collect();
+        tickets.into_iter().map(|t| t.wait().unwrap()).collect::<Vec<_>>()
+    })
+    .unwrap();
+    for k in 0..bs.len() {
+        assert_eq!(bits(&served[k]), bits(&want[k]), "{cell} served lane {k}");
+    }
+}
+
+/// The fleet-routed path: `EngineFleet::submit` enqueues every `bs[k]`
+/// into the tenant's queue (the first while the engine still builds),
+/// cold against `m` and again after `refresh_tenant` swapped in `m2` —
+/// each result bit for bit the oracle's along `order`.
+fn fleet_routed(
+    (m, m2): (&CscMatrix, &CscMatrix),
+    o: &SolveOptions,
+    order: &[u32],
+    bs: &[Vec<f64>],
+    cell: &str,
+) {
+    let fleet = EngineFleet::new(FleetConfig {
+        machine: MachineConfig::dgx1(GPUS),
+        solve: o.clone(),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let fp = fleet.register(Arc::new(m.clone()));
+    for (epoch, values) in [("cold", m), ("refreshed", m2)] {
+        if epoch != "cold" {
+            fleet.refresh_tenant(fp, Arc::new(values.clone())).unwrap();
+        }
+        let tickets: Vec<_> = bs.iter().map(|b| fleet.submit(fp, b).unwrap()).collect();
+        for (k, t) in tickets.into_iter().enumerate() {
+            let want = scatter_oracle(values, o.triangle, order, &bs[k]);
+            assert_eq!(
+                bits(&t.wait().unwrap()),
+                bits(&want),
+                "{cell} fleet-routed/{epoch} lane {k}"
+            );
+        }
     }
 }
 
@@ -205,6 +253,7 @@ fn every_tier_matches_the_scatter_oracle_bit_for_bit() {
                         bs.iter().map(|b| scatter_oracle(values, tri, &order, b)).collect();
                     every_tier(&engine, &bs, &want, &format!("{name}/{tri:?}/{kind:?}/{epoch}"));
                 }
+                fleet_routed((m, &m2), &o, &order, &bs, &format!("{name}/{tri:?}/{kind:?}"));
             }
         }
     }

@@ -5,14 +5,17 @@
 //! health / report surfaces. The fault-injected containment sweeps
 //! live in `tests/chaos.rs`.
 
-use std::sync::Arc;
+mod common;
+
+use common::{one_engine_budget, with_watchdog};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use mgpu_sim::MachineConfig;
 use sparsemat::gen::{self, LevelSpec};
 use sparsemat::{CscMatrix, FactorFingerprint};
 use sptrsv::fleet::{EngineFleet, FleetConfig, FleetError, TenantHealth};
-use sptrsv::{verify, SolveOptions, SolverEngine, SolverKind};
+use sptrsv::{verify, ServiceConfig, SolveOptions, SolverEngine, SolverKind};
 
 fn tenant_matrix(seed: u64) -> Arc<CscMatrix> {
     Arc::new(gen::level_structured(&LevelSpec::new(600, 20, 2500, seed)))
@@ -126,17 +129,8 @@ fn multi_tenant_results_bit_identical_to_serial() {
 fn lru_evicts_coldest_idle_engine_under_a_tight_budget() {
     let mut cfg = fleet_config();
     let matrices: Vec<Arc<CscMatrix>> = (0..3).map(|t| tenant_matrix(20 + t)).collect();
-    // budget: room for one engine (admission estimate AND real
-    // footprint), never for two — every tenant switch must evict.
-    // estimate mirrors the fleet's admission formula; actual is the
-    // real post-recharge charge.
-    let host = ((matrices[0].n() + 1) * std::mem::size_of::<usize>()
-        + matrices[0].nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>()))
-        as u64;
-    let estimate = host * 4 + matrices[0].n() as u64 * 8 * (3 * 8 + 2);
-    let probe = SolverEngine::build(&matrices[0], cfg.machine.clone(), &cfg.solve).unwrap();
-    let actual = host + probe.footprint_bytes();
-    cfg.cache_budget_bytes = estimate.max(actual) + estimate.min(actual) / 2;
+    // every tenant switch must evict
+    cfg.cache_budget_bytes = one_engine_budget(&matrices[0], &cfg);
     let fleet = EngineFleet::new(cfg.clone()).unwrap();
     let fps: Vec<FactorFingerprint> =
         matrices.iter().map(|m| fleet.register(Arc::clone(m))).collect();
@@ -411,4 +405,115 @@ fn value_epochs_are_distinct_tenants() {
     assert_eq!(x1, serial_solution(&m1, &cfg, &b));
     assert_ne!(x0, x1, "different value epochs must solve differently");
     assert_eq!(fleet.report().tenants_live, 2);
+}
+
+/// The stop-and-wait defect, pinned: eight clients submit one request
+/// each to a tenant whose service only flushes a *full* panel (eight
+/// lanes, a 300 s linger). Enqueued directly, all eight meet in the
+/// tenant's queue — whether they arrive while the engine builds or
+/// after — and leave in a single `Full` flush of fill 8. Behind the old
+/// per-tenant relay the first request was submitted alone and awaited
+/// before the mailbox was read again, so nothing moved until the
+/// linger expired (the watchdog's job here).
+#[test]
+fn eight_submitters_meet_in_one_full_panel() {
+    let mut cfg = fleet_config();
+    cfg.service = ServiceConfig {
+        max_lanes: 8,
+        max_linger: Duration::from_secs(300),
+        ..ServiceConfig::default()
+    };
+    let fleet = EngineFleet::new(cfg.clone()).unwrap();
+    let m = tenant_matrix(110);
+    let fp = fleet.register(Arc::clone(&m));
+    let bs: Vec<Vec<f64>> = (0..8u64).map(|k| verify::rhs_for(&m, 700 + k).1).collect();
+    let gate = Barrier::new(bs.len());
+    with_watchdog(60, || {
+        std::thread::scope(|s| {
+            for b in &bs {
+                let (fleet, gate, m, cfg) = (&fleet, &gate, &m, &cfg);
+                s.spawn(move || {
+                    gate.wait();
+                    let x = fleet.submit(fp, b).unwrap().wait().unwrap();
+                    assert_eq!(x, serial_solution(m, cfg, b));
+                });
+            }
+        });
+    });
+    let tenant = fleet.tenant_report(fp).expect("the tenant is live");
+    assert_eq!(
+        (tenant.panels, tenant.full_flushes, tenant.max_fill, tenant.fill_sum),
+        (1, 1, 8, 8),
+        "all eight must ride one Full panel: {tenant:?}"
+    );
+    let report = fleet.report();
+    assert_eq!((report.submitted, report.served, report.failed), (8, 8, 0));
+}
+
+/// Requests that arrive while the tenant is still `Building` wait in
+/// its service queue and are served in submit order once the engine
+/// exists. Order is made observable by the flush rule: two lanes per
+/// panel and a 300 s linger, so of five queued requests exactly the
+/// first four (two `Full` panels) resolve and the fifth stays queued
+/// until a sixth completes its panel.
+#[test]
+fn requests_submitted_while_building_are_served_in_submit_order() {
+    let mut cfg = fleet_config();
+    cfg.service = ServiceConfig {
+        max_lanes: 2,
+        max_linger: Duration::from_secs(300),
+        ..ServiceConfig::default()
+    };
+    let fleet = EngineFleet::new(cfg.clone()).unwrap();
+    // large enough that the build outlasts five submits by a wide margin
+    let m = Arc::new(gen::level_structured(&LevelSpec::new(40_000, 80, 160_000, 120)));
+    let fp = fleet.register(Arc::clone(&m));
+    let bs: Vec<Vec<f64>> = (0..6u64).map(|k| verify::rhs_for(&m, 800 + k).1).collect();
+    let serial = SolverEngine::build(&m, cfg.machine.clone(), &cfg.solve).unwrap();
+    with_watchdog(120, || {
+        let mut tickets: Vec<_> = bs[..5].iter().map(|b| fleet.submit(fp, b).unwrap()).collect();
+        assert_eq!(
+            fleet.health(),
+            vec![(fp, TenantHealth::Building)],
+            "all five submits must have landed during the build"
+        );
+        let fifth = tickets.pop().expect("five tickets");
+        for (k, t) in tickets.into_iter().enumerate() {
+            assert_eq!(t.wait().unwrap(), serial.solve(&bs[k]).unwrap().x, "request {k}");
+        }
+        // the first four are served, so the fifth is alone in the queue
+        // with nothing to flush it
+        let fifth = fifth.wait_timeout(Duration::from_millis(50)).expect_err("still queued");
+        let sixth = fleet.submit(fp, &bs[5]).unwrap();
+        assert_eq!(fifth.wait().unwrap(), serial.solve(&bs[4]).unwrap().x);
+        assert_eq!(sixth.wait().unwrap(), serial.solve(&bs[5]).unwrap().x);
+    });
+    let tenant = fleet.tenant_report(fp).expect("the tenant is live");
+    assert_eq!((tenant.panels, tenant.full_flushes, tenant.served), (3, 3, 6));
+}
+
+/// The in-flight gauge is released where a request *completes*, not
+/// where it is collected: a ticket dropped unread must not pin its
+/// tenant against eviction forever.
+#[test]
+fn a_dropped_ticket_does_not_pin_its_tenant() {
+    let mut cfg = fleet_config();
+    let a = tenant_matrix(130);
+    let b = tenant_matrix(131);
+    cfg.cache_budget_bytes = one_engine_budget(&a, &cfg);
+    let fleet = EngineFleet::new(cfg.clone()).unwrap();
+    let (fa, fb) = (fleet.register(Arc::clone(&a)), fleet.register(Arc::clone(&b)));
+    with_watchdog(60, || {
+        drop(fleet.submit(fa, &verify::rhs_for(&a, 1).1).unwrap());
+        // abandoned, but still solved and still counted
+        while fleet.report().served < 1 {
+            std::thread::yield_now();
+        }
+        let (_, rhs) = verify::rhs_for(&b, 2);
+        let x = fleet.submit(fb, &rhs).expect("the idle tenant must be evictable").wait().unwrap();
+        assert_eq!(x, serial_solution(&b, &cfg, &rhs));
+    });
+    let report = fleet.report();
+    assert_eq!((report.submitted, report.served, report.failed), (2, 2, 0));
+    assert_eq!(report.evictions, 1);
 }

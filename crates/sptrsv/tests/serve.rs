@@ -519,19 +519,62 @@ fn nonfinite_rhs_is_rejected_at_admission() {
             matches!(err, ServeError::Solve(SolveError::NonFinite { buffer: "b", index: 7 })),
             "{err:?}"
         );
+        // two offenders: the refusal names the first, whichever kind
+        b[11] = f64::NEG_INFINITY;
+        let err = svc.submit(&b).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Solve(SolveError::NonFinite { buffer: "b", index: 7 })),
+            "{err:?}"
+        );
         b[7] = 1.0;
-        b[11] = f64::INFINITY;
         let err = svc.submit(&b).unwrap_err();
         assert!(
             matches!(err, ServeError::Solve(SolveError::NonFinite { buffer: "b", index: 11 })),
             "{err:?}"
         );
+        assert_eq!(svc.queue_depth(), 0, "a refused request is never queued");
         // repaired, the same vector is admitted and solved
         b[11] = 1.0;
         let expect = engine.solve(&b).unwrap().x;
         assert_eq!(svc.submit(&b).unwrap().wait().unwrap(), expect);
+        assert_eq!(svc.stats().submitted, 1, "only the repaired vector was accepted");
     })
     .unwrap();
+}
+
+/// The idle-aware linger, end to end: on a default-shaped service
+/// (only `max_linger` raised to 20 ms so the wait is unmistakable) the
+/// first lone requests pay the full linger — nothing has shown yet that
+/// waiting is futile — and once a short run of them has left alone
+/// with an empty queue behind, a lone request on the idle dispatcher is
+/// flushed at once. Queue wait is read from the service's own counter,
+/// which a panel updates before it wakes its tickets.
+#[test]
+fn idle_service_stops_lingering_for_lone_requests() {
+    let (m, opts) = engine_fixture();
+    let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
+    let (_, b) = verify::rhs_for(&m, 57);
+    let expect = engine.solve(&b).unwrap().x;
+    let max_linger = Duration::from_millis(20);
+    let cfg = ServiceConfig { max_linger, ..Default::default() };
+    let ((), report) = serve_solver(&engine, &cfg, |svc| {
+        let lone_wait = || {
+            let before = svc.stats().wait_ns_total;
+            assert_eq!(svc.submit(&b).unwrap().wait().unwrap(), expect);
+            Duration::from_nanos(svc.stats().wait_ns_total - before)
+        };
+        assert!(lone_wait() >= max_linger, "a new dispatcher lingers the full wait");
+        // warm-up: let the futile run complete, however long it is
+        let mut waits: Vec<Duration> = (0..8).map(|_| lone_wait()).collect();
+        let settled = waits.split_off(6);
+        for w in settled {
+            assert!(w < max_linger / 2, "an idle dispatcher must not linger: waited {w:?}");
+        }
+    })
+    .unwrap();
+    assert_eq!(report.served, 9);
+    assert_eq!(report.linger_flushes, 9, "a zero wait is still a linger flush");
+    assert_eq!(report.max_fill, 1);
 }
 
 /// `health()` tracks the lifecycle: `Ok` while serving, `Draining`

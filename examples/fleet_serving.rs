@@ -4,7 +4,9 @@
 //! Registers three triangular factors by content fingerprint, installs
 //! a `FaultPlan` that makes the victim tenant's engine builds panic
 //! (a no-op without `--features fault-inject`), then drives client
-//! traffic at all three tenants. The victim's requests resolve to
+//! traffic at all three tenants — each `submit` enqueues straight into
+//! its tenant's service queue from the calling thread, also while that
+//! tenant's engine is still building. The victim's requests resolve to
 //! typed errors (`BuildFailed`, `Quarantined`) until its cooldown
 //! expires and a clean probe re-admits it; the other tenants serve
 //! bit-identically throughout; and the final fleet report shows cache

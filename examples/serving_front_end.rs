@@ -5,7 +5,8 @@
 //! and a warm `SolverEngine`: clients `submit(b)` and get a `Ticket`
 //! back; a dispatcher coalesces queued right-hand sides into
 //! `PANEL_K`-lane fused panels (flushing early when a deadline's slack
-//! or the linger window expires), so throughput traffic amortizes the
+//! or the linger window expires — and not lingering at all while
+//! recent lingers found no company), so throughput traffic amortizes the
 //! factor stream across lanes while latency traffic still gets out
 //! fast — and every answer is bit-identical to a serial
 //! `engine.solve()` of the same right-hand side.
