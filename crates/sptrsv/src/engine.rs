@@ -90,20 +90,20 @@
 //!    count.
 //!
 //! All four tiers produce bit-identical solutions: a row's value
-//! depends only on `b`, its stored entries (gathered in source-position
+//! depends only on `b`, its stored entries (gathered in natural source
 //! order into an accumulator that starts at `+0.0` — exactly the
-//! operand sequence of the column-scatter `left_sum` this layout
-//! replaced) and rows of earlier levels, so it is the same whoever
-//! computes it; panel lanes never mix.
+//! operand sequence of Algorithm 1's `left_sum`) and rows of earlier
+//! levels, so it is the same whoever computes it; panel lanes never
+//! mix.
 //!
-//! Natural-order consumers — the [`SolverKind::Serial`] engine, the
-//! Krylov preconditioner's `apply_into`, the `verify: true` reference
-//! — run the same kernel over a factor relabelled into the natural
-//! substitution order instead (identity permutation for `L`, reversed
-//! for `U`), which is bit-identical to [`crate::reference`]; a
-//! simulated engine builds that second factor up front when
-//! `opts.verify` is set, and otherwise only when such a consumer first
-//! asks.
+//! Because a row's operand sequence does not depend on the order rows
+//! are scheduled in, every engine holds **one** factor and every
+//! consumer sweeps it: the [`SolverKind::Serial`] engine (relabelled
+//! into the natural substitution order, which needs no permutation),
+//! the Krylov preconditioner's `apply_into` and the `verify: true`
+//! check all return [`crate::reference`]'s bits. Verification therefore
+//! checks the solve's tier against the serial tier on the same factor,
+//! not against an independent oracle.
 //!
 //! ## The value-refresh lifecycle
 //!
@@ -177,22 +177,24 @@ use std::time::Instant;
 ///
 /// The prebuilt state is split along the refresh boundary: what
 /// depends only on *structure* ([`StructurePlan`]) is immutable for
-/// the engine's lifetime; what depends on *values* ([`NumericState`])
-/// sits behind a `RwLock` so [`SolverEngine::refresh_values`] can
-/// rewrite it in place.
+/// the engine's lifetime; what depends on *values* — the one
+/// relabelled [`NumericFactor`] every tier sweeps — sits behind a
+/// `RwLock` so [`SolverEngine::refresh_values`] can rewrite it in
+/// place.
 #[derive(Debug)]
 pub struct SolverEngine<'m> {
     m: &'m CscMatrix,
     opts: SolveOptions,
     /// `None` for the serial host solver, which has no machine, no
-    /// plan and no schedule: it sweeps a natural-order factor, which
-    /// is bit-identical to the classic CSC substitution.
+    /// plan and no schedule: it sweeps a natural-order factor.
     structure: Option<StructurePlan>,
-    /// Solves take the read lock for their whole duration (solve +
-    /// verification); a refresh takes the write lock — which is the
-    /// quiesce point that makes every solve observe exactly one value
-    /// epoch.
-    numeric: RwLock<NumericState>,
+    /// The factor every tier sweeps: relabelled into the schedule's
+    /// canonical order for a simulated solver, the natural order for
+    /// the serial kind. Solves take the read lock for their whole
+    /// duration (solve + verification); a refresh takes the write lock
+    /// — which is the quiesce point that makes every solve observe
+    /// exactly one value epoch.
+    numeric: RwLock<NumericFactor>,
     /// The latest numeric/structural sweep over the factor's values
     /// (see [`sparsemat::audit_factor`]) — from the build, or from the
     /// most recent committed value refresh. Clean by construction on a
@@ -288,7 +290,7 @@ impl<T: Default> RecyclePool<T> {
 /// canonical level-major, owner-grouped order is the order the
 /// engine's [`NumericFactor`] is relabelled into, which is what keeps
 /// serial, sharded, panel and batched solves bit-identical to one
-/// another. A value refresh rewrites only [`NumericState`]; the
+/// another. A value refresh rewrites only the factor's values; the
 /// schedule is structure-only and stays untouched by construction.
 ///
 /// `template` — the calibration run's report with an empty `x`, held
@@ -305,50 +307,6 @@ struct StructurePlan {
     /// structure plan (see [`AutoTier`]), never re-probed by a value
     /// refresh — a refresh does not move the schedule.
     tier: AutoTier,
-}
-
-/// The value-dependent half of an engine's prebuilt state: the
-/// relabelled factor every warm tier sweeps (canonical order for a
-/// simulated solver, natural order for the serial kind), plus — for a
-/// simulated solver — the natural-order relabelling its Krylov and
-/// verification consumers need: built with the engine when
-/// `opts.verify` is set, else materialized on first use. A value
-/// refresh rewrites the `vals`/`diag` arrays of both in place.
-#[derive(Debug)]
-pub(crate) struct NumericState {
-    factor: NumericFactor,
-    natural: OnceLock<NumericFactor>,
-}
-
-impl NumericState {
-    /// The natural-order factor: `factor` itself for the serial kind,
-    /// else the lazily materialized second relabelling (built from
-    /// `m`'s structure and `factor`'s current values).
-    fn natural(&self, m: &CscMatrix) -> &NumericFactor {
-        if self.factor.is_natural() {
-            &self.factor
-        } else {
-            self.natural.get_or_init(|| self.factor.to_natural(m))
-        }
-    }
-}
-
-/// Read access to an engine's natural-order factor. This is a lock
-/// guard: the borrowed factor is pinned to one value epoch for the
-/// guard's lifetime, and a value refresh waits until the guard drops —
-/// hold it across a composed solve (the Krylov preconditioner does)
-/// and the whole application runs against consistent values.
-#[derive(Debug)]
-pub(crate) struct NaturalGuard<'a> {
-    num: RwLockReadGuard<'a, NumericState>,
-    m: &'a CscMatrix,
-}
-
-impl std::ops::Deref for NaturalGuard<'_> {
-    type Target = NumericFactor;
-    fn deref(&self) -> &NumericFactor {
-        self.num.natural(self.m)
-    }
 }
 
 /// Read-lock with poison recovery: the numeric state is only written
@@ -691,20 +649,12 @@ impl<'m> SolverEngine<'m> {
             }
         };
 
-        // a verifying engine sweeps the natural-order reference on
-        // every solve: relabel it now, so the footprint a cache charges
-        // right after the build already counts it and the first
-        // verified solve allocates nothing
-        let natural = OnceLock::new();
-        if opts.verify && !factor.is_natural() {
-            let _ = natural.set(NumericFactor::build(m, opts.triangle, None));
-        }
         build_sw.stop(Hist::BuildNs);
         Ok(SolverEngine {
             m,
             opts: opts.clone(),
             structure,
-            numeric: RwLock::new(NumericState { factor, natural }),
+            numeric: RwLock::new(factor),
             audit: RwLock::new(audit),
             value_epoch: AtomicU64::new(0),
             resources,
@@ -750,8 +700,7 @@ impl<'m> SolverEngine<'m> {
 
     /// Host bytes this engine holds beyond the matrix it borrows: the
     /// Schedule IR (canonical order, shard segments, chain partition),
-    /// the relabelled factor, the natural-order factor if a consumer
-    /// has materialized it, plus one warm [`SolveWorkspace`] at this
+    /// the relabelled factor, plus one warm [`SolveWorkspace`] at this
     /// dimension — the per-engine charge a byte-bounded factor cache
     /// accounts (the cache adds the matrix's own bytes separately,
     /// since the cache is what keeps the matrix alive).
@@ -760,10 +709,8 @@ impl<'m> SolverEngine<'m> {
         // one fully-grown workspace: the n×PANEL_K position-space
         // panel, plus the reference vector a verifying engine fills
         let workspace = n * 8 * (exec::PANEL_K as u64 + u64::from(self.opts.verify));
-        let num = rlock(&self.numeric);
         self.structure.as_ref().map_or(0, |p| p.schedule.host_bytes())
-            + num.factor.host_bytes()
-            + num.natural.get().map_or(0, NumericFactor::host_bytes)
+            + rlock(&self.numeric).host_bytes()
             + workspace
     }
 
@@ -789,8 +736,8 @@ impl<'m> SolverEngine<'m> {
         let verified_rel_err = verified?;
         Ok(match &self.structure {
             Some(p) => SolveReport { x, verified_rel_err, ..(*p.template).clone() },
-            // the natural-order sweep *is* the serial reference, so
-            // verification is exact by construction. The degenerate
+            // the serial tier is its own verification, so the error
+            // is exact by construction. The degenerate
             // single-chain stats keep `schedule` populated for every
             // variant.
             None => SolveReport {
@@ -900,7 +847,7 @@ impl<'m> SolverEngine<'m> {
             Some(p) if sharded_tier => {
                 let _g = SpanGuard::enter(Site::SolveSharded);
                 let sw = Stopwatch::start();
-                let ran = num.factor.solve_sharded_into(
+                let ran = num.solve_sharded_into(
                     &p.schedule,
                     b,
                     &mut ws.replay,
@@ -914,7 +861,7 @@ impl<'m> SolverEngine<'m> {
             _ => {
                 let _g = SpanGuard::enter(Site::SolveSerial);
                 let sw = Stopwatch::start();
-                num.factor.solve_into(b, &mut ws.replay, out);
+                num.solve_into(b, &mut ws.replay, out);
                 sw.stop(Hist::SolveSerialNs);
                 false
             }
@@ -922,7 +869,7 @@ impl<'m> SolverEngine<'m> {
         if let (Some(p), Some(t0)) = (&self.structure, probe) {
             p.tier.record(workers, ran_sharded, t0.elapsed().as_nanos() as u64);
         }
-        self.verify_into(&num, b, out, ws)
+        self.verify_into(&num, b, out, ws, !ran_sharded)
     }
 
     /// Fused multi-RHS warm solve (tier 3): the factor is streamed
@@ -972,9 +919,9 @@ impl<'m> SolverEngine<'m> {
         let _g = SpanGuard::enter(Site::SolvePanel);
         let sw = Stopwatch::start();
         let num = rlock(&self.numeric);
-        num.factor.solve_panel_into(bs, &mut ws.replay, outs);
+        num.solve_panel_into(bs, &mut ws.replay, outs);
         for (b, out) in bs.iter().zip(outs.iter()) {
-            self.verify_into(&num, b, out, ws)?;
+            self.verify_into(&num, b, out, ws, false)?;
         }
         sw.stop(Hist::SolvePanelNs);
         Ok(())
@@ -1125,16 +1072,13 @@ impl<'m> SolverEngine<'m> {
         &self.resources
     }
 
-    /// The engine's factor in **natural substitution order**, for
-    /// crate-internal composition (the Krylov preconditioner) — the
-    /// serial kind's own factor, or a simulated solver's second
-    /// relabelling, materialized here on first use. Returned as a read
-    /// guard: the borrow is pinned to one value epoch, and a
-    /// concurrent refresh waits for it.
-    pub(crate) fn natural(&self) -> NaturalGuard<'_> {
-        let guard = NaturalGuard { num: rlock(&self.numeric), m: self.m };
-        guard.num.natural(self.m);
-        guard
+    /// The engine's one factor, for crate-internal composition (the
+    /// Krylov preconditioner). Returned as a read guard: the borrow is
+    /// pinned to one value epoch, and a concurrent refresh waits for it
+    /// — hold it across a composed solve and the whole application runs
+    /// against consistent values.
+    pub(crate) fn factor(&self) -> RwLockReadGuard<'_, NumericFactor> {
+        rlock(&self.numeric)
     }
 
     fn pool(&self) -> &WorkerPool {
@@ -1166,28 +1110,30 @@ impl<'m> SolverEngine<'m> {
         Ok(())
     }
 
-    /// Allocation-free verification: sweep the natural-order factor —
-    /// the serial reference — into workspace scratch and compare;
-    /// `None` unless `opts.verify`. Reads the numeric state rather than
-    /// `self.m` so the reference always uses the values of the epoch
-    /// the caller's guard pinned (the build matrix's values go stale
-    /// after a refresh). A natural-order engine *is* its own
-    /// reference, so its error is exactly zero without a second sweep.
+    /// Allocation-free verification: sweep the caller's factor with
+    /// the serial tier into workspace scratch and compare; `None`
+    /// unless `opts.verify`. Takes the factor the caller's guard pinned,
+    /// so the check uses the values of that epoch. This checks the tier
+    /// that ran (sharded, panel) against the serial tier — whose bits
+    /// are [`crate::reference`]'s — so when the solve itself was the
+    /// serial sweep (`serial`), the error is exactly zero without a
+    /// second sweep.
     fn verify_into(
         &self,
-        num: &NumericState,
+        factor: &NumericFactor,
         b: &[f64],
         x: &[f64],
         ws: &mut SolveWorkspace,
+        serial: bool,
     ) -> Result<Option<f64>, SolveError> {
         if !self.opts.verify {
             return Ok(None);
         }
-        if num.factor.is_natural() {
+        if serial {
             return Ok(Some(0.0));
         }
         ws.ref_x.resize(self.m.n(), 0.0);
-        num.natural(self.m).solve_into(b, &mut ws.replay, &mut ws.ref_x);
+        factor.solve_into(b, &mut ws.replay, &mut ws.ref_x);
         let err = verify::rel_inf_diff(x, &ws.ref_x);
         if err > verify::DEFAULT_TOL {
             return Err(SolveError::Verification { rel_err: err });
@@ -1261,7 +1207,7 @@ impl<'m> SolverEngine<'m> {
     /// engine first — in the same fwd-then-bwd order appliers take read
     /// guards, so no deadlock — and only then commits each side: no
     /// reader can ever observe a half-refreshed pair.
-    pub(crate) fn lock_numeric_mut(&self) -> RwLockWriteGuard<'_, NumericState> {
+    pub(crate) fn lock_numeric_mut(&self) -> RwLockWriteGuard<'_, NumericFactor> {
         wlock(&self.numeric)
     }
 
@@ -1271,14 +1217,11 @@ impl<'m> SolverEngine<'m> {
     /// call with a matrix [`SolverEngine::validate_refresh`] accepted.
     pub(crate) fn commit_refresh_locked(
         &self,
-        num: &mut NumericState,
+        factor: &mut NumericFactor,
         m2: &CscMatrix,
         audit: FactorAudit,
     ) -> RefreshReport {
-        num.factor.refresh_values(m2);
-        if let Some(natural) = num.natural.get_mut() {
-            natural.refresh_values(m2);
-        }
+        factor.refresh_values(m2);
         // a clean audit's example lists are empty, so the clone (and
         // the whole commit) allocates nothing
         *wlock(&self.audit) = audit.clone();
@@ -1628,23 +1571,6 @@ mod tests {
         assert_eq!(engine.solve(&b).unwrap().x, expect);
         assert_eq!(tier.committed.load(Ordering::Relaxed), committed);
         assert_eq!(*tier.lock(), log, "no probe ran after the refresh");
-    }
-
-    /// A simulated engine materializes its natural-order factor from
-    /// the *current* values, not from the (stale) build matrix.
-    #[test]
-    fn natural_factor_materialized_after_a_refresh_carries_the_new_values() {
-        let (m, b) = small();
-        let mut m2 = m.clone();
-        for (i, v) in m2.values_mut().iter_mut().enumerate() {
-            *v *= 1.0 + ((i % 5) as f64 + 1.0) * 0.02;
-        }
-        let opts = SolveOptions { verify: false, ..SolveOptions::default() };
-        let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
-        engine.refresh_values(&m2).unwrap();
-        let mut x = vec![0.0f64; m.n()];
-        engine.natural().solve_into(&b, &mut ReplayWorkspace::new(), &mut x);
-        assert_eq!(x, crate::reference::solve_lower(&m2, &b).unwrap());
     }
 
     #[test]

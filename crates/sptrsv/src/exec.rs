@@ -42,12 +42,11 @@
 //!
 //! Warm solves run on a [`NumericFactor`]: the factor's rows
 //! **relabelled into an execution order** at build time — the
-//! [`Schedule`]'s canonical level-major order for the engine's warm
-//! tiers, the natural substitution order for the Krylov / verification
-//! / serial-kind consumers — stored CSR over *positions* in that
-//! order, each row's entries sorted by source position. One kernel
-//! body ([`NumericFactor`]'s row sweep, in scalar and const-`K` lane
-//! forms) serves every tier:
+//! [`Schedule`]'s canonical level-major order for a simulated engine,
+//! the natural substitution order for the serial kind — stored CSR
+//! over *positions* in that order, each row's entries in natural
+//! source order. One kernel body ([`NumericFactor`]'s row sweep, in
+//! scalar and const-`K` lane forms) serves every tier:
 //!
 //! ```text
 //! for c in 0..n { y[pos[c]] = b[c] }   // permute b in, by component
@@ -71,19 +70,23 @@
 //!
 //! ### Why the gather reproduces the column-scatter bits
 //!
-//! The loop this layout replaced zeroed a `left_sum` array per solve
-//! and, after solving each source `c` in execution order, scattered
-//! `left_sum[r] += l_rc · x_c` into every dependent row; row `r` was
-//! then solved as `(b_r − left_sum_r) / d_r`. Floating-point addition
-//! is not associative, so what matters is the exact operand sequence
-//! each row saw: `0.0`, then `+ l_rc₁·x_c₁`, `+ l_rc₂·x_c₂`, … with the
-//! sources in *execution order*. The gather performs literally that
-//! sequence — `acc` starts at `+0.0` (not at the first product:
-//! `0.0 + (−0.0)` is `+0.0`, and the sign survives into `b − acc`),
-//! and a row's entries are stored by ascending source position, i.e.
-//! in execution order — so every result bit is unchanged, while the
+//! Algorithm 1 ([`crate::reference`]) zeroes a `left_sum` array and,
+//! after solving each source `c` in natural substitution order,
+//! scatters `left_sum[r] += l_rc · x_c` into every dependent row; row
+//! `r` is then solved as `(b_r − left_sum_r) / d_r`. Floating-point
+//! addition is not associative, so what matters is the exact operand
+//! sequence each row sees: `0.0`, then `+ l_rc₁·x_c₁`, `+ l_rc₂·x_c₂`,
+//! … with the sources in *natural order* (ascending for `L`,
+//! descending for `U`). The gather performs literally that sequence —
+//! `acc` starts at `+0.0` (not at the first product: `0.0 + (−0.0)`
+//! is `+0.0`, and the sign survives into `b − acc`), and
+//! [`NumericFactor::build`] fills every row by walking the sources in
+//! natural order, **whatever the execution order** the rows are
+//! relabelled into. So every relabelling — level-major, natural, any
+//! other topological order — returns the reference's bits, while the
 //! read-modify-write `left_sum` traffic and its per-solve `fill`
-//! disappear.
+//! disappear. (Only the *gather addresses* inside a row follow the
+//! relabelling; rows hold 2–4 entries, so their order costs nothing.)
 //!
 //! ### Why every tier, worker count and chain shape agrees
 //!
@@ -348,8 +351,8 @@ impl ReplayWorkspace {
 
 /// The lean numeric core every warm tier solves on: one triangular
 /// factor **relabelled into an execution order** and stored CSR over
-/// positions in that order, each row's entries sorted by source
-/// position (see the module docs for why that reproduces the
+/// positions in that order, each row's entries in natural source
+/// order (see the module docs for why that reproduces the
 /// column-scatter bits).
 ///
 /// `ptr`/`cols`/`vals` hold the off-diagonal entries of row `i`
@@ -375,9 +378,9 @@ impl NumericFactor {
     /// Relabel triangular `m` along `order` — which component sits at
     /// each position: any topological order of `m`'s dependency graph,
     /// typically the [`Schedule`]'s canonical level-major order — or,
-    /// with `None`, along `tri`'s natural substitution order, whose
-    /// floating-point sequence equals [`crate::reference`]'s. Cost:
-    /// O(n + nnz); runs once per engine build.
+    /// with `None`, along `tri`'s natural substitution order. Either
+    /// way every row sums [`crate::reference`]'s floating-point
+    /// sequence. Cost: O(n + nnz); runs once per engine build.
     pub fn build(m: &CscMatrix, tri: Triangle, order: Option<&[u32]>) -> NumericFactor {
         NumericFactor::from_csc(m.col_ptr(), m.row_idx(), m.values(), tri, order)
     }
@@ -411,41 +414,43 @@ impl NumericFactor {
         for i in 0..n {
             ptr[i + 1] += ptr[i];
         }
-        // fill pass over the sources in execution order, so every row
-        // receives its entries by ascending source position
+        // fill pass over the sources in `tri`'s natural substitution
+        // order, whatever the execution order: every row receives its
+        // entries in Algorithm 1's `left_sum` sequence
         let n_off = ptr[n] as usize;
         let mut cursor = ptr[..n].to_vec();
         let (mut cols, mut from) = (vec![0u32; n_off], vec![0u32; n_off]);
         let mut vals = vec![0.0f64; n_off];
         let mut diag = vec![0.0f64; n];
-        for i in 0..n {
-            let j = order.map_or(natural_at(tri, n, i), |o| o[i] as usize);
-            diag[i] = values[diag_index(col_ptr, tri, j)];
+        for s in 0..n {
+            let j = natural_at(tri, n, s);
+            let p = pos_of(j);
+            diag[p] = values[diag_index(col_ptr, tri, j)];
             for k in off_diagonal(col_ptr, tri, j) {
                 let at = &mut cursor[pos_of(row_idx[k] as usize)];
-                cols[*at as usize] = i as u32;
+                cols[*at as usize] = p as u32;
                 vals[*at as usize] = values[k];
                 from[*at as usize] = k as u32;
                 *at += 1;
             }
         }
-        NumericFactor { n, tri, pos, ptr, cols, vals, diag, from }
+        let factor = NumericFactor { n, tri, pos, ptr, cols, vals, diag, from };
+        debug_assert!(factor.rows_in_natural_order(), "rows must hold Algorithm 1's sequence");
+        factor
     }
 
-    /// The same factor — structure from `m`, **current** values from
-    /// `self` — relabelled into the natural substitution order. `m`
-    /// must carry the structure `self` was built from; its values are
-    /// ignored (they go stale once a refresh commits).
-    pub(crate) fn to_natural(&self, m: &CscMatrix) -> NumericFactor {
-        let col_ptr = m.col_ptr();
-        let mut values = vec![0.0f64; m.nnz()];
-        for (&f, &v) in self.from.iter().zip(&self.vals) {
-            values[f as usize] = v;
-        }
-        for c in 0..self.n {
-            values[diag_index(col_ptr, self.tri, c)] = self.diag[self.pos_of(c)];
-        }
-        NumericFactor::from_csc(col_ptr, m.row_idx(), &values, self.tri, None)
+    /// Whether every row visits its CSC entries in `tri`'s natural
+    /// source order — Algorithm 1's `left_sum` operand sequence:
+    /// strictly ascending CSC indices for `L`, strictly descending for
+    /// `U`. O(nnz).
+    fn rows_in_natural_order(&self) -> bool {
+        (0..self.n).all(|i| {
+            let row = &self.from[self.ptr[i] as usize..self.ptr[i + 1] as usize];
+            row.windows(2).all(|w| match self.tri {
+                Triangle::Lower => w[0] < w[1],
+                Triangle::Upper => w[0] > w[1],
+            })
+        })
     }
 
     /// Rewrite the values in place from `m2`, which must carry exactly
@@ -1348,8 +1353,11 @@ mod tests {
         let (_, b1) = verify::rhs_for(&m, 2);
         let mut machine = Machine::new(MachineConfig::dgx1(4));
         let full = run_prepared(&b1, &plan, &analysis, &mut machine, &cfg).unwrap();
+        // the simulation sums each `left_sum` in wake order; the replay
+        // sums every row in Algorithm 1's order, whatever the row order
         let replayed = solve_along(&m, &calibration.solve_order, &b1);
-        assert_eq!(full.x, replayed, "replay must be bit-identical to simulation");
+        assert_eq!(replayed, reference::solve_lower(&m, &b1).unwrap(), "replay is the reference");
+        assert!(verify::rel_inf_diff(&full.x, &replayed) < verify::DEFAULT_TOL);
         assert_eq!(full.solve_order, calibration.solve_order, "schedule is value-independent");
     }
 
@@ -1548,6 +1556,37 @@ mod tests {
             let mut x = vec![2.0; m.n()];
             f.solve_into(&b, &mut ws, &mut x);
             assert_eq!(x, expect);
+        }
+    }
+
+    /// The data half of the bit contract: in every order the engine
+    /// builds (natural, and the schedule's canonical order), every row
+    /// holds Algorithm 1's operand sequence — so the sweep returns the
+    /// reference's bits.
+    #[test]
+    fn rows_hold_algorithm_1s_sequence_in_every_order() {
+        let mut entries = sparsemat::corpus::corpus();
+        entries.push(sparsemat::corpus::deep_narrow_entry());
+        for e in &entries {
+            for tri in [Triangle::Lower, Triangle::Upper] {
+                let m = match tri {
+                    Triangle::Lower => e.matrix.clone(),
+                    Triangle::Upper => e.matrix.transpose(),
+                };
+                let levels = LevelSets::analyze(&m, tri);
+                let plan = ExecutionPlan::build(m.n(), 4, Partition::Tasks { per_gpu: 8 }, tri);
+                let schedule = Schedule::build(&levels, Some(&plan.owner), Default::default());
+                let (_, b) = verify::rhs_for(&m, 0x2A);
+                let want = reference::solve_serial(&m, &b, tri).unwrap();
+                for order in [None, Some(schedule.order())] {
+                    let f = NumericFactor::build(&m, tri, order);
+                    let cell = format!("{}/{tri:?}/natural={}", e.name, order.is_none());
+                    assert!(f.rows_in_natural_order(), "{cell}");
+                    let mut x = vec![f64::NAN; m.n()];
+                    f.solve_into(&b, &mut ReplayWorkspace::new(), &mut x);
+                    assert!(x.iter().zip(&want).all(|(a, r)| a.to_bits() == r.to_bits()), "{cell}");
+                }
+            }
         }
     }
 

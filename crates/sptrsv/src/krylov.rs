@@ -30,23 +30,17 @@
 //!
 //! ## Bitwise reproducibility of the Krylov trajectory
 //!
-//! Preconditioner applications sweep each engine's factor relabelled
-//! into the **natural substitution order**
-//! ([`crate::exec::NumericFactor`] over the identity permutation for
-//! `L`, the reversed one for `U`) — the one topological order whose
-//! floating-point operation sequence coincides exactly with the serial
-//! reference (Algorithm 1).
-//! [`PreconditionerEngine::apply_into`] is therefore **bit-identical**
+//! Preconditioner applications sweep each engine's own
+//! [`crate::exec::NumericFactor`] with the serial tier — the factor the
+//! engine's warm tiers use, in whatever order it is relabelled into
+//! (level-major for a simulated kind, natural for the serial kind).
+//! Every row of that factor holds its entries in natural source order,
+//! so it sums exactly Algorithm 1's `left_sum` sequence whatever the
+//! row order: [`PreconditionerEngine::apply_into`] is **bit-identical**
 //! to [`crate::reference::solve_lower`] followed by
-//! [`crate::reference::solve_upper`] (property-tested), and the whole
-//! Krylov iteration history is reproducible to the last bit across
-//! runs. The level-major canonical order the engines use for their own
-//! warm tiers re-associates per-row partial sums, which is fine for a
-//! verified solve but would perturb the Krylov trajectory relative to
-//! the reference — so the preconditioner path pins the natural order
-//! instead, while still reusing the engines' calibration reports,
-//! value-refresh locking and shared resources. The batched path runs
-//! the same kernel in its lane form
+//! [`crate::reference::solve_upper`], and the whole Krylov iteration
+//! history is reproducible to the last bit across runs and solver
+//! kinds. The batched path runs the same kernel in its lane form
 //! ([`crate::exec::NumericFactor::solve_panel_into`], lanes never
 //! mix), so every batched application is bit-identical to the scalar
 //! one.
@@ -78,8 +72,9 @@ pub struct ApplyWorkspace {
     mid: Vec<f64>,
     /// Per-RHS intermediates for the batched apply.
     mids: Vec<Vec<f64>>,
-    /// Interleaved position-space panel for the fused batched apply
-    /// (the scalar natural-order sweeps need no scratch).
+    /// Position-space scratch for both sweeps: one vector for the
+    /// scalar apply, an interleaved panel for the fused batched apply
+    /// (a natural-order factor's scalar sweep needs none).
     panel: ReplayWorkspace,
 }
 
@@ -172,9 +167,6 @@ impl<'m> PreconditionerEngine<'m> {
         let fwd =
             SolverEngine::build_shared(l, machine_cfg.clone(), &fwd_opts, Arc::clone(&resources))?;
         let bwd = SolverEngine::build_shared(u, machine_cfg, &bwd_opts, resources)?;
-        // materialize both natural-order factors now, so the first
-        // application is already warm
-        drop((fwd.natural(), bwd.natural()));
         Ok(PreconditionerEngine { fwd, bwd, apply_pool: RecyclePool::default() })
     }
 
@@ -249,7 +241,8 @@ impl<'m> PreconditionerEngine<'m> {
     }
 
     /// Zero-allocation warm application `z = M⁻¹ r`: sweep the two
-    /// natural-order factors into the caller's buffers. After `ws` has grown to the system dimension this
+    /// engines' factors into the caller's buffers with the serial
+    /// tier. After `ws` has grown to the system dimension this
     /// performs **zero** heap allocation, and the result is
     /// bit-identical to [`crate::reference::solve_lower`] followed by
     /// [`crate::reference::solve_upper`] on the same factors.
@@ -275,8 +268,8 @@ impl<'m> PreconditionerEngine<'m> {
         // both guards up front (fwd then bwd, the crate-wide order):
         // the whole application runs against one consistent L/U value
         // epoch — a concurrent pair refresh waits for both
-        let fa = self.fwd.natural();
-        let ba = self.bwd.natural();
+        let fa = self.fwd.factor();
+        let ba = self.bwd.factor();
         fa.solve_into(r, &mut ws.panel, &mut ws.mid);
         ba.solve_into(&ws.mid, &mut ws.panel, z);
         Ok(())
@@ -341,8 +334,8 @@ impl<'m> PreconditionerEngine<'m> {
         let mids = &mut mids[..rs.len()];
         // both guards up front, same order and rationale as
         // `apply_into`: one L/U value epoch per batched application
-        let fa = self.fwd.natural();
-        let ba = self.bwd.natural();
+        let fa = self.fwd.factor();
+        let ba = self.bwd.factor();
         fa.solve_panel_into(rs, panel, mids);
         ba.solve_panel_into(mids, panel, zs);
         Ok(())
@@ -379,9 +372,9 @@ impl<'m> PreconditionerEngine<'m> {
 /// locally held [`PreconditionerEngine`] or a shared
 /// [`crate::serve::ServedPreconditioner`] (whose applications are
 /// coalesced with foreground traffic into fused panels by a
-/// [`crate::serve::SolverService`]). Both implementations replay the
-/// same natural-substitution-order operation sequence, so the Krylov
-/// trajectory is bit-identical whichever one a caller hands in.
+/// [`crate::serve::SolverService`]). Both implementations sweep the
+/// same factors with the same per-row operation sequence, so the
+/// Krylov trajectory is bit-identical whichever one a caller hands in.
 pub trait Precondition {
     /// System dimension (square).
     fn dim(&self) -> usize;

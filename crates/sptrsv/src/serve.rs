@@ -530,10 +530,11 @@ pub enum ServiceEngine<'e, 'm> {
     /// [`SolverEngine::solve`].
     Solver(&'e SolverEngine<'m>),
     /// An L/U pair: panels run
-    /// [`PreconditionerEngine::apply_batch_into`]'s kernel along the
-    /// natural substitution order — results bit-identical to
-    /// [`PreconditionerEngine::apply_into`], so a Krylov trajectory
-    /// fed through the service is reproducible to the bit.
+    /// [`PreconditionerEngine::apply_batch_into`]'s kernel over the
+    /// pair's own factors — results bit-identical to
+    /// [`PreconditionerEngine::apply_into`] and to the reference
+    /// substitution pair, so a Krylov trajectory fed through the
+    /// service is reproducible to the bit.
     Preconditioner(&'e PreconditionerEngine<'m>),
 }
 

@@ -79,7 +79,8 @@ pub struct SolveOptions {
     pub kind: SolverKind,
     /// Which triangle the matrix represents.
     pub triangle: Triangle,
-    /// Compare against the serial reference and fail on mismatch.
+    /// Compare against a serial sweep of the same factor (whose bits
+    /// are the serial reference's) and fail on mismatch.
     pub verify: bool,
     /// Enable the r.in_degree poll-caching optimization (§IV-B).
     pub poll_caching: bool,

@@ -1,18 +1,18 @@
 //! The numeric core's bit-identity contract, as one table.
 //!
 //! The warm kernel is a row gather over a factor relabelled into an
-//! execution order ([`sptrsv::exec::NumericFactor`]). It replaced a
-//! column-scatter loop (`left_sum[r] += v · x_c` while walking the
-//! order), and the contract is that not one result bit moved. Three
-//! anchors prove it:
+//! execution order ([`sptrsv::exec::NumericFactor`]), every row filled
+//! in Algorithm 1's operand order. The contract is that, in every
+//! order, it returns exactly the bits of Algorithm 1's column scatter
+//! ([`sptrsv::reference`]). Three anchors prove it:
 //!
-//! * **golden bits** — solution hashes recorded from the commit
-//!   *before* the gather kernel existed, so the new kernel is proved
-//!   to reproduce the old bits, not merely to agree with itself;
-//! * **the scatter oracle** — the deleted loop, ~15 lines, kept here
-//!   as a test-only reference and compared bit for bit against every
-//!   tier × lane width × worker count × {cold, refreshed} × {canonical,
-//!   natural} cell;
+//! * **golden bits** — solution hashes recorded from the column-scatter
+//!   kernel before the gather existed, and equal to the reference's, so
+//!   the kernel is proved to reproduce independent bits, not merely to
+//!   agree with itself;
+//! * **the scatter oracle** — [`sptrsv::reference::solve_serial`],
+//!   compared bit for bit against every tier × lane width × worker
+//!   count × {cold, refreshed} × {canonical, serial kind} cell;
 //! * **adversarial rows** — signed zeros, empty rows, `n ∈ {0, 1}`,
 //!   levels narrower than the shard count, single-chain factors.
 //!
@@ -26,8 +26,8 @@ use sparsemat::gen::{self, LevelSpec};
 use sparsemat::{corpus, CscMatrix, LevelSets, Triangle, TripletBuilder};
 use sptrsv::plan::{ExecutionPlan, Partition};
 use sptrsv::{
-    serve_solver, verify, EngineFleet, FleetConfig, PreconditionerEngine, Schedule, ServiceConfig,
-    SolveOptions, SolveWorkspace, SolverEngine, SolverKind,
+    reference, serve_solver, verify, EngineFleet, FleetConfig, PreconditionerEngine, Schedule,
+    ServiceConfig, SolveOptions, SolveWorkspace, SolverEngine, SolverKind,
 };
 use std::sync::Arc;
 
@@ -53,39 +53,9 @@ fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The deleted warm kernel — solve each component along `order` and
-/// scatter its updates into a zeroed `left_sum` — kept as the oracle.
-fn scatter_oracle(m: &CscMatrix, tri: Triangle, order: &[u32], b: &[f64]) -> Vec<f64> {
-    let mut x = vec![0.0f64; m.n()];
-    let mut left_sum = vec![0.0f64; m.n()];
-    for &c in order {
-        let col: Vec<(u32, f64)> = m.col(c as usize).collect();
-        let (diag, updates) = match tri {
-            Triangle::Lower => (col[0].1, &col[1..]),
-            Triangle::Upper => (col[col.len() - 1].1, &col[..col.len() - 1]),
-        };
-        let xc = (b[c as usize] - left_sum[c as usize]) / diag;
-        x[c as usize] = xc;
-        for &(r, v) in updates {
-            left_sum[r as usize] += v * xc;
-        }
-    }
-    x
-}
-
-/// The canonical order of a [`CANONICAL`] engine, built by the harness
-/// from public parts (the same way the engine builds it).
-fn canonical_order(m: &CscMatrix, o: &SolveOptions) -> Vec<u32> {
-    let levels = LevelSets::analyze(m, o.triangle);
-    let plan = ExecutionPlan::build(m.n(), GPUS, Partition::Tasks { per_gpu: 8 }, o.triangle);
-    Schedule::build(&levels, Some(&plan.owner), o.schedule_tuning()).order().to_vec()
-}
-
-fn natural_order(n: usize, tri: Triangle) -> Vec<u32> {
-    match tri {
-        Triangle::Lower => (0..n as u32).collect(),
-        Triangle::Upper => (0..n as u32).rev().collect(),
-    }
+/// The oracle: Algorithm 1, the serial column scatter.
+fn oracle(m: &CscMatrix, tri: Triangle, b: &[f64]) -> Vec<f64> {
+    reference::solve_serial(m, b, tri).unwrap()
 }
 
 /// Same structure, every value moved.
@@ -143,14 +113,8 @@ fn every_tier(engine: &SolverEngine<'_>, bs: &[Vec<f64>], want: &[Vec<f64>], cel
 /// The fleet-routed path: `EngineFleet::submit` enqueues every `bs[k]`
 /// into the tenant's queue (the first while the engine still builds),
 /// cold against `m` and again after `refresh_tenant` swapped in `m2` —
-/// each result bit for bit the oracle's along `order`.
-fn fleet_routed(
-    (m, m2): (&CscMatrix, &CscMatrix),
-    o: &SolveOptions,
-    order: &[u32],
-    bs: &[Vec<f64>],
-    cell: &str,
-) {
+/// each result bit for bit the oracle's.
+fn fleet_routed((m, m2): (&CscMatrix, &CscMatrix), o: &SolveOptions, bs: &[Vec<f64>], cell: &str) {
     let fleet = EngineFleet::new(FleetConfig {
         machine: MachineConfig::dgx1(GPUS),
         solve: o.clone(),
@@ -164,7 +128,7 @@ fn fleet_routed(
         }
         let tickets: Vec<_> = bs.iter().map(|b| fleet.submit(fp, b).unwrap()).collect();
         for (k, t) in tickets.into_iter().enumerate() {
-            let want = scatter_oracle(values, o.triangle, order, &bs[k]);
+            let want = oracle(values, o.triangle, &bs[k]);
             assert_eq!(
                 bits(&t.wait().unwrap()),
                 bits(&want),
@@ -174,17 +138,17 @@ fn fleet_routed(
     }
 }
 
-/// Golden bits recorded at the parent commit (column-scatter kernel):
-/// `hash_bits` of the solution of `rhs_for(m, 0x601D)` on the
-/// canonical-order engine (`solve_sharded_into`, one worker) and on
-/// the natural-order serial engine.
-const GOLDEN: &[(&str, Triangle, u64, u64)] = &[
-    ("powersim", Triangle::Lower, 0xa517973193e1135a, 0xa517973193e1135a),
-    ("powersim", Triangle::Upper, 0xe8080e6afdff8a23, 0x7552472e74b142eb),
-    ("chipcool0", Triangle::Lower, 0x69f72d53c7567107, 0x0d4017a32d32e5fb),
-    ("chipcool0", Triangle::Upper, 0xe748fbb2b2bf3090, 0x27eb9f111716058c),
-    ("deep-chain", Triangle::Lower, 0x926e8c949131ff30, 0x1e18facb9037578b),
-    ("deep-chain", Triangle::Upper, 0x3a3d6aeb3b45ee37, 0xe73015c4f377c009),
+/// Golden bits recorded from the column-scatter kernel before the
+/// gather existed: `hash_bits` of the solution of `rhs_for(m, 0x601D)`
+/// in natural substitution order — Algorithm 1's bits, which every
+/// engine kind must now return.
+const GOLDEN: &[(&str, Triangle, u64)] = &[
+    ("powersim", Triangle::Lower, 0xa517973193e1135a),
+    ("powersim", Triangle::Upper, 0x7552472e74b142eb),
+    ("chipcool0", Triangle::Lower, 0x0d4017a32d32e5fb),
+    ("chipcool0", Triangle::Upper, 0x27eb9f111716058c),
+    ("deep-chain", Triangle::Lower, 0x1e18facb9037578b),
+    ("deep-chain", Triangle::Upper, 0xe73015c4f377c009),
 ];
 
 fn corpus_factor(name: &str, tri: Triangle) -> CscMatrix {
@@ -200,12 +164,13 @@ fn corpus_factor(name: &str, tri: Triangle) -> CscMatrix {
 
 #[test]
 fn gather_kernel_reproduces_the_parent_commits_bits() {
-    for &(name, tri, canonical, natural) in GOLDEN {
+    for &(name, tri, golden) in GOLDEN {
         let m = corpus_factor(name, tri);
         let (_, b) = verify::rhs_for(&m, 0x601D);
+        assert_eq!(hash_bits(&oracle(&m, tri, &b)), golden, "{name}/{tri:?} reference");
         let mut ws = SolveWorkspace::new();
         let mut x = vec![0.0f64; m.n()];
-        for (kind, golden) in [(CANONICAL, canonical), (SolverKind::Serial, natural)] {
+        for kind in [CANONICAL, SolverKind::Serial] {
             let engine =
                 SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &opts(kind, tri)).unwrap();
             for workers in [1usize, 2] {
@@ -222,7 +187,7 @@ fn gather_kernel_reproduces_the_parent_commits_bits() {
 }
 
 /// The table: factors × triangles × {cold, refreshed} × {canonical,
-/// natural} × every tier, all against the scatter oracle.
+/// serial kind} × every tier, all against the scatter oracle.
 #[test]
 fn every_tier_matches_the_scatter_oracle_bit_for_bit() {
     let factors = [
@@ -240,30 +205,25 @@ fn every_tier_matches_the_scatter_oracle_bit_for_bit() {
             let bs: Vec<Vec<f64>> = (0..13u64).map(|k| verify::rhs_for(m, 0x5EED + k).1).collect();
             for kind in [CANONICAL, SolverKind::Serial] {
                 let o = opts(kind, tri);
-                let order = match kind {
-                    SolverKind::Serial => natural_order(m.n(), tri),
-                    _ => canonical_order(m, &o),
-                };
                 let engine = SolverEngine::build(m, MachineConfig::dgx1(GPUS), &o).unwrap();
                 for (epoch, values) in [("cold", m), ("refreshed", &m2), ("restored", m)] {
                     if epoch != "cold" {
                         engine.refresh_values(values).unwrap();
                     }
-                    let want: Vec<Vec<f64>> =
-                        bs.iter().map(|b| scatter_oracle(values, tri, &order, b)).collect();
+                    let want: Vec<Vec<f64>> = bs.iter().map(|b| oracle(values, tri, b)).collect();
                     every_tier(&engine, &bs, &want, &format!("{name}/{tri:?}/{kind:?}/{epoch}"));
                 }
-                fleet_routed((m, &m2), &o, &order, &bs, &format!("{name}/{tri:?}/{kind:?}"));
+                fleet_routed((m, &m2), &o, &bs, &format!("{name}/{tri:?}/{kind:?}"));
             }
         }
     }
 }
 
-/// The natural-order factor a *simulated* engine materializes for its
-/// Krylov consumer: `apply_into` / `apply_batch_into` on a canonical
-/// engine pair equal the natural-order oracle pair, cold and refreshed.
+/// The Krylov consumer sweeps the engines' own factors: `apply_into` /
+/// `apply_batch_into` on either engine kind equal the reference pair,
+/// cold and refreshed.
 #[test]
-fn preconditioner_pair_matches_the_natural_order_oracle() {
+fn preconditioner_pair_matches_the_reference_pair() {
     let a = gen::grid_laplacian(14, 11);
     let f = sparsemat::factor::ilu0(&a, 1e-8).unwrap();
     let mut f2 = f.clone();
@@ -283,16 +243,9 @@ fn preconditioner_pair_matches_the_natural_order_oracle() {
             }
             let want: Vec<Vec<f64>> = rs
                 .iter()
-                .map(|r| {
-                    let y = scatter_oracle(
-                        &lu.l,
-                        Triangle::Lower,
-                        &natural_order(n, Triangle::Lower),
-                        r,
-                    );
-                    scatter_oracle(&lu.u, Triangle::Upper, &natural_order(n, Triangle::Upper), &y)
-                })
-                .collect();
+                .map(|r| reference::solve_upper(&lu.u, &reference::solve_lower(&lu.l, r).unwrap()))
+                .collect::<Result<_, _>>()
+                .unwrap();
             let mut ws = pre.take_apply_workspace();
             let mut z = vec![f64::NAN; n];
             pre.apply_into(&rs[0], &mut z, &mut ws).unwrap();
@@ -322,7 +275,7 @@ fn lower_from(n: usize, entries: &[(usize, usize, f64)]) -> CscMatrix {
 }
 
 /// Adversarial shapes and values, each through every tier of both
-/// orders (unfused, so narrow levels take the sharded path too).
+/// engine kinds (unfused, so narrow levels take the sharded path too).
 #[test]
 fn adversarial_rows_keep_every_bit() {
     // a 40-wide level 0 feeding a 5-wide level 1 (narrower than the
@@ -359,13 +312,8 @@ fn adversarial_rows_keep_every_bit() {
                 .collect();
             for kind in [CANONICAL, SolverKind::Serial] {
                 let o = SolveOptions { chain_width_threshold: 0, ..opts(kind, tri) };
-                let order = match kind {
-                    SolverKind::Serial => natural_order(n, tri),
-                    _ => canonical_order(m, &o),
-                };
                 let engine = SolverEngine::build(m, MachineConfig::dgx1(GPUS), &o).unwrap();
-                let want: Vec<Vec<f64>> =
-                    bs.iter().map(|b| scatter_oracle(m, tri, &order, b)).collect();
+                let want: Vec<Vec<f64>> = bs.iter().map(|b| oracle(m, tri, b)).collect();
                 every_tier(&engine, &bs, &want, &format!("{name}/{tri:?}/{kind:?}"));
             }
         }
@@ -383,8 +331,7 @@ fn adversarial_rows_keep_every_bit() {
 /// The relabelled layout is leaner than the one it replaced: the
 /// parent commit held the matrix-order analysis (12 B/nnz) plus the
 /// sharded bucket copy (20 B/nnz); now one canonical factor of
-/// 16 B/nnz, plus a natural-order factor only for an engine that
-/// verifies (or once a Krylov consumer asks).
+/// 16 B/nnz, whether or not the engine verifies.
 #[test]
 fn footprint_counts_exactly_the_arrays_that_exist() {
     // heavy-shaped: wide levels, ~4 nonzeros per row
@@ -404,13 +351,11 @@ fn footprint_counts_exactly_the_arrays_that_exist() {
     assert_eq!(engine.footprint_bytes(), schedule + factor + workspace(0));
     assert!(factor < (12 + 20) * nnz, "leaner than the parent's analysis + buckets");
 
-    // a verifying engine builds the natural-order reference factor up
-    // front, so a cache charging its byte budget right after the build
-    // already counts it (a natural order is implicit: no `pos` array)
+    // a verifying engine sweeps the same factor with the serial tier:
+    // only the workspace's reference vector is added
     let vo = SolveOptions { verify: true, ..o };
     let verifying = SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &vo).unwrap();
-    let natural = factor - 4 * n;
-    assert_eq!(verifying.footprint_bytes(), schedule + factor + natural + workspace(1));
+    assert_eq!(verifying.footprint_bytes(), schedule + factor + workspace(1));
     verifying.solve(&verify::rhs_for(&m, 1).1).unwrap();
-    assert_eq!(verifying.footprint_bytes(), schedule + factor + natural + workspace(1));
+    assert_eq!(verifying.footprint_bytes(), schedule + factor + workspace(1));
 }

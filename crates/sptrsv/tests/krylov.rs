@@ -6,9 +6,10 @@
 //!
 //! * `PreconditionerEngine::apply_into` is **bit-identical** to the
 //!   sequential `reference::solve_lower` + `reference::solve_upper`
-//!   pair — the preconditioner replays the flat adjacency in natural
-//!   substitution order, so the whole Krylov trajectory is reproducible
-//!   against the reference to the last bit;
+//!   pair — the preconditioner sweeps each engine's one factor, whose
+//!   rows hold Algorithm 1's operand sequence in every order, so the
+//!   whole Krylov trajectory is reproducible against the reference to
+//!   the last bit, and so is a one-shot `sptrsv::solve` pair;
 //! * the fused-panel `apply_batch_into` is bit-identical per RHS to
 //!   the scalar apply;
 //! * PCG with the ILU(0) `PreconditionerEngine` drives the relative
@@ -21,9 +22,9 @@
 use desim::Pcg32;
 use mgpu_sim::MachineConfig;
 use sparsemat::factor::ilu0;
-use sparsemat::{gen, CscMatrix, CsrMatrix, TripletBuilder};
+use sparsemat::{gen, CscMatrix, CsrMatrix, Triangle, TripletBuilder};
 use sptrsv::krylov::{bicgstab, pcg, KrylovOptions, PreconditionerEngine};
-use sptrsv::{reference, verify, SolveError, SolveOptions, SolverKind};
+use sptrsv::{reference, solve, verify, SolveError, SolveOptions, SolverKind};
 
 fn opts(kind: SolverKind) -> SolveOptions {
     SolveOptions { kind, verify: false, ..SolveOptions::default() }
@@ -58,6 +59,24 @@ fn apply_into_is_bit_identical_to_reference_pair() {
             pre.put_apply_workspace(ws);
         }
     }
+}
+
+/// The cold one-shot path shares the warm trajectory: `solve` on `L`
+/// then on `U` with a simulated kind returns `apply_into`'s bits.
+#[test]
+fn one_shot_solve_pair_is_bit_identical_to_apply_into() {
+    let a = gen::grid_laplacian(20, 17);
+    let f = ilu0(&a, 1e-8).unwrap();
+    let (cfg, kind) = (MachineConfig::dgx1(4), SolverKind::ZeroCopy { per_gpu: 8 });
+    let pre = PreconditionerEngine::from_ilu0(&f, cfg.clone(), &opts(kind)).unwrap();
+    let r = random_vec(a.n(), &mut Pcg32::seed_from_u64(0x0A5E));
+    let side = |tri| SolveOptions { triangle: tri, ..opts(kind) };
+    let y = solve(&f.l, &r, cfg.clone(), &side(Triangle::Lower)).unwrap().x;
+    let z = solve(&f.u, &y, cfg, &side(Triangle::Upper)).unwrap().x;
+    let mut warm = vec![f64::NAN; a.n()];
+    pre.apply_into(&r, &mut warm, &mut pre.take_apply_workspace()).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&z), bits(&warm));
 }
 
 #[test]
