@@ -45,8 +45,9 @@
 //! * **value refresh vs full rebuild** — the time-stepping step cost:
 //!   `refresh_values` (in-place value swap, zero symbolic work) then a
 //!   warm solve, against a full `SolverEngine::build` then the same
-//!   solve; asserted ≥ 3× (the rebuild pays analysis + calibration,
-//!   the refresh pays neither, so the floor is hardware-independent).
+//!   solve; asserted ≥ 3× (the rebuild pays level analysis, schedule
+//!   and relabelling — a build no longer simulates — and the refresh
+//!   pays none of it, so the floor is hardware-independent).
 //! * **fleet warm submit vs cold rebuild** — per-request latency of a
 //!   warm [`EngineFleet`] submit (direct enqueue + cached-engine
 //!   replay) against the cold one-shot solve a service without the
@@ -401,9 +402,11 @@ fn main() {
     // The paper's §I workload: every Krylov iteration applies
     // M⁻¹ = (LU)⁻¹ against the SAME factors. Warm builds the
     // PreconditionerEngine once (two engines, one shared pool) and
-    // replays the substitution per application; cold re-runs the full
-    // analysis + calibration for L and U on every application — what a
-    // caller without the engine abstraction would pay.
+    // replays the substitution per application (an engine pair that
+    // only preconditions never calibrates); cold re-runs the full
+    // analysis + calibration for L and U on every application through
+    // the one-shot `solve` — what a caller without the engine
+    // abstraction would pay.
     let spd = gen::grid_laplacian(64, 64);
     let fac = ilu0(&spd, 1e-8).expect("ilu0");
     let pcg_b: Vec<f64> = (0..spd.n()).map(|i| ((i % 19) as f64 - 9.0) / 9.0).collect();
@@ -435,11 +438,13 @@ fn main() {
 
     // --- fleet: warm cached-engine serving vs cold per-request build -
     // The factor cache's value proposition: once a tenant's engine is
-    // resident, a fleet submit pays one enqueue + warm panel
-    // replay, while a service WITHOUT the cache pays the full build
-    // (analysis + calibration) per request — the already-measured cold
-    // one-shot solve. The floor is hardware-independent: an engine
-    // build costs orders of magnitude more than a warm dispatch.
+    // resident, a fleet submit pays one enqueue + warm panel replay,
+    // while a service WITHOUT the cache pays an engine build per
+    // request. The baseline is the already-measured cold one-shot
+    // solve (build + calibration + solve); a per-request build served
+    // by `solve_into` would skip the calibration, not the analysis.
+    // The floor is hardware-independent: an engine build costs orders
+    // of magnitude more than a warm dispatch.
     const FLEET_REQS: u64 = 16;
     let fleet_cfg = FleetConfig { machine: cfg.clone(), solve: opts.clone(), ..Default::default() };
     let fleet = EngineFleet::new(fleet_cfg).expect("fleet config");
@@ -476,9 +481,10 @@ fn main() {
     // Time-stepping workloads change factor VALUES every step while
     // the structure is fixed. `refresh_values` validates, audits and
     // rewrites every warm tier's value arrays in place — zero symbolic
-    // work; the alternative is a full engine rebuild (analysis + plan
-    // + adjacency + calibration) per step. Samples alternate between
-    // two value sets so every refresh writes genuinely new values.
+    // work; the alternative is a full engine rebuild (level analysis,
+    // schedule, relabelling; `build` + `solve_into` never calibrates)
+    // per step. Samples alternate between two value sets so every
+    // refresh writes genuinely new values.
     let m2 = {
         let mut t = m.clone();
         for (i, v) in t.values_mut().iter_mut().enumerate() {
@@ -779,8 +785,8 @@ fn main() {
         "a warm fleet submit must be at least 2x faster than a cold per-request \
          engine rebuild, got {fleet_speedup:.2}x"
     );
-    // hardware-independent: the rebuild pays analysis + plan +
-    // adjacency + calibration; the refresh pays none of it
+    // hardware-independent: the rebuild pays level analysis, schedule
+    // and relabelling; the refresh pays none of it
     assert!(
         refresh_speedup >= 3.0,
         "refresh-then-solve must be at least 3x faster than rebuild-then-solve, \

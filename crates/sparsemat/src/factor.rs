@@ -412,7 +412,13 @@ impl FactorAudit {
 /// that would poison warm solves: zero or non-finite diagonals,
 /// non-finite off-diagonals, and duplicated entries within a column.
 /// One `O(nnz)` pass; see [`FactorAudit`] for the reporting contract.
+///
+/// Factors without findings — the common case — are cleared by
+/// [`certainly_clean`] without the per-column pass.
 pub fn audit_factor(m: &CscMatrix) -> FactorAudit {
+    if certainly_clean(m) {
+        return FactorAudit::default();
+    }
     let n = m.n();
     let mut audit = FactorAudit::default();
     let record_cap = |list_len: usize| list_len < AUDIT_MAX_FINDINGS;
@@ -453,6 +459,25 @@ pub fn audit_factor(m: &CscMatrix) -> FactorAudit {
         }
     }
     audit
+}
+
+/// Whether `m` has no [`audit_factor`] finding for sure: every value
+/// finite and nonzero (one branch-free sweep that vectorizes), and no
+/// two equal adjacent row indices within a column (equal neighbours
+/// across a column boundary are legal, so the rare candidates are
+/// checked against the column starts). `false` only means the exact
+/// pass has to look.
+fn certainly_clean(m: &CscMatrix) -> bool {
+    // |v| − 1 wraps for ±0 and reaches INFINITY − 1 for ±∞ and NaN
+    let inf = f64::INFINITY.to_bits();
+    let bad = |v: &&f64| (v.to_bits() & !(1 << 63)).wrapping_sub(1) >= inf - 1;
+    let col_ptr = m.col_ptr();
+    m.values().iter().filter(bad).count() == 0
+        && m.row_idx()
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0] == w[1])
+            .all(|(k, _)| col_ptr.binary_search(&(k + 1)).is_ok())
 }
 
 /// Copy of `a` with every missing diagonal entry inserted as `fill`.
@@ -637,6 +662,36 @@ mod tests {
         assert_eq!(audit.finding_count, 3);
         // severity order: non-finite beats zero-diagonal
         assert!(matches!(audit.first_error(), Some(MatrixError::NonFiniteValue { .. })));
+    }
+
+    /// The vectorized pre-check never hides a finding: it clears a
+    /// factor only if the exact pass finds it clean — legal equal
+    /// neighbours across a column boundary included.
+    #[test]
+    fn audit_pre_check_agrees_with_the_exact_pass() {
+        // column 0 ends with row 1 and column 1 starts with it
+        let tri = |diag: f64, off: f64| {
+            let mut b = TripletBuilder::new(3);
+            for (r, c, v) in [(0, 0, 2.0), (1, 0, off), (1, 1, diag), (2, 1, -1.0), (2, 2, 2.0)] {
+                b.push(r, c, v);
+            }
+            b.build().unwrap()
+        };
+        let tiny = f64::MIN_POSITIVE / 2.0;
+        for (diag, off, clean) in [
+            (2.0, -1.0, true),
+            (tiny, -tiny, true),
+            (f64::MAX, f64::MIN, true),
+            (2.0, 0.0, true), // a zero off the diagonal is no finding
+            (-0.0, -1.0, false),
+            (2.0, f64::NAN, false),
+            (f64::NEG_INFINITY, -1.0, false),
+        ] {
+            let m = tri(diag, off);
+            assert_eq!(audit_factor(&m).is_clean(), clean, "diag={diag} off={off}");
+            assert!(clean || !certainly_clean(&m), "diag={diag} off={off}");
+        }
+        assert!(certainly_clean(&tri(2.0, -1.0)), "boundary neighbours are legal");
     }
 
     #[test]

@@ -166,16 +166,17 @@ impl LevelSets {
     /// accumulated, by exactly one worker).
     ///
     /// The returned order is level-major. Within a level, components
-    /// are grouped by `owner[c]` when an ownership map is given (stable
-    /// — ascending index within one owner), mirroring the paper's
-    /// owner-local update placement, and left in ascending index order
-    /// otherwise (the map is then shared with [`LevelSets::level_comps`]
-    /// — a refcount bump, not a copy). Each level is then sliced into
-    /// `shards` near-equal contiguous segments, so per-level work
-    /// balances across however many workers later execute the shards.
+    /// stay in ascending index order without an ownership map — the
+    /// order the solver engine uses, shared with
+    /// [`LevelSets::level_comps`] (a refcount bump, not a copy) — and
+    /// are grouped by `owner[c]` when one is given (stable — ascending
+    /// index within one owner), mirroring the paper's owner-local
+    /// update placement. Each level is then sliced into `shards`
+    /// near-equal contiguous segments, so per-level work balances
+    /// across however many workers later execute the shards.
     ///
-    /// Cost: O(n log n) worst case (the per-level grouping sort); runs
-    /// once per solver-engine build.
+    /// Cost: O(n) without an ownership map; O(n log n) worst case with
+    /// one (the per-level grouping sort).
     pub fn owner_segments(&self, owner: Option<&[usize]>, shards: usize) -> LevelSegments {
         let shards = shards.max(1);
         let n = self.level_of.len();
@@ -289,7 +290,10 @@ impl LevelSegments {
 /// sharded execution. Note a lone narrow level between two wide ones
 /// still forms a (single-level) fused chain — it runs on one worker,
 /// which is the right call for a level too narrow to shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The `Default` partition has no chains at all — the shape of a
+/// schedule that is never split across workers.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChainPartition {
     /// CSR-style level offsets: chain `k` spans levels
     /// `chain_ptr[k] .. chain_ptr[k + 1]`. Strictly increasing from 0
@@ -304,10 +308,11 @@ pub struct ChainPartition {
 }
 
 impl ChainPartition {
-    /// Number of chains (0 for an empty matrix).
+    /// Number of chains (0 for an empty matrix or the default
+    /// partition).
     #[inline]
     pub fn n_chains(&self) -> usize {
-        self.chain_ptr.len() - 1
+        self.chain_ptr.len().saturating_sub(1)
     }
 
     /// The half-open level range of chain `k`.
@@ -323,7 +328,8 @@ impl ChainPartition {
         self.fused[k]
     }
 
-    /// The CSR-style level offsets (`n_chains + 1` entries).
+    /// The CSR-style level offsets (`n_chains + 1` entries; none for
+    /// the default partition).
     #[inline]
     pub fn chain_ptr(&self) -> &[u32] {
         &self.chain_ptr

@@ -30,9 +30,11 @@
 //! [`ExecAnalysis`], built once and stored flat, CSR-style (`(ptr,
 //! data)` pairs), so the event handlers walk contiguous memory and
 //! allocate nothing. [`run`] is the one-shot convenience that builds
-//! the analysis and immediately simulates; the build-once/solve-many
-//! engine ([`crate::engine::SolverEngine`]) builds it for its one
-//! calibration simulation and then drops it — no warm path reads it.
+//! the analysis and immediately simulates. The build-once/solve-many
+//! engine ([`crate::engine::SolverEngine`]) reaches the simulator only
+//! through its lazy calibration hook (`sim::Simulation`), which builds
+//! the plan and the analysis for the one calibration run and then
+//! drops them — no build, warm path or refresh reads them.
 //!
 //! The executor runs real `f64` numerics as virtual time advances; the
 //! returned `x` is bit-stable for a fixed seed and is verified against
@@ -40,13 +42,14 @@
 //!
 //! ## The warm numeric core: permute once, gather forever
 //!
-//! Warm solves run on a [`NumericFactor`]: the factor's rows
-//! **relabelled into an execution order** at build time — the
-//! [`Schedule`]'s canonical level-major order for a simulated engine,
-//! the natural substitution order for the serial kind — stored CSR
-//! over *positions* in that order, each row's entries in natural
-//! source order. One kernel body ([`NumericFactor`]'s row sweep, in
-//! scalar and const-`K` lane forms) serves every tier:
+//! Warm solves run on a [`NumericFactor`]: a structure-only [`Layout`]
+//! — the factor's rows **relabelled into an execution order** at build
+//! time (the [`crate::schedule::Schedule`]'s canonical level-major
+//! order for a simulated engine, the natural substitution order for
+//! the serial kind), stored CSR over *positions* in that order, each
+//! row's entries in natural source order — plus the [`Values`] of one
+//! epoch. One kernel body ([`NumericFactor`]'s row sweep, in scalar and
+//! const-`K` lane forms) serves every tier:
 //!
 //! ```text
 //! for c in 0..n { y[pos[c]] = b[c] }   // permute b in, by component
@@ -80,7 +83,7 @@
 //! descending for `U`). The gather performs literally that sequence —
 //! `acc` starts at `+0.0` (not at the first product: `0.0 + (−0.0)`
 //! is `+0.0`, and the sign survives into `b − acc`), and
-//! [`NumericFactor::build`] fills every row by walking the sources in
+//! [`Layout`] fills every row by walking the sources in
 //! natural order, **whatever the execution order** the rows are
 //! relabelled into. So every relabelling — level-major, natural, any
 //! other topological order — returns the reference's bits, while the
@@ -116,9 +119,11 @@ mod sim;
 #[cfg(test)]
 mod tests;
 
-pub use numeric::{NumericFactor, ReplayWorkspace};
+pub use numeric::{Layout, NumericFactor, ReplayWorkspace, Values};
+pub(crate) use sim::Simulation;
 pub use sim::{
-    analysis_builds, run, run_prepared, ExecAnalysis, ExecConfig, ExecError, ExecOutcome,
+    analysis_builds, calibrations, run, run_prepared, ExecAnalysis, ExecConfig, ExecError,
+    ExecOutcome,
 };
 
 /// CSC value index of column `j`'s diagonal entry (first stored entry
@@ -145,7 +150,7 @@ fn off_diagonal(col_ptr: &[usize], tri: Triangle, j: usize) -> Range<usize> {
 /// per row; ragged tails use 4/2/1-wide blocks).
 pub const PANEL_K: usize = 8;
 
-/// How many owner shards each level is cut into. Worker counts above
+/// How many shards each level is cut into. Worker counts above
 /// this are clamped; counts below it stripe shards round-robin
 /// (`shard % workers`). Results never depend on the striping — each
 /// row is written once, from rows of earlier levels only.

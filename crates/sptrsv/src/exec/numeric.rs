@@ -1,4 +1,5 @@
-//! The warm half of the executor: the relabelled [`NumericFactor`]
+//! The warm half of the executor: the structure-only [`Layout`], the
+//! [`Values`] of one epoch, the [`NumericFactor`] pairing them that
 //! every warm tier sweeps, its scratch, and the one row-gather kernel
 //! (see the [module docs](super)).
 
@@ -8,6 +9,7 @@ use crate::schedule::Schedule;
 use crate::telemetry::{Hist, Site, SpanGuard, Stopwatch};
 use sparsemat::{CscMatrix, Triangle};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Component ↔ position map of `tri`'s natural substitution order —
 /// ascending for `L`, descending for `U` — which is its own inverse.
@@ -44,50 +46,55 @@ impl ReplayWorkspace {
     }
 }
 
-/// The lean numeric core every warm tier solves on: one triangular
-/// factor **relabelled into an execution order** and stored CSR over
-/// positions in that order, each row's entries in natural source
-/// order (see the module docs for why that reproduces the
-/// column-scatter bits).
+/// The structure half of a relabelled factor, built from `(pattern,
+/// triangle, order)` alone and shared behind an `Arc` by every value
+/// epoch of a [`NumericFactor`]: the rows **relabelled into an
+/// execution order**, stored CSR over positions with each row's entries
+/// in natural source order, plus the [`Schedule`] whose levels, chains
+/// and shards are plain row ranges of it.
 ///
-/// `ptr`/`cols`/`vals` hold the off-diagonal entries of row `i`
-/// (position space), `diag[i]` its pivot, `pos` the position of each
-/// component (`None`: `tri`'s natural order, which needs no table),
-/// and `from[k]` the index of `vals[k]` in the source matrix' CSC
-/// value array — the permutation a value refresh replays. 16 bytes per
-/// nonzero, nothing else: levels, chains and shards are index ranges
-/// into these arrays.
-#[derive(Debug, Clone)]
-pub struct NumericFactor {
+/// `ptr`/`cols` hold the off-diagonal entries of row `i` (position
+/// space), `pos` the position of each component (`None`: `tri`'s
+/// natural order, which needs no table), and `from[k]` the index of
+/// entry `k` in the source matrix' CSC value array — the permutation
+/// every value gather replays.
+#[derive(Debug)]
+pub struct Layout {
     n: usize,
     tri: Triangle,
     pos: Option<Vec<u32>>,
     ptr: Vec<u32>,
     cols: Vec<u32>,
-    vals: Vec<f64>,
-    diag: Vec<f64>,
     from: Vec<u32>,
+    schedule: Schedule,
 }
 
-impl NumericFactor {
-    /// Relabel triangular `m` along `order` — which component sits at
-    /// each position: any topological order of `m`'s dependency graph,
-    /// typically the [`Schedule`]'s canonical level-major order — or,
-    /// with `None`, along `tri`'s natural substitution order. Either
-    /// way every row sums [`crate::reference`]'s floating-point
-    /// sequence. Cost: O(n + nnz); runs once per engine build.
-    pub fn build(m: &CscMatrix, tri: Triangle, order: Option<&[u32]>) -> NumericFactor {
-        NumericFactor::from_csc(m.col_ptr(), m.row_idx(), m.values(), tri, order)
+impl Layout {
+    /// Relabel triangular `m`'s pattern along `schedule`'s canonical
+    /// level-major order (the schedule must be built from `m`'s level
+    /// sets). Cost: O(n + nnz); runs once per engine build.
+    pub fn level_major(m: &CscMatrix, tri: Triangle, schedule: Schedule) -> Layout {
+        let relabelled = Layout::relabel(m, tri, Some(schedule.order()));
+        Layout { schedule, ..relabelled }
     }
 
-    fn from_csc(
-        col_ptr: &[usize],
-        row_idx: &[u32],
-        values: &[f64],
-        tri: Triangle,
-        order: Option<&[u32]>,
-    ) -> NumericFactor {
-        let n = col_ptr.len() - 1;
+    /// Lay `m`'s pattern out in `tri`'s natural substitution order,
+    /// which needs no permutation table, under the degenerate
+    /// one-chain [`Schedule::serial`] — a natural sweep never runs in
+    /// parallel.
+    pub fn natural(m: &CscMatrix, tri: Triangle) -> Layout {
+        Layout::relabel(m, tri, None)
+    }
+
+    /// Relabel along `order` — which component sits at each position:
+    /// any topological order of `m`'s dependency graph — or, with
+    /// `None`, along `tri`'s natural order. Either way every row holds
+    /// [`crate::reference`]'s operand sequence. The schedule is the
+    /// serial one, whose sharded sweep never splits rows: only
+    /// [`Layout::level_major`] pairs rows with a schedule that does.
+    pub(super) fn relabel(m: &CscMatrix, tri: Triangle, order: Option<&[u32]>) -> Layout {
+        let (col_ptr, row_idx) = (m.col_ptr(), m.row_idx());
+        let n = m.n();
         // the inverse of `order`: the direction the boundary
         // permutations walk (sequentially by component)
         let pos = order.map(|order| {
@@ -115,23 +122,20 @@ impl NumericFactor {
         let n_off = ptr[n] as usize;
         let mut cursor = ptr[..n].to_vec();
         let (mut cols, mut from) = (vec![0u32; n_off], vec![0u32; n_off]);
-        let mut vals = vec![0.0f64; n_off];
-        let mut diag = vec![0.0f64; n];
         for s in 0..n {
             let j = natural_at(tri, n, s);
-            let p = pos_of(j);
-            diag[p] = values[diag_index(col_ptr, tri, j)];
+            let p = pos_of(j) as u32;
             for k in off_diagonal(col_ptr, tri, j) {
                 let at = &mut cursor[pos_of(row_idx[k] as usize)];
-                cols[*at as usize] = p as u32;
-                vals[*at as usize] = values[k];
+                cols[*at as usize] = p;
                 from[*at as usize] = k as u32;
                 *at += 1;
             }
         }
-        let factor = NumericFactor { n, tri, pos, ptr, cols, vals, diag, from };
-        debug_assert!(factor.rows_in_natural_order(), "rows must hold Algorithm 1's sequence");
-        factor
+        let schedule = Schedule::serial(n);
+        let layout = Layout { n, tri, pos, ptr, cols, from, schedule };
+        debug_assert!(layout.rows_in_natural_order(), "rows must hold Algorithm 1's sequence");
+        layout
     }
 
     /// Whether every row visits its CSC entries in `tri`'s natural
@@ -148,54 +152,105 @@ impl NumericFactor {
         })
     }
 
-    /// Rewrite the values in place from `m2`, which must carry exactly
-    /// the structure this factor was built from (the engine validates
-    /// that first): one gather through `from` plus the diagonals. A
-    /// refreshed factor is indistinguishable from one built fresh on
-    /// `m2`. Allocates nothing.
-    pub(crate) fn refresh_values(&mut self, m2: &CscMatrix) {
-        debug_assert_eq!(self.n, m2.n(), "refresh requires the recorded structure");
-        let (col_ptr, values) = (m2.col_ptr(), m2.values());
-        for (v, &f) in self.vals.iter_mut().zip(&self.from) {
+    /// Gather `m`'s values — `m` must carry exactly the pattern this
+    /// layout was built from — into position order: one pass through
+    /// `from` plus the diagonals. Allocates nothing when `into` already
+    /// has this layout's shape (a value refresh).
+    fn gather_into(&self, m: &CscMatrix, into: &mut Values) {
+        debug_assert_eq!(self.n, m.n(), "gather requires the recorded structure");
+        let (col_ptr, values) = (m.col_ptr(), m.values());
+        into.vals.resize(self.from.len(), 0.0);
+        into.diag.resize(self.n, 0.0);
+        for (v, &f) in into.vals.iter_mut().zip(&self.from) {
             *v = values[f as usize];
         }
-        for c in 0..self.n {
-            let p = self.pos_of(c);
-            self.diag[p] = values[diag_index(col_ptr, self.tri, c)];
-        }
+        self.each_position(|c, p| into.diag[p] = values[diag_index(col_ptr, self.tri, c)]);
     }
 
-    /// System dimension.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the factor is stored in natural substitution order.
+    /// Whether the rows are laid out in natural substitution order.
     #[inline]
     pub fn is_natural(&self) -> bool {
         self.pos.is_none()
     }
 
-    /// The position of component `c`.
-    #[inline(always)]
-    fn pos_of(&self, c: usize) -> usize {
-        self.pos.as_ref().map_or(natural_at(self.tri, self.n, c), |p| p[c] as usize)
+    /// The schedule whose row ranges this layout's positions follow.
+    #[inline]
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
     }
 
-    /// Host bytes held by the factor's arrays — what an engine cache
-    /// charges against its byte budget. Counts capacity, not length:
-    /// the allocation is what occupies memory.
-    pub fn host_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
+    /// Call `f(c, position of c)` for every component `c` in order —
+    /// one branch on the layout's kind, then a tight loop.
+    #[inline(always)]
+    fn each_position(&self, mut f: impl FnMut(usize, usize)) {
+        match &self.pos {
+            Some(pos) => pos.iter().enumerate().for_each(|(c, &p)| f(c, p as usize)),
+            None => (0..self.n).for_each(|c| f(c, natural_at(self.tri, self.n, c))),
         }
-        self.pos.as_ref().map_or(0, cap)
+    }
+
+    /// Host bytes held by the layout's arrays and its schedule — what
+    /// an engine cache charges against its byte budget. Counts
+    /// capacity, not length: the allocation is what occupies memory.
+    pub fn host_bytes(&self) -> u64 {
+        self.schedule.host_bytes()
+            + self.pos.as_ref().map_or(0, cap)
             + cap(&self.ptr)
             + cap(&self.cols)
-            + cap(&self.vals)
-            + cap(&self.diag)
             + cap(&self.from)
+    }
+}
+
+/// Allocated bytes of `v`.
+fn cap<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * std::mem::size_of::<T>()) as u64
+}
+
+/// The value half of a relabelled factor — one value epoch, in the
+/// position order of its [`Layout`]: `vals[k]` the off-diagonal entry
+/// at CSR slot `k`, `diag[i]` the pivot of row `i`.
+#[derive(Debug, Clone, Default)]
+pub struct Values {
+    vals: Vec<f64>,
+    diag: Vec<f64>,
+}
+
+/// The lean numeric core every warm tier solves on: a shared
+/// structure-only [`Layout`] plus one epoch of [`Values`] — 16 bytes
+/// per nonzero, nothing else: levels, chains and shards are index
+/// ranges into these arrays.
+#[derive(Debug)]
+pub struct NumericFactor {
+    layout: Arc<Layout>,
+    values: Values,
+}
+
+impl NumericFactor {
+    /// Gather `m`'s values into `layout`'s position order. `m` must
+    /// carry the pattern `layout` was built from. Cost: O(n + nnz).
+    pub fn new(layout: Arc<Layout>, m: &CscMatrix) -> NumericFactor {
+        let mut values = Values::default();
+        layout.gather_into(m, &mut values);
+        NumericFactor { layout, values }
+    }
+
+    /// Rewrite the values in place from `m2`, which must carry exactly
+    /// the structure this factor was built from (the engine validates
+    /// that first). A refreshed factor is indistinguishable from one
+    /// built fresh on `m2`. Allocates nothing.
+    pub(crate) fn refresh_values(&mut self, m2: &CscMatrix) {
+        self.layout.gather_into(m2, &mut self.values);
+    }
+
+    /// The structure this factor's values are laid out in.
+    #[inline]
+    pub fn layout(&self) -> &Arc<Layout> {
+        &self.layout
+    }
+
+    /// Host bytes held by the layout and the values.
+    pub fn host_bytes(&self) -> u64 {
+        self.layout.host_bytes() + cap(&self.values.vals) + cap(&self.values.diag)
     }
 
     /// The one numeric kernel: solve the rows at positions `rows` of
@@ -206,16 +261,18 @@ impl NumericFactor {
     /// unrolls and vectorizes them into packed f64 operations).
     #[inline(always)]
     fn sweep<const K: usize>(&self, rows: Range<usize>, y: &DisjointSlice<'_>) {
+        let (ptr, cols) = (&self.layout.ptr[..], &self.layout.cols[..]);
+        let (vals, diag) = (&self.values.vals[..], &self.values.diag[..]);
         for i in rows {
             let mut acc = [0.0f64; K];
-            for k in self.ptr[i] as usize..self.ptr[i + 1] as usize {
-                let v = self.vals[k];
-                let src = y.lanes::<K>(self.cols[k] as usize);
+            for k in ptr[i] as usize..ptr[i + 1] as usize {
+                let v = vals[k];
+                let src = y.lanes::<K>(cols[k] as usize);
                 for l in 0..K {
                     acc[l] += v * src[l];
                 }
             }
-            let (b, d) = (y.lanes::<K>(i), self.diag[i]);
+            let (b, d) = (y.lanes::<K>(i), diag[i]);
             y.set_lanes(i, std::array::from_fn::<f64, K, _>(|l| (b[l] - acc[l]) / d));
         }
     }
@@ -231,20 +288,17 @@ impl NumericFactor {
         outs: &mut [impl AsMut<[f64]>],
         solve: impl FnOnce(&DisjointSlice<'_>),
     ) {
-        let n = self.n;
-        for c in 0..n {
-            let row = self.pos_of(c) * K;
+        self.layout.each_position(|c, p| {
             for (l, b) in bs.iter().enumerate() {
-                y[row + l] = b.as_ref()[c];
+                y[p * K + l] = b.as_ref()[c];
             }
-        }
+        });
         solve(&DisjointSlice::new(y));
-        for c in 0..n {
-            let row = self.pos_of(c) * K;
+        self.layout.each_position(|c, p| {
             for (l, out) in outs.iter_mut().enumerate() {
-                out.as_mut()[c] = y[row + l];
+                out.as_mut()[c] = y[p * K + l];
             }
-        }
+        });
     }
 
     /// Scalar solve of `b` into `x`, sweeping with `solve`. A
@@ -258,9 +312,10 @@ impl NumericFactor {
         x: &mut [f64],
         solve: impl FnOnce(&DisjointSlice<'_>),
     ) {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        assert_eq!(x.len(), self.n, "output length mismatch");
-        match (&self.pos, self.tri) {
+        let n = self.layout.n;
+        assert_eq!(b.len(), n, "rhs length mismatch");
+        assert_eq!(x.len(), n, "output length mismatch");
+        match (&self.layout.pos, self.layout.tri) {
             (None, Triangle::Lower) => {
                 x.copy_from_slice(b);
                 solve(&DisjointSlice::new(x));
@@ -272,14 +327,14 @@ impl NumericFactor {
                 solve(&DisjointSlice::new(x));
                 x.reverse();
             }
-            (Some(_), _) => self.in_position_space::<1>(&[b], ws.rows(self.n), &mut [x], solve),
+            (Some(_), _) => self.in_position_space::<1>(&[b], ws.rows(n), &mut [x], solve),
         }
     }
 
     /// Serial scalar solve of `b` into `x`. Allocates nothing once
     /// `ws` has grown to `n`.
     pub fn solve_into(&self, b: &[f64], ws: &mut ReplayWorkspace, x: &mut [f64]) {
-        self.scalar_into(b, ws, x, |y| self.sweep::<1>(0..self.n, y));
+        self.scalar_into(b, ws, x, |y| self.sweep::<1>(0..self.layout.n, y));
     }
 
     /// Fused multi-RHS solve: stream the factor **once per K-wide
@@ -300,10 +355,11 @@ impl NumericFactor {
         ws: &mut ReplayWorkspace,
         outs: &mut [Vec<f64>],
     ) {
+        let n = self.layout.n;
         assert_eq!(bs.len(), outs.len(), "one output per right-hand side");
         for (b, out) in bs.iter().zip(outs.iter_mut()) {
-            assert_eq!(b.len(), self.n, "rhs length mismatch");
-            out.resize(self.n, 0.0);
+            assert_eq!(b.len(), n, "rhs length mismatch");
+            out.resize(n, 0.0);
         }
         let mut lo = 0;
         while lo < bs.len() {
@@ -331,47 +387,35 @@ impl NumericFactor {
         ws: &mut ReplayWorkspace,
         outs: &mut [Vec<f64>],
     ) {
-        let y = ws.rows(self.n * K);
-        self.in_position_space::<K>(bs, y, outs, |y| self.sweep::<K>(0..self.n, y));
+        let n = self.layout.n;
+        let y = ws.rows(n * K);
+        self.in_position_space::<K>(bs, y, outs, |y| self.sweep::<K>(0..n, y));
     }
 
     /// Chain-parallel scalar solve across `workers` region workers,
-    /// stepping `schedule` — which must be the [`Schedule`] whose
-    /// canonical order this factor was relabelled into (levels, chains
-    /// and shards are then plain row ranges; with any other order the
-    /// workers would race), which is why only the engine, holding both,
-    /// can call this. A **fused** chain
-    /// (run of narrow levels) is swept entirely by worker 0; a
-    /// **wide** level is one phase, worker `w` sweeping shards
-    /// `w, w + workers, …`; one barrier at every chain boundary
-    /// publishes the chain's rows (the region join covers the last).
+    /// stepping the layout's own [`Schedule`] (its levels, chains and
+    /// shards are row ranges of the layout by construction): a
+    /// **fused** chain is swept entirely by worker 0, a **wide** level
+    /// is one phase with worker `w` sweeping shards `w, w + workers,
+    /// …`, and one barrier at every chain boundary publishes the
+    /// chain's rows (the region join covers the last). Bit-identical to
+    /// [`NumericFactor::solve_into`] for every worker count (see the
+    /// module docs); allocation-free in steady state.
     ///
-    /// Bit-identical to [`NumericFactor::solve_into`] for every worker
-    /// count (see the module docs). Steady state this allocates
-    /// nothing (the barrier lives on the stack, the region descriptor
-    /// in the pool).
-    ///
-    /// `workers` is clamped to `[1, SHARD_COUNT]`; with one worker, a
-    /// single chain or an empty system the serial sweep runs directly.
-    /// If the pool's region slot is already taken — a concurrent
-    /// sharded solve — the call degrades to the serial sweep on the
-    /// calling thread rather than blocking: the results are
-    /// bit-identical either way, and solving now beats waiting for
-    /// threads another solve is using. Returns whether the parallel
-    /// region actually ran.
+    /// `workers` is clamped to `[1, SHARD_COUNT]`. One worker, fewer
+    /// than two chains (a natural layout's schedule has none) or a pool
+    /// whose region slot a concurrent sharded solve holds run the
+    /// serial sweep on the calling thread instead — same bits, no
+    /// blocking. Returns whether the parallel region actually ran.
     pub(crate) fn solve_sharded_into(
         &self,
-        schedule: &Schedule,
         b: &[f64],
         ws: &mut ReplayWorkspace,
         x: &mut [f64],
         pool: &WorkerPool,
         workers: usize,
     ) -> bool {
-        assert!(
-            !self.is_natural() && schedule.order().len() == self.n,
-            "factor is not relabelled into this schedule's canonical order"
-        );
+        let schedule = &self.layout.schedule;
         let shards = schedule.shards();
         let workers = workers.clamp(1, shards.max(1));
         let (seg_ptr, chains) = (schedule.seg_ptr(), schedule.chains());
@@ -414,7 +458,7 @@ impl NumericFactor {
                     }
                 });
             if !ran_parallel {
-                self.sweep::<1>(0..self.n, y);
+                self.sweep::<1>(0..self.layout.n, y);
             }
         });
         ran_parallel

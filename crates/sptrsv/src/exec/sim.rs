@@ -1,15 +1,23 @@
 //! The discrete-event half of the executor: the simulator's
-//! structure-only inputs ([`ExecAnalysis`]) and the lock-wait /
+//! structure-only inputs ([`ExecAnalysis`]), the lock-wait /
 //! solve-update event loop that advances virtual time (see the
-//! [module docs](super)).
+//! [module docs](super)), and [`Simulation`] — the calibration hook
+//! through which the engine reaches the machine model.
 
 use super::{diag_index, off_diagonal};
-use crate::plan::ExecutionPlan;
+use crate::levelset;
+use crate::plan::{ExecutionPlan, Partition};
+use crate::report::{SolveReport, Timings};
+use crate::schedule::ScheduleStats;
+use crate::solver::{SolveError, SolveOptions, SolverKind};
+use crate::telemetry::{Site, SpanGuard};
 use crate::Backend;
 use desim::{EventQueue, SimTime};
-use mgpu_sim::{um::UmRange, GpuId, Machine};
+use mgpu_sim::topology::Topology;
+use mgpu_sim::{um::UmRange, GpuId, Machine, MachineConfig};
 use sparsemat::{CscMatrix, Triangle};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     /// Per-thread count of [`ExecAnalysis::build`] invocations. The
@@ -22,6 +30,126 @@ thread_local! {
 /// How many times [`ExecAnalysis::build`] has run on this thread.
 pub fn analysis_builds() -> u64 {
     ANALYSIS_BUILDS.with(Cell::get)
+}
+
+/// Process-wide count behind [`calibrations`].
+static CALIBRATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// How many calibration simulations engines have run in this process.
+/// Each [`crate::engine::SolverEngine`] of a simulated kind runs at
+/// most one, on the first `solve()`, `calibration()` or
+/// `cross_edges()`; building, warm solves, refreshes and the served
+/// paths run none.
+pub fn calibrations() -> u64 {
+    CALIBRATIONS.load(Ordering::Relaxed)
+}
+
+/// What a solver kind simulates — the engine's one door into the
+/// machine model, fixed at build and run at most once, lazily.
+#[derive(Debug, Clone)]
+pub(crate) enum Simulation {
+    /// The serial host solver: no machine, nothing to simulate.
+    Host,
+    /// The level-set (csrsv2) solver on one GPU.
+    LevelSet(MachineConfig),
+    /// A synchronization-free dataflow variant.
+    Dataflow { machine: MachineConfig, partition: Partition, cfg: ExecConfig },
+}
+
+impl Simulation {
+    /// The simulation `opts.kind` calibrates with on `machine`. The
+    /// feasibility check it implies is cheap, so it runs here, at
+    /// engine build: NVSHMEM variants need all-pairs P2P.
+    pub(crate) fn for_kind(
+        machine: &MachineConfig,
+        opts: &SolveOptions,
+    ) -> Result<Simulation, SolveError> {
+        let shmem = Backend::Shmem { poll_caching: opts.poll_caching };
+        let (one, all) = (MachineConfig { gpus: 1, ..machine.clone() }, machine.clone());
+        let (backend, partition, machine) = match opts.kind {
+            SolverKind::Serial => return Ok(Simulation::Host),
+            SolverKind::LevelSet => return Ok(Simulation::LevelSet(one)),
+            SolverKind::SyncFree => (Backend::SingleGpu, Partition::Blocked, one),
+            SolverKind::Unified => (Backend::Unified, Partition::Blocked, all),
+            SolverKind::UnifiedTasks { per_gpu } => {
+                (Backend::Unified, Partition::Tasks { per_gpu }, all)
+            }
+            SolverKind::ShmemBlocked => (shmem, Partition::Blocked, all),
+            SolverKind::ShmemNaive => (Backend::ShmemGup, Partition::Blocked, all),
+            SolverKind::ZeroCopy { per_gpu } => (shmem, Partition::Tasks { per_gpu }, all),
+            SolverKind::ZeroCopyTotal { total } => (shmem, Partition::TotalTasks { total }, all),
+        };
+        if matches!(backend, Backend::Shmem { .. } | Backend::ShmemGup)
+            && !Topology::new(machine.topology, machine.gpus).fully_p2p()
+        {
+            return Err(SolveError::NotP2p { gpus: machine.gpus });
+        }
+        let cfg =
+            ExecConfig { backend, triangle: opts.triangle, gather_all_pes: opts.gather_all_pes };
+        Ok(Simulation::Dataflow { machine, partition, cfg })
+    }
+
+    /// The calibration: one full simulation of a solve of `m` under
+    /// `opts`, returned as the report template every engine `solve()`
+    /// clones — an empty `x`, no verification, `schedule` as given.
+    /// The discrete-event timeline advances on structure alone (column
+    /// sizes, ownership, the seeded jitter stream), so it is simulated
+    /// on a zero right-hand side and holds for every right-hand side
+    /// and value epoch. [`Simulation::Host`] returns the degenerate
+    /// template without a machine.
+    pub(crate) fn calibrate(
+        &self,
+        m: &CscMatrix,
+        opts: &SolveOptions,
+        schedule: ScheduleStats,
+    ) -> Result<SolveReport, ExecError> {
+        let mut report = SolveReport {
+            fits_in_memory: true,
+            schedule: Some(schedule),
+            label: opts.kind.label().into(),
+            ..SolveReport::default()
+        };
+        let (Simulation::LevelSet(cfg) | Simulation::Dataflow { machine: cfg, .. }) = self else {
+            return Ok(report);
+        };
+        CALIBRATIONS.fetch_add(1, Ordering::Relaxed);
+        let tri = opts.triangle;
+        let zeros = vec![0.0f64; m.n()];
+        let mut machine = Machine::new(cfg.clone());
+        let (analysis_end, makespan) = match self {
+            Simulation::Dataflow { partition, cfg, .. } => {
+                let plan = {
+                    let _g = SpanGuard::enter(Site::BuildPlan);
+                    ExecutionPlan::build(m.n(), machine.n_gpus(), *partition, tri)
+                };
+                report.cross_edges = plan.cross_gpu_edges(m, tri);
+                report.kernels = plan.kernels.len();
+                let analysis = {
+                    let _g = SpanGuard::enter(Site::BuildAnalyze);
+                    ExecAnalysis::build(m, &plan, cfg)
+                };
+                let _g = SpanGuard::enter(Site::BuildCalibrate);
+                let out = run_prepared(&zeros, &plan, &analysis, &mut machine, cfg)?;
+                report.events = out.events;
+                (out.analysis_end, out.makespan)
+            }
+            _ => {
+                let _g = SpanGuard::enter(Site::BuildCalibrate);
+                let out = levelset::run(m, &zeros, &mut machine, tri);
+                report.kernels = out.levels;
+                (out.analysis_end, out.makespan)
+            }
+        };
+        report.timings = Timings {
+            analysis: analysis_end,
+            solve: SimTime::from_ns(makespan - analysis_end),
+            total: makespan,
+        };
+        report.stats = machine.stats();
+        report.gpus = machine.n_gpus();
+        report.fits_in_memory = machine.fits_in_memory();
+        Ok(report)
+    }
 }
 
 /// Executor configuration.
@@ -47,7 +175,8 @@ impl Default for ExecConfig {
 ///
 /// Nothing in here depends on the right-hand side or on machine state,
 /// so one analysis serves arbitrarily many simulated solves. Warm
-/// numeric solves do not read it — they run on a [`NumericFactor`].
+/// numeric solves do not read it — they run on a
+/// [`super::NumericFactor`].
 #[derive(Debug, Clone)]
 pub struct ExecAnalysis {
     /// Matrix dimension.
@@ -302,11 +431,6 @@ pub fn run_prepared(
     let n = a.n;
     assert_eq!(b.len(), n, "rhs length mismatch");
     assert_eq!(plan.owner.len(), n, "plan size mismatch");
-    assert_eq!(
-        a.in_degree.len(),
-        n,
-        "analysis is columns-only or for a different matrix; run_prepared needs ExecAnalysis::build"
-    );
     assert_eq!(
         a.device_bytes.len(),
         plan.gpus,

@@ -10,10 +10,16 @@ use crate::Backend;
 use desim::SimTime;
 use mgpu_sim::{Machine, MachineConfig};
 use sparsemat::{gen, CscMatrix, LevelSets};
+use std::sync::Arc;
+
+/// `m`'s values laid out in `layout`.
+fn factor(m: &CscMatrix, layout: Layout) -> NumericFactor {
+    NumericFactor::new(Arc::new(layout), m)
+}
 
 /// Serial solve on a factor relabelled along an explicit order.
 fn solve_along(m: &CscMatrix, order: &[u32], b: &[f64]) -> Vec<f64> {
-    let f = NumericFactor::build(m, Triangle::Lower, Some(order));
+    let f = factor(m, Layout::relabel(m, Triangle::Lower, Some(order)));
     let mut x = vec![f64::NAN; m.n()];
     f.solve_into(b, &mut ReplayWorkspace::new(), &mut x);
     x
@@ -268,7 +274,7 @@ fn replay_panel_bit_identical_to_scalar_replay() {
     let (_, b0) = verify::rhs_for(&m, 1);
     let mut machine = Machine::new(MachineConfig::dgx1(4));
     let order = run_prepared(&b0, &plan, &analysis, &mut machine, &cfg).unwrap().solve_order;
-    let factor = NumericFactor::build(&m, Triangle::Lower, Some(&order));
+    let factor = factor(&m, Layout::relabel(&m, Triangle::Lower, Some(&order)));
     let mut ws = ReplayWorkspace::new();
     // batch sizes exercising every block width and ragged tails
     for batch in [1usize, 2, 3, 5, 8, 13] {
@@ -289,10 +295,10 @@ fn replay_into_matches_replay() {
     let m = gen::banded_lower(400, 6, 3.0, 5);
     let (_, b) = verify::rhs_for(&m, 77);
     let expect = reference::solve_lower(&m, &b).unwrap();
-    let natural = NumericFactor::build(&m, Triangle::Lower, None);
+    let natural = factor(&m, Layout::natural(&m, Triangle::Lower));
     let order: Vec<u32> = (0..m.n() as u32).collect();
-    let explicit = NumericFactor::build(&m, Triangle::Lower, Some(&order));
-    assert!(natural.is_natural() && !explicit.is_natural());
+    let explicit = factor(&m, Layout::relabel(&m, Triangle::Lower, Some(&order)));
+    assert!(natural.layout().is_natural() && !explicit.layout().is_natural());
     for f in [&natural, &explicit] {
         let mut ws = ReplayWorkspace { y: vec![1.0; 3 * m.n()] };
         let mut x = vec![2.0; m.n()];
@@ -302,9 +308,9 @@ fn replay_into_matches_replay() {
 }
 
 /// The data half of the bit contract: in every order the engine
-/// builds (natural, and the schedule's canonical order), every row
-/// holds Algorithm 1's operand sequence — so the sweep returns the
-/// reference's bits.
+/// builds (natural, and the schedule's canonical level-major order),
+/// every row holds Algorithm 1's operand sequence — so the sweep
+/// returns the reference's bits.
 #[test]
 fn rows_hold_algorithm_1s_sequence_in_every_order() {
     let mut entries = sparsemat::corpus::corpus();
@@ -316,14 +322,14 @@ fn rows_hold_algorithm_1s_sequence_in_every_order() {
                 Triangle::Upper => e.matrix.transpose(),
             };
             let levels = LevelSets::analyze(&m, tri);
-            let plan = ExecutionPlan::build(m.n(), 4, Partition::Tasks { per_gpu: 8 }, tri);
-            let schedule = Schedule::build(&levels, Some(&plan.owner), Default::default());
+            let schedule = Schedule::build(&levels, None, Default::default());
             let (_, b) = verify::rhs_for(&m, 0x2A);
             let want = reference::solve_serial(&m, &b, tri).unwrap();
-            for order in [None, Some(schedule.order())] {
-                let f = NumericFactor::build(&m, tri, order);
-                let cell = format!("{}/{tri:?}/natural={}", e.name, order.is_none());
-                assert!(f.rows_in_natural_order(), "{cell}");
+            for layout in [Layout::natural(&m, tri), Layout::level_major(&m, tri, schedule.clone())]
+            {
+                let cell = format!("{}/{tri:?}/natural={}", e.name, layout.is_natural());
+                assert!(layout.rows_in_natural_order(), "{cell}");
+                let f = factor(&m, layout);
                 let mut x = vec![f64::NAN; m.n()];
                 f.solve_into(&b, &mut ReplayWorkspace::new(), &mut x);
                 assert!(x.iter().zip(&want).all(|(a, r)| a.to_bits() == r.to_bits()), "{cell}");
@@ -344,13 +350,13 @@ fn sharded_replay_bit_identical_to_serial_replay() {
         for owner in [None, Some(&plan.owner[..])] {
             let tuning = ScheduleTuning { chain_width_threshold: threshold, ..Default::default() };
             let schedule = Schedule::build(&levels, owner, tuning);
-            let factor = NumericFactor::build(&m, Triangle::Lower, Some(schedule.order()));
             let (_, b) = verify::rhs_for(&m, 99);
             let serial = solve_along(&m, schedule.order(), &b);
+            let factor = factor(&m, Layout::level_major(&m, Triangle::Lower, schedule));
             for workers in [1usize, 2, 3, 5, SHARD_COUNT, SHARD_COUNT + 7] {
                 let mut ws = ReplayWorkspace { y: vec![1.0; m.n()] }; // dirty scratch
                 let mut x = vec![2.0; m.n()];
-                factor.solve_sharded_into(&schedule, &b, &mut ws, &mut x, &pool, workers);
+                factor.solve_sharded_into(&b, &mut ws, &mut x, &pool, workers);
                 assert_eq!(x, serial, "workers={workers} owner={} t={threshold}", owner.is_some());
             }
         }
@@ -393,8 +399,8 @@ fn sharded_replay_handles_degenerate_shapes() {
     let empty = sparsemat::TripletBuilder::new(0).build().unwrap();
     let levels = LevelSets::analyze(&empty, Triangle::Lower);
     let schedule = Schedule::build(&levels, None, ScheduleTuning::default());
-    let factor = NumericFactor::build(&empty, Triangle::Lower, Some(schedule.order()));
-    assert!(!factor.solve_sharded_into(&schedule, &[], &mut ws, &mut [], &pool, 4));
+    let empty_factor = factor(&empty, Layout::level_major(&empty, Triangle::Lower, schedule));
+    assert!(!empty_factor.solve_sharded_into(&[], &mut ws, &mut [], &pool, 4));
     // fully sequential chain: every level has width 1. Default
     // tuning fuses it into one chain (serial degrade); threshold 0
     // forces 50 singleton chains through the barriered path.
@@ -403,12 +409,21 @@ fn sharded_replay_handles_degenerate_shapes() {
     for threshold in [ScheduleTuning::default().chain_width_threshold, 0] {
         let tuning = ScheduleTuning { chain_width_threshold: threshold, ..Default::default() };
         let schedule = Schedule::build(&levels, None, tuning);
-        let factor = NumericFactor::build(&chain, Triangle::Lower, Some(schedule.order()));
         let (_, b) = verify::rhs_for(&chain, 5);
         let serial = reference::solve_lower(&chain, &b).unwrap();
-        let mut x = vec![0.0; 50];
-        factor.solve_sharded_into(&schedule, &b, &mut ws, &mut x, &pool, 4);
-        assert_eq!(x, serial, "t={threshold}");
+        for layout in [
+            Layout::level_major(&chain, Triangle::Lower, schedule),
+            Layout::natural(&chain, Triangle::Lower),
+        ] {
+            // a natural layout's schedule has no chain to split: the
+            // sharded sweep runs serially
+            let natural = layout.is_natural();
+            let f = factor(&chain, layout);
+            let mut x = vec![0.0; 50];
+            let ran = f.solve_sharded_into(&b, &mut ws, &mut x, &pool, 4);
+            assert!(!(natural && ran), "a natural layout never mounts a region");
+            assert_eq!(x, serial, "t={threshold} natural={natural}");
+        }
     }
 }
 

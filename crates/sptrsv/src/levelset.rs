@@ -34,11 +34,9 @@ pub struct LevelSetOutcome {
 }
 
 /// Run the level-set solver on GPU 0 of `machine`, analyzing the level
-/// sets first. Callers that solve the same factor repeatedly should
-/// analyze once and use [`run_with_levels`] (what the
-/// build-once/solve-many engine does; it also keeps the decomposition's
-/// flat `level_comps` order as its warm-replay schedule, shared via
-/// [`sparsemat::LevelSets::level_comps_shared`] rather than copied).
+/// sets first — what the engine's one lazy calibration of a level-set
+/// kind runs. Callers that simulate the same factor repeatedly should
+/// analyze once and use [`run_with_levels`].
 ///
 /// Numerics are computed exactly (level order is a valid topological
 /// order); virtual time advances through per-level kernel launches,

@@ -41,10 +41,12 @@
 //!   the paper's §I workload (SpTRSV inside every iteration of a
 //!   preconditioned iterative solver) running end to end.
 //! * [`engine`] — the build-once/solve-many [`SolverEngine`]: one
-//!   analysis phase (level sets, plan, flat dependency adjacency,
-//!   calibration simulation), then arbitrarily many warm solves that
-//!   replay only the numeric substitution — bit-identical to the
-//!   one-shot path, at a fraction of the wall-clock. This is the
+//!   structure-only analysis phase (level sets, schedule, the factor
+//!   relabelled into a shared [`exec::Layout`]), a calibration
+//!   simulation run lazily on the first call that reads it, then
+//!   arbitrarily many warm solves that replay only the numeric
+//!   substitution — bit-identical to the one-shot path, at a fraction
+//!   of the wall-clock. This is the
 //!   §II-B amortization argument surfaced as API, and the shape the
 //!   paper's preconditioned-iterative-solver workload needs.
 //!
@@ -64,7 +66,7 @@
 //!   kernel), and the **pooled batch**
 //!   ([`SolverEngine::solve_batch_into`]) that runs fused panels on a
 //!   persistent worker pool. All tiers sweep one row-gather kernel
-//!   over the factor relabelled into the canonical level-major order
+//!   over the factor relabelled into one order
 //!   ([`exec::NumericFactor`]), so every tier is bit-identical per
 //!   RHS — whatever the worker count.
 //! * [`serve`] — the async batched serving front-end: a
@@ -115,7 +117,7 @@
 //!
 //! | layer | spans | metrics |
 //! |---|---|---|
-//! | engine build | `engine.build.{analyze,plan,schedule,calibrate}` | `engine_build_ns` |
+//! | engine build | `engine.build.{analyze,schedule}`; the lazy calibration adds `engine.build.{plan,analyze,calibrate}` | `engine_build_ns` |
 //! | warm tiers | `engine.solve.{serial,sharded,panel,batch}` | `solve_*_ns` histograms |
 //! | value refresh | `engine.refresh.values` | `value_refresh_ns` |
 //! | sharded solve | `exec.sharded.chain` (one per chain), `exec.sharded.barrier` (one per barrier — the measured cost next to [`ScheduleStats::barriers_per_solve`]); both on worker 0's lane | `barrier_wait_ns` (every worker) |

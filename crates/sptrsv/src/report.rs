@@ -29,7 +29,7 @@ impl fmt::Display for Timings {
 }
 
 /// The complete result of a verified solve.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SolveReport {
     /// Solution vector.
     pub x: Vec<f64>,

@@ -4,11 +4,12 @@
 //!
 //! [`Schedule`] is the one place scheduling facts are derived from raw
 //! [`LevelSets`]; its canonical order is also the order the engine's
-//! [`crate::exec::NumericFactor`] is relabelled into, so every range
-//! below is a plain row range of that factor:
+//! [`crate::exec::Layout`] is relabelled into, so every range below is
+//! a plain row range of that layout:
 //!
-//! * **levels** — the level-major canonical order and its
-//!   owner-computes segmentation ([`sparsemat::levels::LevelSegments`]);
+//! * **levels** — the level-major canonical order (ascending index
+//!   within each level, as the level sets hold it) and its shard
+//!   segmentation ([`sparsemat::levels::LevelSegments`]);
 //! * **chains** — maximal runs of narrow levels fused into
 //!   barrier-free chains ([`ChainPartition`], threshold-driven);
 //! * **shards** — each wide level cut into [`crate::exec::SHARD_COUNT`]
@@ -17,7 +18,7 @@
 //!
 //! Everything in here depends only on the factor's *structure* and the
 //! [`ScheduleTuning`] — never on matrix values — so the schedule lives
-//! in the engine's immutable `StructurePlan` and survives
+//! in the engine's structure-only [`crate::exec::Layout`] and survives
 //! `refresh_values` untouched by construction.
 //!
 //! [`ScheduleStats`] summarizes the decomposition (levels, chains,
@@ -29,6 +30,7 @@
 use sparsemat::levels::{ChainPartition, LevelSegments};
 use sparsemat::LevelSets;
 use std::fmt;
+use std::sync::Arc;
 
 /// Default for [`ScheduleTuning::shard_min_rows_per_worker`]: a worker
 /// must own at least this many rows of the widest level before the
@@ -146,7 +148,6 @@ impl fmt::Display for ScheduleStats {
 /// thereafter.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    n_levels: usize,
     segs: LevelSegments,
     chains: ChainPartition,
     stats: ScheduleStats,
@@ -156,11 +157,13 @@ pub struct Schedule {
 impl Schedule {
     /// Build the schedule for analyzed `levels` under `tuning`.
     ///
-    /// `owner` is the execution plan's component→GPU map (grouping
-    /// each level's components owner-locally before sharding), or
-    /// `None` for plan-less variants — the canonical order is then the
-    /// level sets' own flat array, shared not copied. Cost:
-    /// O(n log n); runs once per engine build.
+    /// With `owner: None` — what the engine passes for every solver
+    /// kind — the canonical order is the level sets' own flat array
+    /// (ascending index within each level), shared not copied. `Some`
+    /// component→GPU map groups each level's components by simulated
+    /// owner first; the argument stays for the layered benchmark's
+    /// schedule timing, and no warm path builds that order. Cost: O(n)
+    /// with `None`, O(n log n) with an owner map.
     pub fn build(levels: &LevelSets, owner: Option<&[usize]>, tuning: ScheduleTuning) -> Schedule {
         let segs = levels.owner_segments(owner, crate::exec::SHARD_COUNT);
         let chains = levels.chains(tuning.chain_width_threshold);
@@ -176,19 +179,23 @@ impl Schedule {
             max_level_width: levels.max_level_width(),
             barriers_per_solve: chains.barriers_per_solve(),
         };
-        Schedule { n_levels, segs, chains, stats, tuning }
+        Schedule { segs, chains, stats, tuning }
     }
 
-    /// Number of levels.
-    #[inline]
-    pub fn n_levels(&self) -> usize {
-        self.n_levels
-    }
-
-    /// Number of chains (barrier-delimited execution steps).
-    #[inline]
-    pub fn n_chains(&self) -> usize {
-        self.chains.n_chains()
+    /// The degenerate schedule of a natural-order layout (the serial
+    /// kind, which never analyzes level sets): stats
+    /// [`ScheduleStats::serial`] — one fused chain, zero barriers — but
+    /// no canonical order table, no segments and no chain to split
+    /// across workers, so it holds no bytes and a sharded sweep over it
+    /// runs serially.
+    pub fn serial(rows: usize) -> Schedule {
+        let stats = ScheduleStats::serial(rows);
+        Schedule {
+            segs: LevelSegments { shards: stats.shards, order: Arc::from([]), seg_ptr: Vec::new() },
+            chains: ChainPartition::default(),
+            stats,
+            tuning: ScheduleTuning::default(),
+        }
     }
 
     /// Shards each wide level is cut into.
@@ -197,7 +204,8 @@ impl Schedule {
         self.segs.shards
     }
 
-    /// The canonical level-major component order.
+    /// The canonical level-major component order (empty for
+    /// [`Schedule::serial`], whose layout needs no table).
     #[inline]
     pub fn order(&self) -> &[u32] {
         &self.segs.order
@@ -221,12 +229,6 @@ impl Schedule {
     #[inline]
     pub fn stats(&self) -> ScheduleStats {
         self.stats
-    }
-
-    /// The tuning the schedule was built with.
-    #[inline]
-    pub fn tuning(&self) -> ScheduleTuning {
-        self.tuning
     }
 
     /// The sharded candidate the engine's auto tier should try on a

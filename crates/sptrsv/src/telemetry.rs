@@ -101,13 +101,16 @@ pub fn current_tid() -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum Site {
-    /// Engine build: symbolic analysis / adjacency recording.
+    /// Engine build: level-set analysis; in the lazy calibration, the
+    /// simulator's adjacency.
     BuildAnalyze = 0,
-    /// Engine build: execution-plan construction (cross-GPU edges).
+    /// Lazy calibration: execution-plan construction (cross-GPU edges).
     BuildPlan = 1,
-    /// Engine build: Schedule IR (levels → chains → shards).
+    /// Engine build: Schedule IR (levels → chains → shards) and the
+    /// relabelled layout.
     BuildSchedule = 2,
-    /// Engine build: calibration replay that seeds the report template.
+    /// Lazy calibration: the simulation that seeds the report template,
+    /// run on an engine's first `solve`/`calibration`/`cross_edges`.
     BuildCalibrate = 3,
     /// Warm tier: plain serial replay (`solve`/`solve_into`).
     SolveSerial = 4,

@@ -24,7 +24,6 @@
 use mgpu_sim::MachineConfig;
 use sparsemat::gen::{self, LevelSpec};
 use sparsemat::{corpus, CscMatrix, LevelSets, Triangle, TripletBuilder};
-use sptrsv::plan::{ExecutionPlan, Partition};
 use sptrsv::{
     reference, serve_solver, verify, EngineFleet, FleetConfig, PreconditionerEngine, Schedule,
     ServiceConfig, SolveOptions, SolveWorkspace, SolverEngine, SolverKind,
@@ -338,11 +337,8 @@ fn footprint_counts_exactly_the_arrays_that_exist() {
     let m = gen::level_structured(&LevelSpec::new(20_000, 40, 80_000, 0xF00D));
     let (n, nnz) = (m.n() as u64, m.nnz() as u64);
     let o = opts(CANONICAL, Triangle::Lower);
-    let schedule = {
-        let levels = LevelSets::analyze(&m, o.triangle);
-        let plan = ExecutionPlan::build(m.n(), GPUS, Partition::Tasks { per_gpu: 8 }, o.triangle);
-        Schedule::build(&levels, Some(&plan.owner), o.schedule_tuning()).host_bytes()
-    };
+    let schedule = Schedule::build(&LevelSets::analyze(&m, o.triangle), None, o.schedule_tuning())
+        .host_bytes();
     // cols + vals + from per off-diagonal entry, pos + ptr + diag per row
     let factor = 16 * nnz + 4;
     let workspace = |verify: u64| n * 8 * (sptrsv::exec::PANEL_K as u64 + verify);

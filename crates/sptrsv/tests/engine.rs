@@ -3,8 +3,10 @@
 //! 1. `engine.solve(&b)` is **bit-identical** to one-shot
 //!    `solve(&l, &b, …)` for every `SolverKind` variant — same
 //!    solution bits, same virtual timings, same event counts.
-//! 2. Warm solves perform zero analysis construction (level sets,
-//!    plans, adjacency), checked against the per-thread counters.
+//! 2. Build is structure-only: the calibration simulation runs once,
+//!    on the first call that reads it, and warm solves perform zero
+//!    analysis construction (level sets, plans, adjacency), checked
+//!    against the per-thread counters.
 //! 3. Two `solve_batch` calls on one engine are deterministic across
 //!    runs and across worker counts.
 //!
@@ -16,6 +18,7 @@ use mgpu_sim::MachineConfig;
 use sparsemat::gen::{self, LevelSpec};
 use sparsemat::Triangle;
 use sptrsv::{exec, plan, solve, verify, SolveOptions, SolveWorkspace, SolverEngine, SolverKind};
+use std::sync::Arc;
 
 fn all_kinds() -> Vec<SolverKind> {
     vec![
@@ -51,15 +54,20 @@ fn engine_solve_bit_identical_to_one_shot_for_all_kinds() {
             assert_eq!(one_shot.x, warm.x, "case {case} {kind:?}: x bits");
             assert_eq!(one_shot.timings.total, warm.timings.total, "case {case} {kind:?}");
             assert_eq!(one_shot.timings.analysis, warm.timings.analysis, "case {case} {kind:?}");
+            assert_eq!(one_shot.timings.solve, warm.timings.solve, "case {case} {kind:?}");
             assert_eq!(one_shot.events, warm.events, "case {case} {kind:?}");
             assert_eq!(one_shot.cross_edges, warm.cross_edges, "case {case} {kind:?}");
+            assert_eq!(engine.cross_edges(), warm.cross_edges, "case {case} {kind:?}");
             assert_eq!(one_shot.kernels, warm.kernels, "case {case} {kind:?}");
+            assert_eq!(one_shot.schedule, warm.schedule, "case {case} {kind:?}");
+            let stats = |r: &sptrsv::SolveReport| format!("{:?}", r.stats);
+            assert_eq!(stats(&one_shot), stats(&warm), "case {case} {kind:?}: machine stats");
         }
     }
 }
 
-/// Warm solves construct nothing: no level-set analyses, no plans, no
-/// exec adjacency builds — across every variant.
+/// Once calibrated, solves construct nothing: no level-set analyses,
+/// no plans, no exec adjacency builds — across every variant.
 #[test]
 fn warm_solves_never_reanalyze() {
     let m = gen::level_structured(&LevelSpec::new(1500, 30, 6000, 77));
@@ -67,6 +75,8 @@ fn warm_solves_never_reanalyze() {
     for kind in all_kinds() {
         let opts = SolveOptions { kind, ..SolveOptions::default() };
         let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
+        // the first `solve()` would simulate: calibrate up front
+        engine.calibration();
         let levels = sparsemat::levels::analyze_invocations();
         let plans = plan::build_invocations();
         let execs = exec::analysis_builds();
@@ -78,6 +88,74 @@ fn warm_solves_never_reanalyze() {
         assert_eq!(sparsemat::levels::analyze_invocations(), levels, "{kind:?}: levels rebuilt");
         assert_eq!(plan::build_invocations(), plans, "{kind:?}: plan rebuilt");
         assert_eq!(exec::analysis_builds(), execs, "{kind:?}: adjacency rebuilt");
+    }
+}
+
+/// The build contract: `build` is structure-only, and so is every warm
+/// tier and a value refresh — no execution plan, no simulator
+/// adjacency. The calibration runs on the first call that reads it,
+/// exactly once, and later calls share its report.
+#[test]
+fn build_is_structure_only() {
+    let m = gen::level_structured(&LevelSpec::new(1200, 24, 4800, 61));
+    let bs: Vec<Vec<f64>> = (0..5).map(|k| verify::rhs_for(&m, 60 + k).1).collect();
+    // what a calibration builds on this thread: a level-set solver
+    // re-analyzes its levels, every other simulated kind builds the
+    // simulator's plan and adjacency
+    let simulations = || {
+        sparsemat::levels::analyze_invocations()
+            + plan::build_invocations()
+            + exec::analysis_builds()
+    };
+    for kind in all_kinds() {
+        let opts = SolveOptions { kind, ..SolveOptions::default() };
+        let (plans, execs) = (plan::build_invocations(), exec::analysis_builds());
+        let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
+        let mut ws = SolveWorkspace::new();
+        let mut out = vec![0.0f64; m.n()];
+        let mut outs: Vec<Vec<f64>> = vec![Vec::new(); bs.len()];
+        engine.solve_into(&bs[0], &mut out, &mut ws).unwrap();
+        engine.solve_panel_into(&bs, &mut outs, &mut ws).unwrap();
+        engine.solve_batch_into(&bs, &mut outs).unwrap();
+        engine.solve_sharded_into(&bs[0], &mut out, &mut ws, 2).unwrap();
+        engine.refresh_values(&m).unwrap();
+        assert_eq!(plan::build_invocations(), plans, "{kind:?}: a plan was built");
+        assert_eq!(exec::analysis_builds(), execs, "{kind:?}: adjacency was built");
+
+        let before = simulations();
+        let first = engine.calibration().map(Arc::clone);
+        let after_first = simulations();
+        let second = engine.calibration().map(Arc::clone);
+        assert_eq!(simulations(), after_first, "{kind:?}: the second call simulated again");
+        match (first, second) {
+            (Some(a), Some(b)) => {
+                assert!(after_first > before, "{kind:?}: the first call must simulate");
+                assert!(Arc::ptr_eq(&a, &b), "{kind:?}: one calibration, one report");
+            }
+            (None, None) => {
+                assert_eq!(kind, SolverKind::Serial, "only the serial kind has no calibration");
+                assert_eq!(after_first, before, "the serial kind never simulates");
+            }
+            _ => panic!("{kind:?}: calibration() must be stable"),
+        }
+    }
+    // two threads racing on the first calibration run exactly one
+    for kind in [SolverKind::LevelSet, SolverKind::ZeroCopy { per_gpu: 8 }] {
+        let opts = SolveOptions { kind, ..SolveOptions::default() };
+        let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
+        let race = std::sync::Barrier::new(2);
+        let [(a, na), (b, nb)] = std::thread::scope(|s| {
+            let racer = || {
+                race.wait();
+                let before = simulations();
+                let report = Arc::clone(engine.calibration().expect("simulated kind"));
+                (report, simulations() - before)
+            };
+            let (ta, tb) = (s.spawn(racer), s.spawn(racer));
+            [ta.join().unwrap(), tb.join().unwrap()]
+        });
+        assert!(Arc::ptr_eq(&a, &b), "{kind:?}: both racers see one report");
+        assert!(na.min(nb) == 0 && na.max(nb) > 0, "{kind:?}: exactly one racer simulated");
     }
 }
 

@@ -36,7 +36,7 @@ fn main() {
     };
     let pre = PreconditionerEngine::from_ilu0(&f, MachineConfig::dgx1(4), &opts)
         .expect("L/U engine pair");
-    println!("engine pair built (analysis + calibration, shared pool): {:?}", t_build.elapsed());
+    println!("engine pair built (structure-only analysis, shared pool): {:?}", t_build.elapsed());
 
     let b: Vec<f64> = (0..a.n()).map(|i| ((i % 23) as f64 - 11.0) / 11.0).collect();
     let kopts = KrylovOptions { max_iterations: 400, rel_tol: 1e-10 };

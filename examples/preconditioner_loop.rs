@@ -1,8 +1,8 @@
 //! Build-once/solve-many inside a Krylov iteration — the paper's
 //! headline use case (§I): the same L/U factors are applied as a
 //! preconditioner on *every* CG iteration, so the analysis phase
-//! (level sets, execution plan, dependency adjacency, calibration)
-//! must be paid once, not per solve.
+//! (level sets, schedule, relabelled factor) must be paid once, not
+//! per solve.
 //!
 //! This example runs preconditioned conjugate gradients on a grid
 //! Laplacian with an ILU(0) preconditioner. Two [`SolverEngine`]s are
@@ -12,8 +12,9 @@
 //! [`SolveWorkspace`] and preallocated output buffers, so the steady
 //! state of the CG loop performs no heap allocation in the
 //! preconditioner at all. Per-solve virtual timings come from the
-//! engines' shared calibration reports (they are identical for every
-//! warm solve — the timeline is value-independent). At the end it
+//! engines' shared calibration reports, simulated once on first
+//! request (they are identical for every warm solve — the timeline is
+//! value-independent). At the end it
 //! prints the amortization ledger: wall-clock per warm solve, and the
 //! simulated virtual time with the analysis charged once versus on
 //! every application.
@@ -50,7 +51,7 @@ fn main() {
     let u_engine =
         SolverEngine::build(&f.u, MachineConfig::dgx1(4), &bwd_opts).expect("U analysis");
     let build_wall = t_build.elapsed();
-    println!("engines built (analysis + calibration): {build_wall:?}");
+    println!("engines built (structure-only analysis): {build_wall:?}");
 
     // --- preconditioned conjugate gradients ---------------------------
     // M^-1 r = U^-1 (L^-1 r), both triangular solves on warm engines

@@ -2,9 +2,9 @@
 //!
 //! The paper's build-once/solve-many premise has a sharper corollary:
 //! when a simulation re-factors the SAME sparsity pattern each time
-//! step, only the *values* change — the level sets, the execution
-//! plan, the flattened adjacency layout and the calibration timeline
-//! are all structure-only and survive verbatim. `refresh_values`
+//! step, only the *values* change — the level sets, the schedule, the
+//! relabelled layout and the calibration timeline are all
+//! structure-only and survive verbatim. `refresh_values`
 //! exploits that: it validates structure identity, audits the new
 //! values, and rewrites every warm tier's value arrays in place, with
 //! zero symbolic work and zero allocation.

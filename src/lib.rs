@@ -55,10 +55,11 @@
 //!
 //! The paper's headline workload — triangular solves inside
 //! preconditioned iterative methods — reuses the same factors across
-//! thousands of solves. [`sptrsv::SolverEngine`] runs the analysis
-//! phase (level sets, execution plan, flat dependency adjacency,
-//! calibration simulation) exactly once; every further right-hand side
-//! pays only the numeric substitution, bit-identical to a one-shot
+//! thousands of solves. [`sptrsv::SolverEngine`] runs the
+//! structure-only analysis phase (level sets, schedule, relabelled
+//! factor) exactly once, and simulates the calibration timeline only
+//! when a report asks for it; every further right-hand side pays only
+//! the numeric substitution, bit-identical to a one-shot
 //! [`sptrsv::solve`]:
 //!
 //! ```
