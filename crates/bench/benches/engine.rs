@@ -480,8 +480,9 @@ fn main() {
     // --- value refresh vs full rebuild -------------------------------
     // Time-stepping workloads change factor VALUES every step while
     // the structure is fixed. `refresh_values` validates, audits and
-    // rewrites every warm tier's value arrays in place — zero symbolic
-    // work; the alternative is a full engine rebuild (level analysis,
+    // gathers the new values into the retired value snapshot, then
+    // swaps it in — zero symbolic work; the alternative is a full
+    // engine rebuild (level analysis,
     // schedule, relabelling; `build` + `solve_into` never calibrates)
     // per step. Samples alternate between two value sets so every
     // refresh writes genuinely new values.

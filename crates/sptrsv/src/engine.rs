@@ -99,26 +99,26 @@
 //! goes stale when values change. [`SolverEngine::refresh_values`]
 //! exploits that: the factor is split into a shared, immutable
 //! [`crate::exec::Layout`] and its [`crate::exec::Values`] (`vals`,
-//! `diag`) behind one `RwLock`, and a refresh rewrites only the values
-//! — one `vals[k] = values[from[k]]` pass, zero symbolic work, zero
-//! allocation on a clean factor.
+//! `diag`), published together as one immutable snapshot behind an
+//! `Arc`. A refresh gathers new values — one `vals[k] = values[from[k]]`
+//! pass, zero symbolic work — into the retired snapshot and swaps it in.
 //!
 //! The refresh contract:
 //!
-//! * **Validate first, mutate after.** The incoming matrix must carry
+//! * **Validate first, publish after.** The incoming matrix must carry
 //!   the *identical* sparsity pattern (checked entry-for-entry; drift
 //!   is a typed [`SolveError::StructureMismatch`]) and pass the same
 //!   [`sparsemat::audit_factor`] sweep a cold build runs (non-finite
 //!   values and zero pivots are typed [`SolveError::Matrix`] errors).
-//!   Failures leave the engine exactly as it was — the strong
-//!   exception guarantee, so a rejected refresh keeps serving the old
-//!   values bit-identically.
-//! * **Epoch atomicity.** Solve entry points hold the numeric read
-//!   lock across the solve *and* its verification; a refresh takes the
-//!   write lock, so it quiesces naturally at solve boundaries and
-//!   every solve executes against exactly one value epoch — old or
-//!   new, never a torn mix. [`SolverEngine::value_epoch`] counts
-//!   committed refreshes.
+//!   Nothing live is ever mutated, so a failure leaves the engine
+//!   exactly as it was — the strong exception guarantee: a rejected
+//!   refresh keeps serving the old values bit-identically.
+//! * **Epoch atomicity.** Every solve entry point clones the published
+//!   `Arc` once, under a mutex held only for that pointer copy, and
+//!   sweeps (and verifies) the clone with no lock held, so every call
+//!   executes against exactly one value epoch — old or new, never a
+//!   torn mix — and a refresh never waits for a solve.
+//!   [`SolverEngine::value_epoch`] counts committed refreshes.
 //! * **Bit-identity with a cold rebuild.** A refreshed engine's four
 //!   warm tiers produce bit-for-bit the solutions a freshly built
 //!   engine on the new matrix would — same layout, same operation
@@ -145,7 +145,7 @@ use mgpu_sim::MachineConfig;
 use sparsemat::{CscMatrix, FactorAudit, FactorFingerprint, LevelSets, MatrixError};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// A reusable solver: analysis done once at build, arbitrarily many
@@ -157,10 +157,11 @@ use std::time::Instant;
 ///
 /// The prebuilt state is split along the refresh boundary: the
 /// structure-only [`Layout`] (relabelled pattern + Schedule IR) is
-/// immutable for the engine's lifetime; the *values* it lays out sit
-/// behind a `RwLock` so [`SolverEngine::refresh_values`] can rewrite
-/// them in place. The solver kind only picks the layout's order and
-/// what the lazy calibration simulates.
+/// immutable for the engine's lifetime; the *values* it lays out are
+/// published as an immutable [`Epoch`] snapshot, which
+/// [`SolverEngine::refresh_values`] replaces by swapping an `Arc`. The
+/// solver kind only picks the layout's order and what the lazy
+/// calibration simulates.
 #[derive(Debug)]
 pub struct SolverEngine<'m> {
     m: &'m CscMatrix,
@@ -173,21 +174,19 @@ pub struct SolverEngine<'m> {
     /// `solve`, `calibration` or `cross_edges`. Value-independent (see
     /// the module docs), so a refresh never invalidates it.
     template: OnceLock<Result<Arc<SolveReport>, ExecError>>,
-    /// The factor every tier sweeps: a shared [`Layout`] plus its
-    /// values. Solves take the read lock for their whole duration
-    /// (solve + verification); a refresh takes the write lock — the
-    /// quiesce point that makes every solve observe one value epoch.
-    numeric: RwLock<NumericFactor>,
+    /// The published value epoch. A solve clones the `Arc` under this
+    /// mutex and sweeps the clone with no lock held; a refresh swaps
+    /// the next epoch in under it. Both critical sections are pointer
+    /// copies, so neither side ever waits for the other's sweep.
+    current: Mutex<Arc<Epoch>>,
+    /// The retired epoch: the next refresh's gather target, reused in
+    /// place once no reader still pins it. A refresh holds this lock
+    /// from gather to publish, so concurrent refreshers serialise here.
+    spare: Mutex<Option<Arc<Epoch>>>,
     /// Which tier `solve`/`solve_into` run: measured once per layout
     /// (see [`AutoTier`]), never re-probed by a value refresh — a
     /// refresh does not move the schedule.
     tier: AutoTier,
-    /// The latest numeric/structural sweep over the factor's values
-    /// (see [`sparsemat::audit_factor`]) — from the build, or from the
-    /// most recent committed value refresh. Clean by construction on a
-    /// live engine, since non-finite findings fail the build and any
-    /// finding fails a refresh.
-    audit: RwLock<FactorAudit>,
     /// Committed value refreshes (0 = the build's values). Solves
     /// observe exactly one epoch each — see the module docs.
     value_epoch: AtomicU64,
@@ -199,6 +198,22 @@ pub struct SolverEngine<'m> {
     /// pool and one workspace free-list).
     resources: Arc<EngineResources>,
 }
+
+/// One published value epoch: the factor every tier sweeps, plus the
+/// [`sparsemat::audit_factor`] sweep its values passed — at build, or
+/// in the refresh that published it (clean by construction, since
+/// non-finite findings fail the build and any finding fails a
+/// refresh). Never mutated while published.
+#[derive(Debug, Clone)]
+pub(crate) struct Epoch {
+    pub(crate) factor: NumericFactor,
+    audit: FactorAudit,
+}
+
+/// A refresh gathered into the spare epoch and not yet visible to any
+/// reader, with the spare lock that serialises refreshers until
+/// [`SolverEngine::publish`] swaps it in.
+pub(crate) type Staged<'e> = (MutexGuard<'e, Option<Arc<Epoch>>>, Arc<Epoch>);
 
 /// The runtime resources behind an engine's warm tiers: the persistent
 /// worker pool (spawned lazily on the first parallel solve) and the
@@ -261,17 +276,12 @@ impl<T: Default> RecyclePool<T> {
     }
 }
 
-/// Read-lock with poison recovery: the numeric state is only written
-/// by the infallible commit phase of a refresh (every failure happens
-/// before the write lock is taken), so a poisoned lock means a reader
-/// unwound mid-solve — the data itself is intact.
-fn rlock<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-lock with the same poison-recovery rationale as [`rlock`].
-fn wlock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
+/// Lock with poison recovery. The epoch slots only ever hold whole
+/// `Arc`s — a reader copies one, a refresh swaps one in — and a
+/// refresh gathers into an epoch it has taken out of the spare slot,
+/// so a holder that unwinds never leaves a slot torn.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Timed samples each candidate tier gets before the auto tier commits.
@@ -397,7 +407,7 @@ pub struct RefreshReport {
     /// System dimension (unchanged by construction — structure is
     /// immutable).
     pub n: usize,
-    /// Nonzeros rewritten in place.
+    /// Nonzeros rewritten.
     pub nnz: usize,
     /// The value epoch now being served (1 after the first refresh).
     pub value_epoch: u64,
@@ -409,12 +419,12 @@ pub struct RefreshReport {
 
 impl fmt::Display for RefreshReport {
     /// One-liner for example/harness output, e.g.
-    /// `refresh: n=15000, nnz=44997 rewritten in place, value epoch 2,
-    /// audit clean`.
+    /// `refresh: n=15000, nnz=44997 rewritten, value epoch 2, audit
+    /// clean`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "refresh: n={}, nnz={} rewritten in place, value epoch {}, audit {}",
+            "refresh: n={}, nnz={} rewritten, value epoch {}, audit {}",
             self.n,
             self.nnz,
             self.value_epoch,
@@ -517,9 +527,9 @@ impl<'m> SolverEngine<'m> {
             opts: opts.clone(),
             simulation,
             template: OnceLock::new(),
-            numeric: RwLock::new(factor),
+            current: Mutex::new(Arc::new(Epoch { factor, audit })),
+            spare: Mutex::new(None),
             tier,
-            audit: RwLock::new(audit),
             value_epoch: AtomicU64::new(0),
             resources,
         })
@@ -533,7 +543,7 @@ impl<'m> SolverEngine<'m> {
     /// evidence trail that the sweep ran, plus whatever benign findings
     /// a caller may want to log.
     pub fn factor_audit(&self) -> FactorAudit {
-        rlock(&self.audit).clone()
+        self.snapshot().audit.clone()
     }
 
     /// The value epoch currently being served: 0 until the first
@@ -564,16 +574,19 @@ impl<'m> SolverEngine<'m> {
 
     /// Host bytes this engine holds beyond the matrix it borrows: the
     /// Schedule IR (canonical order, shard segments, chain partition),
-    /// the relabelled factor, plus one warm [`SolveWorkspace`] at this
-    /// dimension — the per-engine charge a byte-bounded factor cache
-    /// accounts (the cache adds the matrix's own bytes separately,
-    /// since the cache is what keeps the matrix alive).
+    /// the relabelled factor, the spare values a refresh gathers into
+    /// (once the first refresh has allocated them), plus one warm
+    /// [`SolveWorkspace`] at this dimension — the per-engine charge a
+    /// byte-bounded factor cache accounts (the cache adds the matrix's
+    /// own bytes separately, since the cache is what keeps the matrix
+    /// alive).
     pub fn footprint_bytes(&self) -> u64 {
         let n = self.m.n() as u64;
         // one fully-grown workspace: the n×PANEL_K position-space
         // panel, plus the reference vector a verifying engine fills
         let workspace = n * 8 * (exec::PANEL_K as u64 + u64::from(self.opts.verify));
-        rlock(&self.numeric).host_bytes() + workspace
+        let spare = lock(&self.spare).as_ref().map_or(0, |e| e.factor.values_bytes());
+        self.snapshot().factor.host_bytes() + spare + workspace
     }
 
     /// Cross-GPU dependency edges under the simulated execution plan (0
@@ -588,7 +601,7 @@ impl<'m> SolverEngine<'m> {
     fn template(&self) -> Result<&Arc<SolveReport>, SolveError> {
         self.template
             .get_or_init(|| {
-                let schedule = rlock(&self.numeric).layout().schedule().stats();
+                let schedule = self.snapshot().factor.layout().schedule().stats();
                 self.simulation.calibrate(self.m, &self.opts, schedule).map(Arc::new)
             })
             .as_ref()
@@ -607,9 +620,14 @@ impl<'m> SolverEngine<'m> {
     /// engine's recycled workspaces). The serial kind reports the
     /// degenerate one-chain schedule and no simulated time.
     pub fn solve(&self, b: &[f64]) -> Result<SolveReport, SolveError> {
+        self.solve_report(&self.snapshot().factor, b)
+    }
+
+    /// [`SolverEngine::solve`] on the epoch the caller pinned.
+    fn solve_report(&self, factor: &NumericFactor, b: &[f64]) -> Result<SolveReport, SolveError> {
         let mut x = vec![0.0f64; self.m.n()];
         let mut ws = self.resources.workspaces.take();
-        let verified = self.solve_single(b, &mut x, &mut ws, Tier::Auto);
+        let verified = self.solve_single(factor, b, &mut x, &mut ws, Tier::Auto);
         self.resources.workspaces.put(ws);
         let verified_rel_err = verified?;
         Ok(SolveReport { x, verified_rel_err, ..(**self.template()?).clone() })
@@ -630,7 +648,7 @@ impl<'m> SolverEngine<'m> {
         out: &mut [f64],
         ws: &mut SolveWorkspace,
     ) -> Result<(), SolveError> {
-        self.solve_single(b, out, ws, Tier::Auto).map(drop)
+        self.solve_single(&self.snapshot().factor, b, out, ws, Tier::Auto).map(drop)
     }
 
     /// Level-parallel warm solve (tier 2): one right-hand side swept
@@ -653,16 +671,17 @@ impl<'m> SolverEngine<'m> {
         ws: &mut SolveWorkspace,
         workers: usize,
     ) -> Result<(), SolveError> {
-        self.solve_single(b, out, ws, Tier::Pinned(workers)).map(drop)
+        self.solve_single(&self.snapshot().factor, b, out, ws, Tier::Pinned(workers)).map(drop)
     }
 
     /// The one single-RHS warm-solve core behind `solve`, `solve_into`
     /// and `solve_sharded_into`: validate, pick the tier, sweep, verify
-    /// — all under one numeric read guard, so the whole call runs
+    /// — all on the caller's pinned `factor`, so the whole call runs
     /// against a single value epoch. Returns the verified relative
     /// error when `opts.verify` is set.
     fn solve_single(
         &self,
+        factor: &NumericFactor,
         b: &[f64],
         out: &mut [f64],
         ws: &mut SolveWorkspace,
@@ -680,7 +699,6 @@ impl<'m> SolverEngine<'m> {
         if out.len() != n {
             return Err(SolveError::OutputLength { n, out: out.len(), buffer: "out" });
         }
-        let num = rlock(&self.numeric);
         let on_worker = pool::on_worker_thread();
         // (worker count, whether the sharded tier's entry point and
         // spans serve the call, probe start while the auto tier samples)
@@ -697,20 +715,20 @@ impl<'m> SolverEngine<'m> {
         let ran_sharded = if sharded_tier {
             let _g = SpanGuard::enter(Site::SolveSharded);
             let sw = Stopwatch::start();
-            let ran = num.solve_sharded_into(b, &mut ws.replay, out, self.pool(), workers);
+            let ran = factor.solve_sharded_into(b, &mut ws.replay, out, self.pool(), workers);
             sw.stop(Hist::SolveShardedNs);
             ran
         } else {
             let _g = SpanGuard::enter(Site::SolveSerial);
             let sw = Stopwatch::start();
-            num.solve_into(b, &mut ws.replay, out);
+            factor.solve_into(b, &mut ws.replay, out);
             sw.stop(Hist::SolveSerialNs);
             false
         };
         if let Some(t0) = probe {
             self.tier.record(workers, ran_sharded, t0.elapsed().as_nanos() as u64);
         }
-        self.verify_into(&num, b, out, ws, !ran_sharded)
+        self.verify_into(factor, b, out, ws, !ran_sharded)
     }
 
     /// Fused multi-RHS warm solve (tier 3): the factor is streamed
@@ -737,7 +755,7 @@ impl<'m> SolverEngine<'m> {
         if outs.len() != bs.len() {
             return Err(SolveError::OutputLength { n: bs.len(), out: outs.len(), buffer: "outs" });
         }
-        self.panel_into_prevalidated(bs, outs, ws)
+        self.panel_into_prevalidated(&self.snapshot().factor, bs, outs, ws)
     }
 
     /// The fused-panel body with the per-lane validation already done —
@@ -748,9 +766,11 @@ impl<'m> SolverEngine<'m> {
     ///
     /// Dimension discipline is the caller's obligation here
     /// (`debug_assert`ed); results and verification behavior are
-    /// exactly [`SolverEngine::solve_panel_into`]'s.
+    /// exactly [`SolverEngine::solve_panel_into`]'s, on the epoch
+    /// `factor` the caller pinned.
     pub(crate) fn panel_into_prevalidated(
         &self,
+        factor: &NumericFactor,
         bs: &[Vec<f64>],
         outs: &mut [Vec<f64>],
         ws: &mut SolveWorkspace,
@@ -759,10 +779,9 @@ impl<'m> SolverEngine<'m> {
         debug_assert_eq!(bs.len(), outs.len(), "prevalidated output count");
         let _g = SpanGuard::enter(Site::SolvePanel);
         let sw = Stopwatch::start();
-        let num = rlock(&self.numeric);
-        num.solve_panel_into(bs, &mut ws.replay, outs);
+        factor.solve_panel_into(bs, &mut ws.replay, outs);
         for (b, out) in bs.iter().zip(outs.iter()) {
-            self.verify_into(&num, b, out, ws, false)?;
+            self.verify_into(factor, b, out, ws, false)?;
         }
         sw.stop(Hist::SolvePanelNs);
         Ok(())
@@ -770,12 +789,14 @@ impl<'m> SolverEngine<'m> {
 
     /// Solve for several right-hand sides sequentially, charging the
     /// analysis phase once (§II-B amortization) — the engine-backed
-    /// implementation of [`crate::solve_multi_rhs`].
+    /// implementation of [`crate::solve_multi_rhs`]. Every solve of
+    /// the call runs on one value epoch.
     pub fn solve_multi_rhs(&self, bs: &[Vec<f64>]) -> Result<MultiRhsReport, SolveError> {
         self.validate_batch_dims(bs)?;
+        let epoch = self.snapshot();
         let mut reports = Vec::with_capacity(bs.len());
         for b in bs {
-            reports.push(self.solve(b)?);
+            reports.push(self.solve_report(&epoch.factor, b)?);
         }
         Ok(amortized(reports))
     }
@@ -797,7 +818,8 @@ impl<'m> SolverEngine<'m> {
     /// call and reused afterwards — steady-state batches pay no thread
     /// spawns. Every right-hand side is dimension-checked **before**
     /// any worker runs, so a bad vector fails fast instead of after
-    /// earlier chunks have already solved.
+    /// earlier chunks have already solved. Every chunk solves on the
+    /// one value epoch pinned when the call starts.
     pub fn solve_batch_with_threads(
         &self,
         bs: &[Vec<f64>],
@@ -814,6 +836,8 @@ impl<'m> SolverEngine<'m> {
         let n_chunks = bs.len().div_ceil(chunk);
         let mut results: Vec<Option<Result<Vec<SolveReport>, SolveError>>> =
             (0..n_chunks).map(|_| None).collect();
+        let epoch = self.snapshot();
+        let factor = &epoch.factor;
         let pool = self.pool();
         // chunking is keyed to the *requested* count (so results and
         // totals are reproducible for a given `threads`), but the pool
@@ -826,7 +850,7 @@ impl<'m> SolverEngine<'m> {
             .zip(results.iter_mut())
             .map(|(part, slot)| {
                 let task: ScopedTask<'_> = Box::new(move || {
-                    *slot = Some(part.iter().map(|b| self.solve(b)).collect());
+                    *slot = Some(part.iter().map(|b| self.solve_report(factor, b)).collect());
                 });
                 task
             })
@@ -849,7 +873,8 @@ impl<'m> SolverEngine<'m> {
     /// (anything else is a typed error, not a panic); each is resized
     /// to `n` on first use (the only allocation, once). Results are
     /// bit-identical to [`SolverEngine::solve`] per RHS and
-    /// deterministic across worker counts.
+    /// deterministic across worker counts, and every chunk sweeps the
+    /// one value epoch pinned when the call starts.
     pub fn solve_batch_into(
         &self,
         bs: &[Vec<f64>],
@@ -875,6 +900,8 @@ impl<'m> SolverEngine<'m> {
         let n_chunks = bs.len().div_ceil(chunk);
         let mut results: Vec<Option<Result<(), SolveError>>> =
             (0..n_chunks).map(|_| None).collect();
+        let epoch = self.snapshot();
+        let factor = &epoch.factor;
         let pool = self.pool();
         pool.ensure_threads(threads);
         let tasks: Vec<ScopedTask<'_>> = bs
@@ -884,7 +911,7 @@ impl<'m> SolverEngine<'m> {
             .map(|((cb, co), slot)| {
                 let task: ScopedTask<'_> = Box::new(move || {
                     let mut ws = self.resources.workspaces.take();
-                    *slot = Some(self.solve_panel_into(cb, co, &mut ws));
+                    *slot = Some(self.panel_into_prevalidated(factor, cb, co, &mut ws));
                     self.resources.workspaces.put(ws);
                 });
                 task
@@ -919,13 +946,17 @@ impl<'m> SolverEngine<'m> {
         &self.resources
     }
 
-    /// The engine's one factor, for crate-internal composition (the
-    /// Krylov preconditioner). Returned as a read guard: the borrow is
-    /// pinned to one value epoch, and a concurrent refresh waits for it
-    /// — hold it across a composed solve and the whole application runs
-    /// against consistent values.
-    pub(crate) fn factor(&self) -> RwLockReadGuard<'_, NumericFactor> {
-        rlock(&self.numeric)
+    /// The published epoch, pinned: one `Arc` clone under the snapshot
+    /// lock, and no lock held while the caller sweeps it.
+    pub(crate) fn snapshot(&self) -> Arc<Epoch> {
+        Arc::clone(&self.current())
+    }
+
+    /// The snapshot slot, locked — held only for a pointer copy or a
+    /// swap. The Krylov pair takes both engines' slots, forward then
+    /// backward, to pin or publish its two epochs as one.
+    pub(crate) fn current(&self) -> MutexGuard<'_, Arc<Epoch>> {
+        lock(&self.current)
     }
 
     fn pool(&self) -> &WorkerPool {
@@ -951,8 +982,8 @@ impl<'m> SolverEngine<'m> {
 
     /// Allocation-free verification: sweep the caller's factor with
     /// the serial tier into workspace scratch and compare; `None`
-    /// unless `opts.verify`. Takes the factor the caller's guard pinned,
-    /// so the check uses the values of that epoch. This checks the tier
+    /// unless `opts.verify`. Takes the factor the caller pinned, so
+    /// the check uses the values of that epoch. This checks the tier
     /// that ran (sharded, panel) against the serial tier — whose bits
     /// are [`crate::reference`]'s — so when the solve itself was the
     /// serial sweep (`serial`), the error is exactly zero without a
@@ -980,43 +1011,44 @@ impl<'m> SolverEngine<'m> {
         Ok(Some(err))
     }
 
-    /// Replace the engine's numeric values in place with `m2`'s —
-    /// **zero symbolic work**: no level sets, no plan, no adjacency
-    /// construction, no calibration; on a clean factor, no allocation
-    /// either. `m2` must carry the identical sparsity pattern the
-    /// engine was built for.
+    /// Replace the engine's numeric values with `m2`'s — **zero
+    /// symbolic work**: no level sets, no plan, no adjacency
+    /// construction, no calibration. `m2` must carry the identical
+    /// sparsity pattern the engine was built for.
     ///
-    /// Validation runs *before* any mutation: a structure drift is a
-    /// typed [`SolveError::StructureMismatch`], a non-finite value or
-    /// zero pivot a typed [`SolveError::Matrix`] (the same
+    /// Validation runs first: a structure drift is a typed
+    /// [`SolveError::StructureMismatch`], a non-finite value or zero
+    /// pivot a typed [`SolveError::Matrix`] (the same
     /// [`sparsemat::audit_factor`] verdicts a cold build enforces) —
     /// and on any failure the engine is untouched and keeps serving the
     /// old values bit-identically (strong exception guarantee).
     ///
-    /// The commit takes the numeric write lock, so it waits for
-    /// in-flight solves (which hold read guards) and blocks new ones
-    /// until the swap is done: every solve observes exactly one value
-    /// epoch. After a commit, all four warm tiers produce bit-for-bit
-    /// the solutions of a cold [`SolverEngine::build`] on `m2`.
+    /// The new values are gathered into a spare epoch beside the live
+    /// one and published by swapping an `Arc`, so a refresh never waits
+    /// for in-flight solves — they finish on the epoch they pinned —
+    /// and every solve that starts after it returns sees the new
+    /// values. The spare is the retired epoch: only the first refresh
+    /// allocates, unless a reader still pins the epoch before last.
+    /// After a commit, all four warm tiers produce bit-for-bit the
+    /// solutions of a cold [`SolverEngine::build`] on `m2`.
     pub fn refresh_values(&self, m2: &CscMatrix) -> Result<RefreshReport, SolveError> {
         let _g = SpanGuard::enter(Site::ValueRefresh);
         let sw = Stopwatch::start();
         let audit = self.validate_refresh(m2)?;
         // injected mid-refresh crash: sits after validation and before
-        // the first mutation, so an interrupted refresh leaves the old
-        // epoch fully intact (asserted by the chaos suite)
+        // the gather, so an interrupted refresh leaves the old epoch
+        // fully intact (asserted by the chaos suite)
         fault::fire_panic(FaultSite::ValueRefresh);
-        let report = self.commit_refresh_locked(&mut self.lock_numeric_mut(), m2, audit);
+        let report = self.publish(self.stage_refresh(m2, audit), &mut self.current());
         sw.stop(Hist::RefreshNs);
         Ok(report)
     }
 
     /// The fallible half of [`SolverEngine::refresh_values`]: check
     /// structure identity and audit the new values, touching nothing.
-    /// Split from the infallible
-    /// [`SolverEngine::commit_refresh_locked`] so a multi-engine caller
-    /// (the L/U preconditioner pair) can validate *every* side before
-    /// committing *any* — pair-atomic refresh.
+    /// Split from the infallible [`SolverEngine::stage_refresh`] so a
+    /// multi-engine caller (the L/U preconditioner pair) can validate
+    /// *every* side before staging *any* — pair-atomic refresh.
     pub(crate) fn validate_refresh(&self, m2: &CscMatrix) -> Result<FactorAudit, SolveError> {
         // exact, entry-for-entry structure identity — cheaper than
         // hashing and allocation-free; the hashes are only computed on
@@ -1041,31 +1073,37 @@ impl<'m> SolverEngine<'m> {
         Ok(audit)
     }
 
-    /// Take this engine's numeric write lock without mutating anything.
-    /// A multi-engine commit (the L/U preconditioner pair) locks every
-    /// engine first — in the same fwd-then-bwd order appliers take read
-    /// guards, so no deadlock — and only then commits each side: no
-    /// reader can ever observe a half-refreshed pair.
-    pub(crate) fn lock_numeric_mut(&self) -> RwLockWriteGuard<'_, NumericFactor> {
-        wlock(&self.numeric)
+    /// The infallible half of [`SolverEngine::refresh_values`]: gather
+    /// `m2`'s values into the spare epoch, outside the snapshot lock,
+    /// for [`SolverEngine::publish`]. Only call with a matrix
+    /// [`SolverEngine::validate_refresh`] accepted.
+    pub(crate) fn stage_refresh(&self, m2: &CscMatrix, audit: FactorAudit) -> Staged<'_> {
+        let mut spare = lock(&self.spare);
+        // `make_mut` reuses the retired epoch in place when no reader
+        // pins it, and otherwise (or, on the first refresh, from the
+        // live epoch) copies it into a fresh allocation
+        let mut next = spare.take().unwrap_or_else(|| self.snapshot());
+        let epoch = Arc::make_mut(&mut next);
+        epoch.factor.refresh_values(m2);
+        epoch.audit = audit;
+        (spare, next)
     }
 
-    /// The infallible half of [`SolverEngine::refresh_values`]: rewrite
-    /// the value arrays under an already-held write guard (see
-    /// [`SolverEngine::lock_numeric_mut`]) and bump the epoch. Only
-    /// call with a matrix [`SolverEngine::validate_refresh`] accepted.
-    pub(crate) fn commit_refresh_locked(
+    /// Swap a staged epoch into `current` — this engine's snapshot
+    /// slot, locked by the caller — keep the retired epoch as the next
+    /// spare, and bump the epoch counter.
+    pub(crate) fn publish(
         &self,
-        factor: &mut NumericFactor,
-        m2: &CscMatrix,
-        audit: FactorAudit,
+        (mut spare, next): Staged<'_>,
+        current: &mut Arc<Epoch>,
     ) -> RefreshReport {
-        factor.refresh_values(m2);
+        debug_assert!(Arc::ptr_eq(next.factor.layout(), current.factor.layout()), "foreign epoch");
         // a clean audit's example lists are empty, so the clone (and
-        // the whole commit) allocates nothing
-        *wlock(&self.audit) = audit.clone();
+        // the whole steady-state refresh) allocates nothing
+        let audit = next.audit.clone();
+        *spare = Some(std::mem::replace(current, next));
         let value_epoch = self.value_epoch.fetch_add(1, Ordering::Release) + 1;
-        RefreshReport { n: m2.n(), nnz: m2.nnz(), value_epoch, audit }
+        RefreshReport { n: self.m.n(), nnz: self.m.nnz(), value_epoch, audit }
     }
 }
 
@@ -1088,6 +1126,7 @@ fn amortized(reports: Vec<SolveReport>) -> MultiRhsReport {
 mod tests {
     use super::*;
     use sparsemat::gen;
+    use std::time::Duration;
 
     fn small() -> (CscMatrix, Vec<f64>) {
         let m = gen::level_structured(&gen::LevelSpec::new(900, 18, 3600, 4));
@@ -1146,6 +1185,48 @@ mod tests {
         assert!(line.contains(&format!("n={}", m.n())), "{line}");
         assert!(line.contains(&format!("nnz={}", m.nnz())), "{line}");
         assert!(line.contains("value epoch 1") && line.contains("audit clean"), "{line}");
+    }
+
+    /// A refresh never waits for a reader: with the live epoch pinned
+    /// the way an in-flight panel pins it, a refresh from another
+    /// thread commits, the pin keeps sweeping the old bits and a new
+    /// solve sees the new ones. A still-pinned spare makes the next
+    /// refresh gather into a fresh epoch; an unpinned one is reused in
+    /// place.
+    #[test]
+    fn refresh_never_waits_for_a_pinned_epoch() {
+        let (m, b) = small();
+        let mut m2 = m.clone();
+        for (i, v) in m2.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + ((i % 7) as f64) * 0.01;
+        }
+        let opts = SolveOptions::default();
+        let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
+        let cold2 = SolverEngine::build(&m2, MachineConfig::dgx1(4), &opts).unwrap();
+        let (old, new) = (engine.solve(&b).unwrap().x, cold2.solve(&b).unwrap().x);
+        let live = || Arc::as_ptr(&engine.snapshot());
+        let (mut x, mut ws) = (vec![0.0; m.n()], ReplayWorkspace::new());
+        std::thread::scope(|s| {
+            // pinned inside the scope, so a failing assert unpins it
+            // before the scope joins the refresher
+            let pinned = engine.snapshot();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (e, m2) = (&engine, &m2);
+            s.spawn(move || tx.send(e.refresh_values(m2).map(|r| r.value_epoch)));
+            let committed = rx.recv_timeout(Duration::from_secs(60)).expect("the refresh waited");
+            assert_eq!(committed.unwrap(), 1);
+            pinned.factor.solve_into(&b, &mut ws, &mut x);
+            assert_eq!(x, old, "the pinned epoch keeps its values");
+            assert_eq!(engine.solve(&b).unwrap().x, new, "a new solve sees the refresh");
+            let retired = live();
+            engine.refresh_values(&m).unwrap();
+            assert_ne!(live(), Arc::as_ptr(&pinned), "a pinned spare is never overwritten");
+            pinned.factor.solve_into(&b, &mut ws, &mut x);
+            assert_eq!(x, old, "the pinned epoch is still intact");
+            drop(pinned);
+            engine.refresh_values(m2).unwrap();
+            assert_eq!(live(), retired, "an unpinned spare is reused in place");
+        });
     }
 
     #[test]

@@ -219,7 +219,7 @@ pub struct Values {
 /// structure-only [`Layout`] plus one epoch of [`Values`] — 16 bytes
 /// per nonzero, nothing else: levels, chains and shards are index
 /// ranges into these arrays.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NumericFactor {
     layout: Arc<Layout>,
     values: Values,
@@ -234,10 +234,11 @@ impl NumericFactor {
         NumericFactor { layout, values }
     }
 
-    /// Rewrite the values in place from `m2`, which must carry exactly
-    /// the structure this factor was built from (the engine validates
-    /// that first). A refreshed factor is indistinguishable from one
-    /// built fresh on `m2`. Allocates nothing.
+    /// Rewrite the values from `m2`, which must carry exactly the
+    /// structure this factor was built from (the engine validates that
+    /// first, and only ever rewrites an epoch no reader can see). A
+    /// refreshed factor is indistinguishable from one built fresh on
+    /// `m2`. Allocates nothing.
     pub(crate) fn refresh_values(&mut self, m2: &CscMatrix) {
         self.layout.gather_into(m2, &mut self.values);
     }
@@ -250,7 +251,13 @@ impl NumericFactor {
 
     /// Host bytes held by the layout and the values.
     pub fn host_bytes(&self) -> u64 {
-        self.layout.host_bytes() + cap(&self.values.vals) + cap(&self.values.diag)
+        self.layout.host_bytes() + self.values_bytes()
+    }
+
+    /// Host bytes held by the values alone — what each further epoch
+    /// of this layout costs.
+    pub(crate) fn values_bytes(&self) -> u64 {
+        cap(&self.values.vals) + cap(&self.values.diag)
     }
 
     /// The one numeric kernel: solve the rows at positions `rows` of

@@ -61,10 +61,9 @@
 //! the live tenant's warm engine in place, with zero symbolic work.
 //! The refresh is a control message to the tenant thread (the engine
 //! lives on its stack) and runs at once, beside the traffic: the
-//! tenant's dispatcher stands aside at its next panel boundary until
-//! the commit has taken the engine's numeric write lock and released
-//! it, so a refresh waits for at most the panel in flight — never for
-//! a queue — and every ticket resolves against exactly one value epoch.
+//! engine publishes the new values as a fresh snapshot, so a refresh
+//! waits for neither the panel in flight nor the queue, and every
+//! ticket resolves against exactly one value epoch.
 //! On success the stored factor is replaced (a later eviction +
 //! rebuild uses the new values), the cache charge is corrected to the
 //! refreshed engine's actual footprint, and the tenant's value epoch
@@ -945,9 +944,8 @@ impl EngineFleet {
     /// stays `fp`.
     ///
     /// A **live** tenant is refreshed on its own bulkhead thread: the
-    /// refresh is handled at once (it queues behind no request),
-    /// commits at a panel boundary under the engine's numeric write
-    /// lock while the dispatcher stands aside, replaces
+    /// refresh is handled at once (it queues behind no request and
+    /// pauses no panel), replaces
     /// the stored factor (so a later eviction + rebuild uses the new
     /// values), corrects the cache charge to the refreshed footprint,
     /// and bumps [`EngineFleet::tenant_value_epoch`]. A registered but
@@ -1024,8 +1022,8 @@ impl EngineFleet {
             Ok((report, actual)) => {
                 self.shared.lock().factors.insert(fp, m2);
                 // correct the cache charge to the refreshed engine's
-                // actual footprint (identical structure ⇒ identical
-                // arrays, so this is a same-size recharge in practice;
+                // actual footprint (the first refresh adds its spare
+                // epoch's values, later ones recharge the same size;
                 // a missing entry just means the tenant was evicted
                 // after replying, and the evictor released its bytes)
                 let _ = self.shared.recharge(fp, actual);

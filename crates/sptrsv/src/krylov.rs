@@ -55,7 +55,7 @@
 //! baseline) and once on a warm [`PreconditionerEngine`] — and records
 //! the speedup of amortizing the analysis across the iteration loop.
 
-use crate::engine::{EngineResources, RecyclePool, RefreshReport, SolverEngine};
+use crate::engine::{EngineResources, Epoch, RecyclePool, RefreshReport, SolverEngine};
 use crate::exec::ReplayWorkspace;
 use crate::fault::{self, FaultSite};
 use crate::solver::{SolveError, SolveOptions};
@@ -208,26 +208,34 @@ impl<'m> PreconditionerEngine<'m> {
     /// between must not re-pay two analysis phases.
     ///
     /// The refresh is **pair-atomic**. Both sides are validated before
-    /// either mutates (a failed side is a typed error with both
-    /// engines untouched — strong exception guarantee), and the commit
-    /// holds both numeric write locks across both swaps, so no
-    /// application — scalar or batched, in flight or arriving — can
-    /// ever observe a new-`L`/old-`U` mix. In-flight applications hold
-    /// read guards on both sides and finish against the old epoch
-    /// undisturbed; the commit waits for them at the apply boundary.
+    /// either is gathered (a failed side is a typed error with both
+    /// engines untouched — strong exception guarantee); both new
+    /// epochs are gathered outside the snapshot locks, then published
+    /// under both of them — the two locks every application pins its
+    /// pair under — so no application, scalar or batched, in flight or
+    /// arriving, can ever observe a new-`L`/old-`U` mix. An in-flight
+    /// application finishes on the pair it pinned; the refresh never
+    /// waits for it.
     pub fn refresh(&self, f: &LuFactors) -> Result<(RefreshReport, RefreshReport), SolveError> {
         let l_audit = self.fwd.validate_refresh(&f.l)?;
         let u_audit = self.bwd.validate_refresh(&f.u)?;
         // one probe for the whole pair, after validation and before
-        // any lock or mutation: an injected mid-refresh crash leaves
-        // both sides serving the old epoch
+        // any gather: an injected mid-refresh crash leaves both sides
+        // serving the old epoch
         fault::fire_panic(FaultSite::ValueRefresh);
-        // fwd-then-bwd, the same order appliers take read guards
-        let mut lg = self.fwd.lock_numeric_mut();
-        let mut ug = self.bwd.lock_numeric_mut();
-        let l = self.fwd.commit_refresh_locked(&mut lg, &f.l, l_audit);
-        let u = self.bwd.commit_refresh_locked(&mut ug, &f.u, u_audit);
-        Ok((l, u))
+        let l = self.fwd.stage_refresh(&f.l, l_audit);
+        let u = self.bwd.stage_refresh(&f.u, u_audit);
+        // forward then backward, the order `epochs` pins them in
+        let (mut lc, mut uc) = (self.fwd.current(), self.bwd.current());
+        Ok((self.fwd.publish(l, &mut lc), self.bwd.publish(u, &mut uc)))
+    }
+
+    /// Both sides' published epochs, pinned under both snapshot locks
+    /// (forward, then backward): one consistent `L`/`U` pair, with no
+    /// lock held across the sweeps.
+    fn epochs(&self) -> (Arc<Epoch>, Arc<Epoch>) {
+        let l = self.fwd.current();
+        (Arc::clone(&l), Arc::clone(&self.bwd.current()))
     }
 
     /// Apply `z = M⁻¹ r` (forward solve on `L`, then backward solve on
@@ -267,13 +275,9 @@ impl<'m> PreconditionerEngine<'m> {
             return Err(SolveError::OutputLength { n, out: z.len(), buffer: "z" });
         }
         ws.mid.resize(n, 0.0);
-        // both guards up front (fwd then bwd, the crate-wide order):
-        // the whole application runs against one consistent L/U value
-        // epoch — a concurrent pair refresh waits for both
-        let fa = self.fwd.factor();
-        let ba = self.bwd.factor();
-        fa.solve_into(r, &mut ws.panel, &mut ws.mid);
-        ba.solve_into(&ws.mid, &mut ws.panel, z);
+        let (l, u) = self.epochs();
+        l.factor.solve_into(r, &mut ws.panel, &mut ws.mid);
+        u.factor.solve_into(&ws.mid, &mut ws.panel, z);
         Ok(())
     }
 
@@ -334,12 +338,9 @@ impl<'m> PreconditionerEngine<'m> {
         }
         let ApplyWorkspace { mids, panel, .. } = ws;
         let mids = &mut mids[..rs.len()];
-        // both guards up front, same order and rationale as
-        // `apply_into`: one L/U value epoch per batched application
-        let fa = self.fwd.factor();
-        let ba = self.bwd.factor();
-        fa.solve_panel_into(rs, panel, mids);
-        ba.solve_panel_into(mids, panel, zs);
+        let (l, u) = self.epochs();
+        l.factor.solve_panel_into(rs, panel, mids);
+        u.factor.solve_panel_into(mids, panel, zs);
         Ok(())
     }
 
@@ -664,6 +665,7 @@ mod tests {
     use crate::solver::SolverKind;
     use sparsemat::factor::ilu0;
     use sparsemat::gen;
+    use std::time::Duration;
 
     fn opts(kind: SolverKind) -> SolveOptions {
         SolveOptions { kind, verify: false, ..SolveOptions::default() }
@@ -684,6 +686,43 @@ mod tests {
         let y = reference::solve_lower(&f.l, &r).unwrap();
         let expect = reference::solve_upper(&f.u, &y).unwrap();
         assert_eq!(z, expect, "apply must be bit-identical to the reference pair");
+    }
+
+    /// The pair never waits either: with both sides pinned the way an
+    /// in-flight application pins them, a pair refresh from another
+    /// thread commits, the pinned pair still applies the old bits, and
+    /// a new application the new ones.
+    #[test]
+    fn pair_refresh_never_waits_for_a_pinned_pair() {
+        let a = gen::grid_laplacian(12, 9);
+        let f = ilu0(&a, 1e-8).unwrap();
+        let mut f2 = f.clone();
+        for v in f2.l.values_mut().iter_mut().chain(f2.u.values_mut()) {
+            *v *= 1.03;
+        }
+        let o = opts(SolverKind::LevelSet);
+        let pre = PreconditionerEngine::from_ilu0(&f, MachineConfig::dgx1(2), &o).unwrap();
+        let fresh = PreconditionerEngine::from_ilu0(&f2, MachineConfig::dgx1(2), &o).unwrap();
+        let r: Vec<f64> = (0..a.n()).map(|i| ((i % 13) as f64) - 6.0).collect();
+        let (old, new) = (pre.apply(&r).unwrap(), fresh.apply(&r).unwrap());
+        std::thread::scope(|s| {
+            // pinned inside the scope, so a failing assert unpins the
+            // pair before the scope joins the refresher
+            let (l, u) = pre.epochs();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (p, f2) = (&pre, &f2);
+            s.spawn(move || {
+                tx.send(p.refresh(f2).map(|(lr, ur)| (lr.value_epoch, ur.value_epoch)))
+            });
+            let committed = rx.recv_timeout(Duration::from_secs(60)).expect("the refresh waited");
+            assert_eq!(committed.unwrap(), (1, 1));
+            let (mut y, mut z, mut ws) =
+                (vec![0.0; a.n()], vec![0.0; a.n()], ReplayWorkspace::new());
+            l.factor.solve_into(&r, &mut ws, &mut y);
+            u.factor.solve_into(&y, &mut ws, &mut z);
+            assert_eq!(z, old, "the pinned pair keeps its values");
+            assert_eq!(pre.apply(&r).unwrap(), new, "a new application sees the refresh");
+        });
     }
 
     #[test]

@@ -127,17 +127,15 @@
 //! [`SolverService::refresh_preconditioner`] for a
 //! preconditioner-backed service) swaps new numeric values into the
 //! warm engine **while traffic is flowing** — no re-analysis, no
-//! service restart, no queue drain. The quiesce point is a panel
-//! boundary: every panel solve holds a read guard on the engine's
-//! numeric lock for the duration of the panel, the refresh commit
-//! takes the write guard, and a refresh in progress is announced in
-//! the queue so the dispatcher starts no new panel until it has
-//! committed (the lock alone would let a saturated dispatcher re-take
-//! its read guard ahead of the waiting writer, indefinitely). The swap
-//! therefore waits for at most the in-flight panel, and every ticket
+//! service restart, no queue drain, no pause. The engine publishes
+//! each value epoch as an immutable snapshot: the dispatcher pins the
+//! current one when a panel starts, after popping its group, and a
+//! refresh gathers the new values beside it and swaps the snapshot
+//! without waiting for the panel in flight. Every ticket therefore
 //! resolves against **exactly one value epoch** (old or new, never a
-//! mix). Validation — structure identity plus the
-//! factor audit — happens before any mutation, so a rejected refresh
+//! mix), and a ticket submitted after the refresh returned sees the
+//! new one. Validation — structure identity plus the
+//! factor audit — happens before anything is published, so a rejected refresh
 //! (structure drift → [`SolveError::StructureMismatch`], a non-finite
 //! or zero pivot → the audit's typed error) leaves the engine serving
 //! the old values untouched; an injected mid-refresh panic
@@ -702,9 +700,6 @@ struct QueueState {
     /// Panels completed since the last supervised dispatcher restart
     /// (or since start); drives the `Degraded → Ok` health recovery.
     panels_since_restart: u64,
-    /// Value refreshes announced and not yet finished; the dispatcher
-    /// starts no panel while this is non-zero.
-    refreshers: usize,
 }
 
 /// What a [`ServiceQueue`]'s owner is told about the requests it
@@ -1316,10 +1311,9 @@ impl<'e, 'm> SolverService<'e, 'm> {
     /// **while the service keeps serving** — see the
     /// [value-refresh lifecycle](self#value-refresh-lifecycle). `m2`
     /// must have the exact sparsity pattern the engine was built for;
-    /// only its values may differ. The commit quiesces at a panel
-    /// boundary (the engine's numeric write lock waits out the
-    /// in-flight panel), so every ticket resolves against exactly one
-    /// value epoch.
+    /// only its values may differ. The swap waits for no panel: the
+    /// one in flight finishes on the epoch it pinned, so every ticket
+    /// resolves against exactly one value epoch.
     ///
     /// # Errors
     ///
@@ -1346,8 +1340,8 @@ impl<'e, 'm> SolverService<'e, 'm> {
     /// [`SolverService::refresh_solver`] for a preconditioner-backed
     /// service: refresh the `L` and `U` engines pair-atomically from a
     /// refactored [`LuFactors`]. No application ever observes a
-    /// new-`L`/old-`U` mix — both commits happen under both engines'
-    /// write locks, which is also the panel-boundary quiesce point.
+    /// new-`L`/old-`U` mix: both sides are published under the two
+    /// snapshot locks every application pins its pair under.
     ///
     /// # Errors
     ///
@@ -1366,24 +1360,15 @@ impl<'e, 'm> SolverService<'e, 'm> {
         self.run_refresh(|| p.refresh(f))
     }
 
-    /// Run one refresh with the dispatcher held at its next panel
-    /// boundary, map the outcome to the service error surface and bump
-    /// the matching counter.
-    ///
-    /// The engine's write lock alone is not a fair quiesce: a
-    /// saturated dispatcher re-takes the read lock for its next panel
-    /// before a woken writer is scheduled, and the refresh starves
-    /// (188 ms measured against a 2.4 ms commit). Announcing the
-    /// refresh in the queue makes the dispatcher stand aside between
-    /// panels until it has committed. A panic payload is dropped, not
-    /// resumed: the engine's refresh probe fires before the first
-    /// mutation, so the old epoch is intact and the failure is typed
-    /// [`ServeError::Retryable`].
+    /// Run one refresh beside the traffic, map the outcome to the
+    /// service error surface and bump the matching counter. A panic
+    /// payload is dropped, not resumed: the engine's refresh probe
+    /// fires before anything is published, so the old epoch is intact
+    /// and the failure is typed [`ServeError::Retryable`].
     fn run_refresh<T>(
         &self,
         refresh: impl FnOnce() -> Result<T, SolveError>,
     ) -> Result<T, ServeError> {
-        self.queue.lock().refreshers += 1;
         let out = match catch_unwind(AssertUnwindSafe(refresh)) {
             Ok(Ok(v)) => Ok(v),
             Ok(Err(e)) => Err(ServeError::Solve(e)),
@@ -1391,15 +1376,11 @@ impl<'e, 'm> SolverService<'e, 'm> {
                 reason: "value refresh interrupted before commit; the old epoch is intact",
             }),
         };
-        {
-            let mut q = self.queue.lock();
-            q.refreshers -= 1;
-            match &out {
-                Ok(_) => q.stats.value_refreshes += 1,
-                Err(_) => q.stats.refresh_failures += 1,
-            }
+        let mut q = self.queue.lock();
+        match &out {
+            Ok(_) => q.stats.value_refreshes += 1,
+            Err(_) => q.stats.refresh_failures += 1,
         }
-        self.queue.dispatch_cv.notify_one();
         out
     }
 
@@ -1498,12 +1479,6 @@ impl<'e, 'm> SolverService<'e, 'm> {
         let linger = st.linger.linger(self.queue.cfg.max_linger);
         let mut q = self.queue.lock();
         let cause = loop {
-            if q.refreshers > 0 {
-                // a value refresh is after the engine's write lock:
-                // stand aside at this panel boundary until it commits
-                q = self.queue.dispatch_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
             let depth = q.pending.len();
             // shutdown wins over every other trigger: once it is
             // observed, EVERY remaining group carries Shutdown — so a
@@ -1727,12 +1702,15 @@ impl<'e, 'm> SolverService<'e, 'm> {
         ws: &mut DispatchWorkspace,
     ) -> Result<(), SolveError> {
         fault::fire_panic(FaultSite::PanelSolve);
+        // every arm pins the published epoch now, after the group was
+        // popped: a request submitted after a refresh returned is
+        // solved on the new values
         match self.engine {
             ServiceEngine::Solver(e) => {
                 if bs.len() > 2 * PANEL_K {
                     e.solve_batch_into(bs, outs)
                 } else {
-                    e.panel_into_prevalidated(bs, outs, &mut ws.solve)
+                    e.panel_into_prevalidated(&e.snapshot().factor, bs, outs, &mut ws.solve)
                 }
             }
             ServiceEngine::Preconditioner(p) => p.apply_batch_prevalidated(bs, outs, &mut ws.apply),

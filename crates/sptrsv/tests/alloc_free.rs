@@ -2,9 +2,14 @@
 //! `solve_sharded_into` — and the preconditioner tier's `apply_into` /
 //! `apply_batch_into` — allocate nothing.
 //!
-//! Also proves `refresh_values` — the in-place value swap across
-//! every warm tier — requests no heap memory at all: the recorded
-//! analysis is reused verbatim, nothing symbolic is rebuilt.
+//! Also proves `refresh_values` — the value swap under every warm
+//! tier — requests no heap memory once its first call has allocated
+//! the spare epoch it gathers into: the recorded analysis is reused
+//! verbatim, nothing symbolic is rebuilt. (That a reader pinning the
+//! epoch before last makes a refresh gather into a fresh epoch, and
+//! that the spare is reused once unpinned, is the engine's unit test
+//! `refresh_never_waits_for_a_pinned_epoch`: no public call can hold
+//! an epoch pinned from here.)
 //!
 //! And proves the telemetry plane holds its zero-allocation contract
 //! on both sides of the switch: disabled probes never touch the heap
@@ -150,12 +155,17 @@ fn warm_solve_into_and_panel_allocate_nothing() {
             "{kind:?} verify={verify_opt}: warm solve_sharded_into must not allocate"
         );
 
-        // value refresh: structure validation, the numeric audit, the
-        // in-place rewrite of every warm tier's value arrays and the
-        // epoch bump must all be heap-silent — the operation's whole
-        // point is reusing the recorded analysis, and a clean audit's
-        // empty finding lists never allocate
+        // value refresh: the first allocates the spare epoch refreshes
+        // gather into (the retired one, reused while no reader pins
+        // it); after it, structure validation, the numeric audit, the
+        // gather, the snapshot swap and the epoch bump must all be
+        // heap-silent — the operation's whole point is reusing the
+        // recorded analysis, and a clean audit's empty finding lists
+        // never allocate
+        engine.refresh_values(&m).unwrap();
         let refreshed = allocations_during(|| {
+            engine.refresh_values(&m2).unwrap();
+            engine.refresh_values(&m).unwrap();
             engine.refresh_values(&m2).unwrap();
         });
         assert_eq!(refreshed, 0, "{kind:?} verify={verify_opt}: refresh_values must not allocate");
@@ -294,10 +304,12 @@ fn warm_solve_into_and_panel_allocate_nothing() {
         let mut out = vec![0.0f64; n];
         let mut outs: Vec<Vec<f64>> = vec![Vec::new(); bs.len()];
         sptrsv::telemetry::set_enabled(true);
-        // warm-up: grows buffers AND allocates this thread's ring
+        // warm-up: grows buffers AND allocates this thread's ring and
+        // the spare epoch a refresh gathers into
         engine.solve_into(&bs[0], &mut out, &mut ws).unwrap();
         engine.solve_panel_into(&bs, &mut outs, &mut ws).unwrap();
         engine.solve_sharded_into(&bs[0], &mut out, &mut ws, 2).unwrap();
+        engine.refresh_values(&m).unwrap();
 
         let traced = allocations_during(|| {
             for b in &bs {

@@ -330,7 +330,8 @@ fn adversarial_rows_keep_every_bit() {
 /// The relabelled layout is leaner than the one it replaced: the
 /// parent commit held the matrix-order analysis (12 B/nnz) plus the
 /// sharded bucket copy (20 B/nnz); now one canonical factor of
-/// 16 B/nnz, whether or not the engine verifies.
+/// 16 B/nnz, whether or not the engine verifies, plus 8 B/nnz of spare
+/// values once a refresh has run.
 #[test]
 fn footprint_counts_exactly_the_arrays_that_exist() {
     // heavy-shaped: wide levels, ~4 nonzeros per row
@@ -346,6 +347,10 @@ fn footprint_counts_exactly_the_arrays_that_exist() {
     let engine = SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &o).unwrap();
     assert_eq!(engine.footprint_bytes(), schedule + factor + workspace(0));
     assert!(factor < (12 + 20) * nnz, "leaner than the parent's analysis + buckets");
+    // a refresh allocates the spare epoch it gathers into: one more
+    // set of values (vals + diag, 8 B per stored entry), nothing else
+    engine.refresh_values(&m).unwrap();
+    assert_eq!(engine.footprint_bytes(), schedule + factor + 8 * nnz + workspace(0));
 
     // a verifying engine sweeps the same factor with the serial tier:
     // only the workspace's reference vector is added

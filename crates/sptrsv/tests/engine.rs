@@ -18,6 +18,7 @@ use mgpu_sim::MachineConfig;
 use sparsemat::gen::{self, LevelSpec};
 use sparsemat::Triangle;
 use sptrsv::{exec, plan, solve, verify, SolveOptions, SolveWorkspace, SolverEngine, SolverKind};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn all_kinds() -> Vec<SolverKind> {
@@ -450,4 +451,41 @@ fn repeated_batches_share_the_worker_pool() {
             assert_eq!(o, &r.x, "pool reuse must not perturb results");
         }
     }
+}
+
+/// One epoch per batch call: while another thread alternates refreshes
+/// between `m2` and `m`, every 64-RHS `solve_batch_into` returns, lane
+/// for lane, all old-epoch or all new-epoch bits — the call pins one
+/// snapshot for all of its pooled chunks.
+#[test]
+fn solve_batch_into_serves_one_epoch_per_call_under_refreshes() {
+    let m = gen::level_structured(&LevelSpec::new(2000, 16, 8000, 71));
+    let m2 = perturbed(&m);
+    let opts = SolveOptions { verify: false, ..SolveOptions::default() };
+    let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
+    let cold2 = SolverEngine::build(&m2, MachineConfig::dgx1(4), &opts).unwrap();
+    let bs: Vec<Vec<f64>> = (0..64).map(|k| verify::rhs_for(&m, 900 + k).1).collect();
+    let old: Vec<Vec<f64>> = bs.iter().map(|b| engine.solve(b).unwrap().x).collect();
+    let new: Vec<Vec<f64>> = bs.iter().map(|b| cold2.solve(b).unwrap().x).collect();
+    assert_ne!(old, new);
+    let done = AtomicBool::new(false);
+    let mut torn = 0usize;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Relaxed: the flag publishes nothing but itself
+            for k in 0usize.. {
+                if done.load(Ordering::Relaxed) {
+                    break;
+                }
+                engine.refresh_values(if k % 2 == 0 { &m2 } else { &m }).unwrap();
+            }
+        });
+        let mut outs: Vec<Vec<f64>> = vec![Vec::new(); bs.len()];
+        for _ in 0..48 {
+            engine.solve_batch_into(&bs, &mut outs).unwrap();
+            torn += usize::from(outs != old && outs != new);
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(torn, 0, "a batch returned lanes from two value epochs");
 }

@@ -25,6 +25,7 @@ use sparsemat::factor::ilu0;
 use sparsemat::{gen, CscMatrix, CsrMatrix, Triangle, TripletBuilder};
 use sptrsv::krylov::{bicgstab, pcg, KrylovOptions, PreconditionerEngine};
 use sptrsv::{reference, solve, verify, SolveError, SolveOptions, SolverKind};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn opts(kind: SolverKind) -> SolveOptions {
     SolveOptions { kind, verify: false, ..SolveOptions::default() }
@@ -326,6 +327,50 @@ fn preconditioner_refresh_is_pair_atomic_on_rejection() {
     pre.apply_into(&r, &mut after, &mut ws).unwrap();
     assert_eq!(after, before, "the old pair must keep serving bit-identically");
     pre.put_apply_workspace(ws);
+}
+
+/// Pair atomicity under live refreshes: while another thread alternates
+/// pair refreshes between `f2` and `f`, every `apply_into` returns the
+/// old pair's bits or the new pair's — never a new-`L`/old-`U` mix.
+#[test]
+fn apply_into_never_sees_a_half_refreshed_pair() {
+    let a = gen::spd_banded(600, 8, 4.0, 37);
+    let f = ilu0(&a, 1e-8).unwrap();
+    let perturb = |m: &mut CscMatrix| {
+        for (i, v) in m.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + ((i % 7) as f64 + 1.0) * 0.01;
+        }
+    };
+    let mut f2 = f.clone();
+    perturb(&mut f2.l);
+    perturb(&mut f2.u);
+    let o = opts(SolverKind::LevelSet);
+    let pre = PreconditionerEngine::from_ilu0(&f, MachineConfig::dgx1(2), &o).unwrap();
+    let fresh = PreconditionerEngine::from_ilu0(&f2, MachineConfig::dgx1(2), &o).unwrap();
+    let r: Vec<f64> = (0..a.n()).map(|i| (i as f64 * 0.37).sin()).collect();
+    let (old, new) = (pre.apply(&r).unwrap(), fresh.apply(&r).unwrap());
+    assert_ne!(old, new);
+    let done = AtomicBool::new(false);
+    let mut torn = 0usize;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Relaxed: the flag publishes nothing but itself
+            for k in 0usize.. {
+                if done.load(Ordering::Relaxed) {
+                    break;
+                }
+                pre.refresh(if k % 2 == 0 { &f2 } else { &f }).unwrap();
+            }
+        });
+        let mut ws = pre.take_apply_workspace();
+        let mut z = vec![0.0; a.n()];
+        for _ in 0..400 {
+            pre.apply_into(&r, &mut z, &mut ws).unwrap();
+            torn += usize::from(z != old && z != new);
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(torn, 0, "apply_into saw a new-L/old-U mix");
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! relabelled layout and the calibration timeline are all
 //! structure-only and survive verbatim. `refresh_values`
 //! exploits that: it validates structure identity, audits the new
-//! values, and rewrites every warm tier's value arrays in place, with
-//! zero symbolic work and zero allocation.
+//! values, and gathers them into a spare value snapshot that it then
+//! publishes, with zero symbolic work and — after the first refresh —
+//! zero allocation.
 //!
 //! The example runs three scenes:
 //!  1. a **time-stepping loop** — a served engine takes a value
@@ -59,8 +60,8 @@ fn main() {
         std::thread::scope(|s| {
             // --- background traffic: four clients stream requests
             // across every value epoch; each answer must be a finite
-            // solution from exactly one epoch (the engine's numeric
-            // lock guarantees no ticket ever sees a torn mix)
+            // solution from exactly one epoch (every panel pins one
+            // value snapshot, so no ticket ever sees a torn mix)
             for c in 0..4u64 {
                 let (stop, m0) = (&stop, &m0);
                 s.spawn(move || {
