@@ -20,24 +20,6 @@
 //!   column-scatter loop. Gated on the panel's own throughput
 //!   (ns per nonzero per RHS no worse than the column-scatter panel's
 //!   committed figure) and on never losing to the per-RHS loop;
-//! * **sharded level-parallel replay** — `solve_sharded_into` on a
-//!   *wide* synthetic factor (few levels, thousands of components
-//!   each) against the serial warm replay, single RHS. The speedup
-//!   floor (≥ 1.5× at 4 workers) is asserted only when the hardware
-//!   actually has ≥ 4 threads; on narrower machines the numbers are
-//!   recorded with the effective worker count for the record. The
-//!   engine's measured auto tier (`solve_into` past its probe window)
-//!   is timed on the same factor and asserted within 1.25× of the
-//!   faster pinned tier on any hardware — whichever side wins here,
-//!   the selector must have found it.
-//! * **chain-fused replay vs per-level barriers** — `solve_sharded_into`
-//!   on a *deep/narrow* synthetic factor (thousands of levels, a
-//!   handful of rows each) with the default Schedule IR tuning (narrow
-//!   runs fuse into single-worker chains, barriers only at chain
-//!   boundaries) against the same engine at `chain_width_threshold: 0`
-//!   (one barrier-delimited step per level). The ≥ 5×
-//!   barrier cut is asserted from the reported schedule statistics on
-//!   any hardware; the ≥ 1.2× wall-clock floor only on ≥ 4 threads.
 //! * **idle service round trip** — one lone request at a time through
 //!   a default-config [`sptrsv::serve::SolverService`] against
 //!   `solve_into` on the same engine; asserted ≤ 2× on any hardware
@@ -103,11 +85,8 @@ fn main() {
     let (_, b) = verify::rhs_for(&m, 1);
     let cold = time_ns(5, || solve(&m, &b, cfg.clone(), &opts).unwrap());
     let engine = SolverEngine::build(&m, cfg.clone(), &opts).unwrap();
-    // the engine's first auto-tier solves are timed probes (serial vs
-    // sharded); "warm" means past them, on the committed tier
-    for _ in 0..8 {
-        engine.solve(&b).unwrap();
-    }
+    // the first `solve` runs the calibration; "warm" means past it
+    engine.solve(&b).unwrap();
     let warm = time_ns(5, || engine.solve(&b).unwrap());
     let cold_over_warm = cold.median_ns as f64 / warm.median_ns.max(1) as f64;
     println!("cold solve   median {:>12}", TimingSummary::human(cold.median_ns));
@@ -192,110 +171,7 @@ fn main() {
         rows_per_s(pooled.median_ns),
     );
 
-    // --- sharded level-parallel replay vs serial warm replay ----------
-    // A wide factor (avg level width n/24) is the sharded tier's home
-    // turf: each level offers thousands of independent components, so
-    // the per-level barrier amortizes. Workers are capped at the
-    // hardware parallelism — requesting more threads than cores would
-    // measure scheduler thrash, not the algorithm.
     let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let wide_levels = 24usize;
-    let wm = gen::level_structured(&LevelSpec::new(n, wide_levels, n * 4, 7));
-    let wide_nnz = wm.nnz();
-    let wide_stats = sparsemat::LevelSets::analyze(&wm, sparsemat::Triangle::Lower);
-    let wide_n_levels = wide_stats.n_levels();
-    let wide_max_width = wide_stats.max_level_width();
-    let wengine = SolverEngine::build(&wm, cfg.clone(), &opts).unwrap();
-    let (_, wb) = verify::rhs_for(&wm, 5);
-    let requested_workers = 4usize;
-    let workers = requested_workers.min(hw);
-    let mut wws = SolveWorkspace::new();
-    let mut wout = vec![0.0f64; wm.n()];
-    // warm-up both tiers: grow buffers, spawn the pool
-    wengine.solve_sharded_into(&wb, &mut wout, &mut wws, 1).unwrap();
-    wengine.solve_sharded_into(&wb, &mut wout, &mut wws, workers).unwrap();
-    let serial_warm = time_ns(7, || {
-        // workers == 1 degrades to the serial replay along the same
-        // canonical order — the exact baseline the sharded tier races
-        wengine.solve_sharded_into(&wb, &mut wout, &mut wws, 1).unwrap();
-        wout[0]
-    });
-    let sharded_warm = time_ns(7, || {
-        wengine.solve_sharded_into(&wb, &mut wout, &mut wws, workers).unwrap();
-        wout[0]
-    });
-    let sharded_speedup = serial_warm.median_ns as f64 / sharded_warm.median_ns.max(1) as f64;
-    // the measured auto tier on the same factor: past its probe window
-    // it must sit on whichever pinned tier is faster on this machine
-    for _ in 0..8 {
-        wengine.solve_into(&wb, &mut wout, &mut wws).unwrap();
-    }
-    let auto_warm = time_ns(7, || {
-        wengine.solve_into(&wb, &mut wout, &mut wws).unwrap();
-        wout[0]
-    });
-    let auto_over_best = auto_warm.median_ns as f64
-        / serial_warm.median_ns.min(sharded_warm.median_ns).max(1) as f64;
-    println!("wide factor n={n} nnz={wide_nnz} levels={wide_n_levels} max_width={wide_max_width}");
-    println!("serial  warm replay median {:>12}", TimingSummary::human(serial_warm.median_ns));
-    println!(
-        "sharded warm replay median {:>12}   ({workers} workers, {sharded_speedup:.2}x, hw={hw})",
-        TimingSummary::human(sharded_warm.median_ns)
-    );
-    println!(
-        "auto-tier warm solve median {:>12}   ({auto_over_best:.2}x the faster pinned tier)",
-        TimingSummary::human(auto_warm.median_ns)
-    );
-
-    // --- chain-fused replay vs per-level barriers on deep/narrow -----
-    // The Schedule IR's home turf: a factor thousands of levels deep
-    // with single-digit level widths. The per-level schedule
-    // (`chain_width_threshold: 0`) pays one barrier per level; the
-    // default tuning fuses the narrow runs into a handful of chains,
-    // so barriers land only at chain boundaries. Barrier counts come
-    // from the reported schedule stats (valid on any core count); the
-    // wall-clock floor binds only where parallel hardware exists.
-    let deep_depth = ((2_000.0 * scale) as usize).max(64);
-    let dm = gen::deep_narrow(deep_depth, 6, 3.2, 0xBEEF);
-    let deep_n = dm.n();
-    let deep_nnz = dm.nnz();
-    let (_, db) = verify::rhs_for(&dm, 13);
-    let fused_engine = SolverEngine::build(&dm, cfg.clone(), &opts).unwrap();
-    let unfused_opts = SolveOptions { chain_width_threshold: 0, ..opts.clone() };
-    let unfused_engine = SolverEngine::build(&dm, cfg.clone(), &unfused_opts).unwrap();
-    let fused_sched = fused_engine.solve(&db).unwrap().schedule.unwrap();
-    let unfused_sched = unfused_engine.solve(&db).unwrap().schedule.unwrap();
-    let chain_workers = 4usize;
-    let mut dws = SolveWorkspace::new();
-    let mut dout = vec![0.0f64; deep_n];
-    // warm-up both engines: grow buffers, spawn the pools
-    fused_engine.solve_sharded_into(&db, &mut dout, &mut dws, chain_workers).unwrap();
-    unfused_engine.solve_sharded_into(&db, &mut dout, &mut dws, chain_workers).unwrap();
-    let fused_chain = time_ns(7, || {
-        fused_engine.solve_sharded_into(&db, &mut dout, &mut dws, chain_workers).unwrap();
-        dout[0]
-    });
-    let unfused_chain = time_ns(7, || {
-        unfused_engine.solve_sharded_into(&db, &mut dout, &mut dws, chain_workers).unwrap();
-        dout[0]
-    });
-    let chain_speedup = unfused_chain.median_ns as f64 / fused_chain.median_ns.max(1) as f64;
-    let barrier_cut =
-        unfused_sched.barriers_per_solve as f64 / fused_sched.barriers_per_solve.max(1) as f64;
-    println!(
-        "deep/narrow factor n={deep_n} nnz={deep_nnz} levels={} chains={} fused_fraction={:.3}",
-        fused_sched.levels, fused_sched.chains, fused_sched.fused_fraction
-    );
-    println!(
-        "per-level barriers  median {:>12}   ({} barriers/solve)",
-        TimingSummary::human(unfused_chain.median_ns),
-        unfused_sched.barriers_per_solve
-    );
-    println!(
-        "chain-fused replay  median {:>12}   ({} barriers/solve, {barrier_cut:.0}x fewer, {chain_speedup:.2}x, hw={hw})",
-        TimingSummary::human(fused_chain.median_ns),
-        fused_sched.barriers_per_solve
-    );
 
     // --- serving front-end: coalesced panels vs lock-per-request -----
     // 64 concurrent right-hand sides from 8 client threads. The
@@ -363,12 +239,11 @@ fn main() {
         TimingSummary::human(lock_loop.median_ns)
     );
     println!(
-        "{}x coalesced service   median {:>12}   (mean fill {:.2} lanes over {} panels, {serve_speedup:.2}x, hw={hw_threads})",
+        "{}x coalesced service   median {:>12}   (mean fill {:.2} lanes over {} panels, {serve_speedup:.2}x, hw={hw})",
         SERVE_CLIENTS * SERVE_PER_CLIENT,
         TimingSummary::human(coalesced.median_ns),
         mean_fill.get(),
         serve_panels.get(),
-        hw_threads = std::thread::available_parallelism().map_or(1, |p| p.get()),
     );
 
     // --- serving front-end: what an idle service adds to one solve ----
@@ -617,35 +492,6 @@ fn main() {
     "warm_pcg_ns": {warm_pcg_med},
     "warm_speedup": {pcg_speedup:.2}
   }},
-  "sharded_replay": {{
-    "matrix": {{ "n": {n}, "nnz": {wide_nnz}, "generator": "level_structured(levels={wide_levels}, seed=7)" }},
-    "n_levels": {wide_n_levels},
-    "max_level_width": {wide_max_width},
-    "workers_requested": {requested_workers},
-    "workers": {workers},
-    "hardware_threads": {hw},
-    "serial_warm_ns": {serial_med},
-    "sharded_warm_ns": {sharded_med},
-    "speedup_vs_serial": {sharded_speedup:.2},
-    "auto_warm_ns": {auto_med},
-    "auto_over_best": {auto_over_best:.2}
-  }},
-  "chain_fused": {{
-    "matrix": {{ "n": {deep_n}, "nnz": {deep_nnz}, "generator": "deep_narrow(depth={deep_depth}, width=6, seed=0xBEEF)" }},
-    "levels": {cf_levels},
-    "chains": {cf_chains},
-    "fused_levels": {cf_fused_levels},
-    "fused_fraction": {cf_fused_fraction:.4},
-    "shards": {cf_shards},
-    "barriers_per_solve_fused": {cf_barriers_fused},
-    "barriers_per_solve_per_level": {cf_barriers_unfused},
-    "barrier_cut": {barrier_cut:.1},
-    "workers": {chain_workers},
-    "hardware_threads": {hw},
-    "per_level_ns": {cf_unfused_med},
-    "chain_fused_ns": {cf_fused_med},
-    "speedup_vs_per_level": {chain_speedup:.2}
-  }},
   "fleet": {{
     "requests": {fleet_reqs},
     "warm_submit_ns_per_req": {fleet_per_req},
@@ -681,7 +527,7 @@ fn main() {
         warm_min = warm.min_ns,
         os_med = one_shot.median_ns,
         batch_med = batch.median_ns,
-        threads = std::thread::available_parallelism().map_or(1, |p| p.get()),
+        threads = hw,
         per_rhs_med = per_rhs.median_ns,
         fused_med = fused.median_ns,
         pooled_med = pooled.median_ns,
@@ -690,18 +536,6 @@ fn main() {
         fused_gbps = gbps(fused_sweeps, fused.median_ns),
         per_rhs_nnz = ns_per_nnz_rhs(per_rhs.median_ns),
         fused_nnz = ns_per_nnz_rhs(fused.median_ns),
-        serial_med = serial_warm.median_ns,
-        sharded_med = sharded_warm.median_ns,
-        auto_med = auto_warm.median_ns,
-        cf_levels = fused_sched.levels,
-        cf_chains = fused_sched.chains,
-        cf_fused_levels = fused_sched.fused_levels,
-        cf_fused_fraction = fused_sched.fused_fraction,
-        cf_shards = fused_sched.shards,
-        cf_barriers_fused = fused_sched.barriers_per_solve,
-        cf_barriers_unfused = unfused_sched.barriers_per_solve,
-        cf_unfused_med = unfused_chain.median_ns,
-        cf_fused_med = fused_chain.median_ns,
         serve_clients = SERVE_CLIENTS,
         serve_per_client = SERVE_PER_CLIENT,
         serve_rhs = SERVE_CLIENTS * SERVE_PER_CLIENT,
@@ -740,41 +574,6 @@ fn main() {
     assert!(
         fused_speedup >= 1.0,
         "fused panel must never lose to the per-RHS warm loop, got {fused_speedup:.2}x"
-    );
-    // the parallel floor only binds where parallel hardware exists; a
-    // 1–3 thread machine records its honest numbers instead
-    assert!(
-        hw < 4 || sharded_speedup >= 1.5,
-        "sharded replay must be at least 1.5x faster than serial warm replay \
-         at {workers} workers on {hw} hardware threads, got {sharded_speedup:.2}x"
-    );
-    // whichever pinned tier wins on this machine, the measured auto
-    // tier must have committed to it (25% covers run-to-run noise where
-    // the two are close)
-    assert!(
-        auto_over_best <= 1.25,
-        "the auto tier must run within 1.25x of the faster of serial / {workers}-worker \
-         sharded on the wide factor, got {auto_over_best:.2}x"
-    );
-    // schedule-stat floor, valid on any core count: every chain is one
-    // phase, so a solve pays one barrier per chain boundary — per-level
-    // `levels − 1`, fused `chains − 1` — and fusion must cut that at
-    // least 5x on the deep/narrow factor
-    assert_eq!(unfused_sched.barriers_per_solve, unfused_sched.levels - 1);
-    assert_eq!(fused_sched.barriers_per_solve, fused_sched.chains - 1);
-    assert!(
-        unfused_sched.barriers_per_solve >= 5 * fused_sched.barriers_per_solve.max(1),
-        "chain fusion must cut barriers >=5x on the deep/narrow factor: \
-         {} per-level vs {} fused",
-        unfused_sched.barriers_per_solve,
-        fused_sched.barriers_per_solve
-    );
-    // the wall-clock floor binds only where parallel hardware exists;
-    // narrower machines record their honest numbers
-    assert!(
-        hw < 4 || chain_speedup >= 1.2,
-        "chain-fused replay must be at least 1.2x faster than the per-level \
-         schedule at {chain_workers} workers on {hw} hardware threads, got {chain_speedup:.2}x"
     );
     assert!(
         pcg_speedup >= 2.0,

@@ -160,53 +160,6 @@ impl LevelSets {
         self.level_of.len() as f64 / self.n_levels() as f64
     }
 
-    /// Cut every level into `shards` owner segments — the
-    /// owner-computes decomposition a level-parallel solver executes
-    /// (each shard's rows are solved, and their partial sums
-    /// accumulated, by exactly one worker).
-    ///
-    /// The returned order is level-major. Within a level, components
-    /// stay in ascending index order without an ownership map — the
-    /// order the solver engine uses, shared with
-    /// [`LevelSets::level_comps`] (a refcount bump, not a copy) — and
-    /// are grouped by `owner[c]` when one is given (stable — ascending
-    /// index within one owner), mirroring the paper's owner-local
-    /// update placement. Each level is then sliced into `shards`
-    /// near-equal contiguous segments, so per-level work balances
-    /// across however many workers later execute the shards.
-    ///
-    /// Cost: O(n) without an ownership map; O(n log n) worst case with
-    /// one (the per-level grouping sort).
-    pub fn owner_segments(&self, owner: Option<&[usize]>, shards: usize) -> LevelSegments {
-        let shards = shards.max(1);
-        let n = self.level_of.len();
-        let n_levels = self.n_levels();
-        let order: Arc<[Idx]> = match owner {
-            None => self.level_comps_shared(),
-            Some(own) => {
-                assert_eq!(own.len(), n, "ownership map must cover every component");
-                let mut v = self.level_comps.to_vec();
-                for l in 0..n_levels {
-                    let (lo, hi) = (self.level_ptr[l] as usize, self.level_ptr[l + 1] as usize);
-                    v[lo..hi].sort_by_key(|&c| own[c as usize]);
-                }
-                v.into()
-            }
-        };
-        let mut seg_ptr = vec![0u32; n_levels * shards + 1];
-        for l in 0..n_levels {
-            let lo = self.level_ptr[l] as usize;
-            let width = self.level_ptr[l + 1] as usize - lo;
-            for s in 0..shards {
-                // near-equal contiguous slices; segment ends are
-                // cumulative, so consecutive segments (and levels)
-                // tile the order array exactly
-                seg_ptr[l * shards + s + 1] = (lo + width * (s + 1) / shards) as u32;
-            }
-        }
-        LevelSegments { shards, order, seg_ptr }
-    }
-
     /// Partition the levels into **chains**: maximal runs of
     /// consecutive levels whose width is at most `width_threshold`
     /// fuse into one chain, while each wider level stands alone as a
@@ -255,45 +208,16 @@ impl LevelSets {
     }
 }
 
-/// The owner-computes decomposition produced by
-/// [`LevelSets::owner_segments`]: a level-major component order plus a
-/// `(level, shard)`-indexed segmentation of it.
-#[derive(Debug, Clone)]
-pub struct LevelSegments {
-    /// Number of shards each level was cut into.
-    pub shards: usize,
-    /// All components, level-major (the canonical serial order of the
-    /// segmentation): segment `(l, s)` occupies
-    /// `order[seg_ptr[l * shards + s] as usize .. seg_ptr[l * shards + s + 1] as usize]`.
-    pub order: Arc<[Idx]>,
-    /// CSR-style segment offsets into [`LevelSegments::order`]
-    /// (`n_levels * shards + 1` entries).
-    pub seg_ptr: Vec<u32>,
-}
-
-impl LevelSegments {
-    /// Components of segment `(level, shard)`.
-    #[inline]
-    pub fn segment(&self, level: usize, shard: usize) -> &[Idx] {
-        let k = level * self.shards + shard;
-        &self.order[self.seg_ptr[k] as usize..self.seg_ptr[k + 1] as usize]
-    }
-}
-
 /// The chain partition produced by [`LevelSets::chains`]: a CSR-style
 /// grouping of consecutive levels into barrier-delimited chains.
 ///
 /// Chain `k` spans levels `chain_ptr[k] .. chain_ptr[k + 1]`. A
 /// *fused* chain contains only levels at or below the width threshold
 /// and runs on one worker without internal barriers; an unfused chain
-/// is always a single wide level that keeps the owner-computes
-/// sharded execution. Note a lone narrow level between two wide ones
-/// still forms a (single-level) fused chain — it runs on one worker,
-/// which is the right call for a level too narrow to shard.
-///
-/// The `Default` partition has no chains at all — the shape of a
-/// schedule that is never split across workers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// is always a single wide level, the only kind a level-synchronous
+/// executor would split across workers. Note a lone narrow level
+/// between two wide ones still forms a (single-level) fused chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainPartition {
     /// CSR-style level offsets: chain `k` spans levels
     /// `chain_ptr[k] .. chain_ptr[k + 1]`. Strictly increasing from 0
@@ -308,8 +232,7 @@ pub struct ChainPartition {
 }
 
 impl ChainPartition {
-    /// Number of chains (0 for an empty matrix or the default
-    /// partition).
+    /// Number of chains (0 for an empty matrix).
     #[inline]
     pub fn n_chains(&self) -> usize {
         self.chain_ptr.len().saturating_sub(1)
@@ -322,14 +245,13 @@ impl ChainPartition {
     }
 
     /// Whether chain `k` is a fused run of narrow levels (single
-    /// worker, no internal barriers) rather than a sharded wide level.
+    /// worker, no internal barriers) rather than a singleton wide level.
     #[inline]
     pub fn is_fused(&self, k: usize) -> bool {
         self.fused[k]
     }
 
-    /// The CSR-style level offsets (`n_chains + 1` entries; none for
-    /// the default partition).
+    /// The CSR-style level offsets (`n_chains + 1` entries).
     #[inline]
     pub fn chain_ptr(&self) -> &[u32] {
         &self.chain_ptr
@@ -346,11 +268,11 @@ impl ChainPartition {
         (0..self.n_chains()).filter(|&k| self.fused[k]).map(|k| self.chain(k).len()).sum()
     }
 
-    /// Barriers one parallel solve over this partition pays: every
-    /// chain — a fused run on one worker or a wide level sharded
+    /// Barriers one level-synchronous solve over this partition pays:
+    /// every chain — a fused run on one worker or a wide level split
     /// across all of them, each a single phase that reads only earlier
     /// chains — needs one trailing barrier to publish its rows, and
-    /// the final chain drops it because the region join synchronizes:
+    /// the final chain drops it because the join synchronizes:
     /// `chains − 1`. The unfused partition (`width_threshold == 0`)
     /// yields the classic `levels − 1`; a lone wide level pays 0.
     pub fn barriers_per_solve(&self) -> usize {
@@ -552,65 +474,6 @@ mod tests {
         assert_eq!(s.parallelism, 0.0);
     }
 
-    #[test]
-    fn owner_segments_tile_every_level() {
-        let m = crate::gen::banded_lower(97, 5, 3.0, 7);
-        let ls = LevelSets::analyze(&m, Triangle::Lower);
-        for shards in [1usize, 3, 8] {
-            let segs = ls.owner_segments(None, shards);
-            // without an ownership map the order is shared, not copied
-            assert_eq!(segs.order.as_ref(), ls.level_comps());
-            assert_eq!(segs.seg_ptr.len(), ls.n_levels() * shards + 1);
-            for l in 0..ls.n_levels() {
-                let mut rebuilt: Vec<Idx> = Vec::new();
-                for s in 0..shards {
-                    for &c in segs.segment(l, s) {
-                        assert_eq!(ls.level_of[c as usize] as usize, l);
-                        rebuilt.push(c);
-                    }
-                }
-                assert_eq!(rebuilt.as_slice(), ls.level(l), "level {l} must tile exactly");
-                // near-equal balance: segment sizes differ by at most 1
-                let sizes: Vec<usize> = (0..shards).map(|s| segs.segment(l, s).len()).collect();
-                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(hi - lo <= 1, "level {l} shard sizes {sizes:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn owner_segments_group_by_owner_within_level() {
-        let ls = LevelSets::analyze(&fig1(), Triangle::Lower);
-        // level 1 is {1, 3, 5}; give 5 to owner 0 and 1, 3 to owner 1:
-        // grouping must reorder the level to [5, 1, 3] (stable within
-        // one owner)
-        let mut owner = vec![0usize; 8];
-        owner[1] = 1;
-        owner[3] = 1;
-        let segs = ls.owner_segments(Some(&owner), 2);
-        let level1: Vec<Idx> = (0..2).flat_map(|s| segs.segment(1, s).to_vec()).collect();
-        assert_eq!(level1, vec![5, 1, 3]);
-        // every component still appears exactly once overall
-        let mut seen = [false; 8];
-        for &c in segs.order.iter() {
-            assert!(!seen[c as usize]);
-            seen[c as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn empty_matrix_owner_segments() {
-        let m = crate::build::TripletBuilder::new(0).build().unwrap();
-        let ls = LevelSets::analyze(&m, Triangle::Lower);
-        let segs = ls.owner_segments(None, 4);
-        assert_eq!(segs.order.len(), 0);
-        assert_eq!(segs.seg_ptr, vec![0]);
-    }
-
-    /// Fig. 1's widths are 1, 3, 2, 1, 1: with threshold 1 the narrow
-    /// singleton level 0 fuses alone, levels 1 and 2 stay wide
-    /// singletons, and the trailing run {3, 4} fuses into one chain.
     #[test]
     fn fig1_chains_at_threshold_one() {
         let ls = LevelSets::analyze(&fig1(), Triangle::Lower);

@@ -42,13 +42,14 @@
 //! (emitted by `cargo bench -p sptrsv-bench --bench engine`) tracks the
 //! ratio.
 //!
-//! ## The warm tiers: one kernel, four shapes
+//! ## The warm tiers: one kernel, three shapes
 //!
 //! Every warm solve is the same row sweep
 //! `y[i] = (y[i] − Σₖ vals[k]·y[cols[k]]) / diag[i]` over the
 //! relabelled factor, with `b` permuted into `y` before it and `x`
 //! out after (see [`crate::exec`]'s module docs); the tiers differ
-//! only in who sweeps which rows for how many right-hand sides:
+//! only in how many right-hand sides one sweep carries and which
+//! thread runs it:
 //!
 //! 1. **Single solve** — [`SolverEngine::solve`] (convenience,
 //!    allocates the report) or [`SolverEngine::solve_into`]
@@ -57,32 +58,22 @@
 //!    Right choice when right-hand sides arrive one at a time with
 //!    data dependencies between them — e.g. the preconditioner
 //!    application inside a Krylov iteration.
-//! 2. **Sharded solve** — [`SolverEngine::solve_sharded_into`]: one
-//!    right-hand side swept chain-parallel across the persistent
-//!    worker pool — a fused chain of narrow levels by one worker, a
-//!    wide level cut into shards across all of them, one barrier per
-//!    chain boundary: the paper's parallel execution model running
-//!    real numerics on the host. `solve`/`solve_into` pick between
-//!    tiers 1 and 2 **by measurement**: the first few auto-tier solves
-//!    are timed on each candidate (serial, and
-//!    [`Schedule::auto_workers`] workers when that is > 1) and the
-//!    engine commits to the faster for the life of its layout. Which
-//!    side wins is a property of the host as much as of the factor;
-//!    the `engine` bench gates the selector (auto within 1.25× of the
-//!    faster pinned tier) on whatever host runs it.
-//! 3. **Fused panel** — [`SolverEngine::solve_panel_into`]: the factor
+//!    ([`SolverEngine::solve_sharded_into`] is the same solve; its
+//!    worker count is ignored — see [`crate::exec`] for why one
+//!    solve is never split across threads.)
+//! 2. **Fused panel** — [`SolverEngine::solve_panel_into`]: the factor
 //!    is streamed once per K-wide block of right-hand sides
 //!    ([`crate::exec::PANEL_K`] lanes, interleaved layout, vectorized
 //!    lane loops) instead of once per RHS. The sweep is
 //!    memory-bandwidth-bound, so this wins whenever ≥ 2 independent
 //!    right-hand sides are available at once.
-//! 4. **Pooled batch** — [`SolverEngine::solve_batch`] /
+//! 3. **Pooled batch** — [`SolverEngine::solve_batch`] /
 //!    [`SolverEngine::solve_batch_into`] split the batch into
 //!    contiguous chunks and run fused panels on a **persistent worker
 //!    pool** (lazily spawned, reused across calls). Chunking is
 //!    deterministic, so results never depend on the worker count.
 //!
-//! All four tiers, in every layout order, return
+//! All three tiers, in every layout order, return
 //! [`crate::reference`]'s bits (the argument is in [`crate::exec`]'s
 //! module docs), so every engine holds **one** factor and every
 //! consumer — the Krylov preconditioner's `apply_into`, the
@@ -119,7 +110,7 @@
 //!   executes against exactly one value epoch — old or new, never a
 //!   torn mix — and a refresh never waits for a solve.
 //!   [`SolverEngine::value_epoch`] counts committed refreshes.
-//! * **Bit-identity with a cold rebuild.** A refreshed engine's four
+//! * **Bit-identity with a cold rebuild.** A refreshed engine's three
 //!   warm tiers produce bit-for-bit the solutions a freshly built
 //!   engine on the new matrix would — same layout, same operation
 //!   sequence, only the values swapped.
@@ -134,7 +125,7 @@
 
 use crate::exec::{self, ExecError, Layout, NumericFactor, ReplayWorkspace, Simulation};
 use crate::fault::{self, FaultSite};
-use crate::pool::{self, ScopedTask, WorkerPool};
+use crate::pool::{ScopedTask, WorkerPool};
 use crate::report::SolveReport;
 use crate::schedule::Schedule;
 use crate::solver::{MultiRhsReport, SolveError, SolveOptions, SolverKind};
@@ -144,9 +135,8 @@ use desim::SimTime;
 use mgpu_sim::MachineConfig;
 use sparsemat::{CscMatrix, FactorAudit, FactorFingerprint, LevelSets, MatrixError};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
 
 /// A reusable solver: analysis done once at build, arbitrarily many
 /// solves afterwards.
@@ -183,10 +173,6 @@ pub struct SolverEngine<'m> {
     /// place once no reader still pins it. A refresh holds this lock
     /// from gather to publish, so concurrent refreshers serialise here.
     spare: Mutex<Option<Arc<Epoch>>>,
-    /// Which tier `solve`/`solve_into` run: measured once per layout
-    /// (see [`AutoTier`]), never re-probed by a value refresh — a
-    /// refresh does not move the schedule.
-    tier: AutoTier,
     /// Committed value refreshes (0 = the build's values). Solves
     /// observe exactly one epoch each — see the module docs.
     value_epoch: AtomicU64,
@@ -216,7 +202,7 @@ pub(crate) struct Epoch {
 pub(crate) type Staged<'e> = (MutexGuard<'e, Option<Arc<Epoch>>>, Arc<Epoch>);
 
 /// The runtime resources behind an engine's warm tiers: the persistent
-/// worker pool (spawned lazily on the first parallel solve) and the
+/// worker pool (spawned lazily on the first pooled batch) and the
 /// free-list of recycled [`SolveWorkspace`]s that keeps steady-state
 /// batched solves allocation-free.
 ///
@@ -243,9 +229,9 @@ impl EngineResources {
     }
 
     /// Times the worker pool came up short of a requested thread count
-    /// (spawn failure, real or injected) — every shortfall degraded a
-    /// sharded solve to the bit-identical serial sweep. Zero if the
-    /// pool was never spawned.
+    /// (spawn failure, real or injected) — every shortfall narrowed a
+    /// pooled batch, whose submitting thread ran the chunks no worker
+    /// took (same bits). Zero if the pool was never spawned.
     pub fn spawn_shortfalls(&self) -> u64 {
         self.pool.get().map_or(0, WorkerPool::spawn_shortfalls)
     }
@@ -282,121 +268,6 @@ impl<T: Default> RecyclePool<T> {
 /// so a holder that unwinds never leaves a slot torn.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Timed samples each candidate tier gets before the auto tier commits.
-const TIER_PROBES: u32 = 3;
-
-/// The probe record behind [`AutoTier`], as a pure function of the
-/// timings fed to it: best time and sample count per candidate
-/// (`[serial, sharded]`), plus the sharded probes that could not run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct TierProbe {
-    best_ns: [u64; 2],
-    samples: [u32; 2],
-    fallbacks: u32,
-}
-
-impl TierProbe {
-    /// Whether the next probe should run sharded — the candidates
-    /// alternate, serial first.
-    fn next_is_sharded(&self) -> bool {
-        self.samples[1] < self.samples[0]
-    }
-
-    /// Record one timed solve. Once both candidates have
-    /// [`TIER_PROBES`] samples, returns the verdict: `Some(true)` iff
-    /// sharded's best time beat serial's.
-    fn record(&mut self, sharded: bool, ns: u64) -> Option<bool> {
-        let t = usize::from(sharded);
-        self.best_ns[t] = if self.samples[t] == 0 { ns } else { self.best_ns[t].min(ns) };
-        self.samples[t] += 1;
-        self.samples.iter().all(|&s| s >= TIER_PROBES).then(|| self.best_ns[1] < self.best_ns[0])
-    }
-
-    /// Record a sharded probe that fell back to the serial sweep (the
-    /// pool's region slot was taken). It timed neither candidate
-    /// cleanly, so it is no sample — but the window must close: after
-    /// [`TIER_PROBES`] of them the verdict is serial, the tier a pool
-    /// that contended would keep degrading to anyway.
-    fn record_fallback(&mut self) -> Option<bool> {
-        self.fallbacks += 1;
-        (self.fallbacks >= TIER_PROBES).then_some(false)
-    }
-}
-
-/// The auto tier of `solve`/`solve_into`, chosen by measurement: all
-/// tiers are bit-identical by contract, so the engine times its own
-/// first few auto-tier solves on each candidate — serial, and
-/// `candidate` workers ([`Schedule::auto_workers`] for this host) when
-/// that is > 1 — and commits to the faster for the life of the
-/// engine's layout.
-#[derive(Debug)]
-struct AutoTier {
-    candidate: usize,
-    /// 0 while probing, else the committed worker count. Publishes no
-    /// other data, hence `Relaxed`.
-    committed: AtomicUsize,
-    probe: Mutex<TierProbe>,
-}
-
-impl AutoTier {
-    fn new(candidate: usize) -> AutoTier {
-        let committed = if candidate > 1 { 0 } else { 1 };
-        AutoTier { candidate, committed: committed.into(), probe: Mutex::default() }
-    }
-
-    /// The worker count the next auto-tier solve runs with, and
-    /// whether that solve is a probe whose time [`AutoTier::record`]
-    /// wants. From a pool worker thread (where no region can be
-    /// mounted) the answer is serial and never a probe.
-    fn pick(&self, on_worker_thread: bool) -> (usize, bool) {
-        if on_worker_thread {
-            return (1, false);
-        }
-        match self.committed.load(Ordering::Relaxed) {
-            0 => {
-                let sharded = self.lock().next_is_sharded();
-                (if sharded { self.candidate } else { 1 }, true)
-            }
-            w => (w, false),
-        }
-    }
-
-    /// Feed one probe's timing: `workers` is what [`AutoTier::pick`]
-    /// asked for, `ran_sharded` what actually ran (a sharded probe
-    /// whose region slot was taken falls back to the serial sweep).
-    fn record(&self, workers: usize, ran_sharded: bool, ns: u64) {
-        let mut probe = self.lock();
-        // commit once: a probe that was still in flight when another
-        // thread's sample completed the window must not flip the verdict
-        if self.committed.load(Ordering::Relaxed) != 0 {
-            return;
-        }
-        let verdict = if ran_sharded == (workers > 1) {
-            probe.record(ran_sharded, ns)
-        } else {
-            probe.record_fallback()
-        };
-        if let Some(sharded_wins) = verdict {
-            let w = if sharded_wins { self.candidate } else { 1 };
-            self.committed.store(w, Ordering::Relaxed);
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, TierProbe> {
-        // a `TierProbe` is valid after any partial update
-        self.probe.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Which tier a single-RHS warm solve runs on.
-#[derive(Debug, Clone, Copy)]
-enum Tier {
-    /// `solve` / `solve_into`: the engine's measured choice.
-    Auto,
-    /// `solve_sharded_into`: the caller pinned the worker count.
-    Pinned(usize),
 }
 
 /// The receipt of a committed [`SolverEngine::refresh_values`]: what
@@ -518,7 +389,6 @@ impl<'m> SolverEngine<'m> {
                 Layout::level_major(m, tri, Schedule::build(&levels, None, opts.schedule_tuning()))
             }
         };
-        let tier = AutoTier::new(layout.schedule().auto_workers(hardware_threads()));
         let factor = NumericFactor::new(Arc::new(layout), m);
 
         build_sw.stop(Hist::BuildNs);
@@ -529,7 +399,6 @@ impl<'m> SolverEngine<'m> {
             template: OnceLock::new(),
             current: Mutex::new(Arc::new(Epoch { factor, audit })),
             spare: Mutex::new(None),
-            tier,
             value_epoch: AtomicU64::new(0),
             resources,
         })
@@ -573,8 +442,8 @@ impl<'m> SolverEngine<'m> {
     }
 
     /// Host bytes this engine holds beyond the matrix it borrows: the
-    /// Schedule IR (canonical order, shard segments, chain partition),
-    /// the relabelled factor, the spare values a refresh gathers into
+    /// relabelled factor (its layout keeps the schedule's stats, not
+    /// its order), the spare values a refresh gathers into
     /// (once the first refresh has allocated them), plus one warm
     /// [`SolveWorkspace`] at this dimension — the per-engine charge a
     /// byte-bounded factor cache accounts (the cache adds the matrix's
@@ -601,7 +470,7 @@ impl<'m> SolverEngine<'m> {
     fn template(&self) -> Result<&Arc<SolveReport>, SolveError> {
         self.template
             .get_or_init(|| {
-                let schedule = self.snapshot().factor.layout().schedule().stats();
+                let schedule = self.snapshot().factor.layout().stats();
                 self.simulation.calibrate(self.m, &self.opts, schedule).map(Arc::new)
             })
             .as_ref()
@@ -627,7 +496,7 @@ impl<'m> SolverEngine<'m> {
     fn solve_report(&self, factor: &NumericFactor, b: &[f64]) -> Result<SolveReport, SolveError> {
         let mut x = vec![0.0f64; self.m.n()];
         let mut ws = self.resources.workspaces.take();
-        let verified = self.solve_single(factor, b, &mut x, &mut ws, Tier::Auto);
+        let verified = self.solve_single(factor, b, &mut x, &mut ws);
         self.resources.workspaces.put(ws);
         let verified_rel_err = verified?;
         Ok(SolveReport { x, verified_rel_err, ..(**self.template()?).clone() })
@@ -639,53 +508,43 @@ impl<'m> SolverEngine<'m> {
     ///
     /// Steady state — after the workspace buffers have grown to the
     /// engine's dimension — this performs **zero** heap allocation,
-    /// including under `opts.verify` (the serial reference runs in
-    /// workspace scratch) and while the auto tier is still probing.
-    /// Results are bit-identical to [`SolverEngine::solve`].
+    /// including under `opts.verify`. Results are bit-identical to
+    /// [`SolverEngine::solve`].
     pub fn solve_into(
         &self,
         b: &[f64],
         out: &mut [f64],
         ws: &mut SolveWorkspace,
     ) -> Result<(), SolveError> {
-        self.solve_single(&self.snapshot().factor, b, out, ws, Tier::Auto).map(drop)
+        self.solve_single(&self.snapshot().factor, b, out, ws).map(drop)
     }
 
-    /// Level-parallel warm solve (tier 2): one right-hand side swept
-    /// chain-parallel across `workers` threads of the persistent pool
-    /// along the engine's [`Schedule`] — bit-identical to
-    /// [`SolverEngine::solve_into`] for every worker count, and
-    /// allocation-free in steady state.
-    ///
-    /// `workers` is clamped to `[1, crate::exec::SHARD_COUNT]`; one
-    /// worker, a serial-kind engine (whose natural layout has no chain
-    /// to split), a call from inside a pool task, or a pool whose
-    /// region slot is held by a concurrent sharded solve all degrade to
-    /// the serial sweep — never a block, never different bits. Prefer
-    /// [`SolverEngine::solve_into`] unless you want to pin the width:
-    /// it already picks this tier when it measures faster.
+    /// [`SolverEngine::solve_into`] under its historical name: the
+    /// same core, the same typed errors, the same bits. `workers` is
+    /// ignored — every single-RHS solve is one serial sweep (see
+    /// [`crate::exec`]'s module docs). Kept for the layered benchmark,
+    /// which calls it with `workers = 1`.
     pub fn solve_sharded_into(
         &self,
         b: &[f64],
         out: &mut [f64],
         ws: &mut SolveWorkspace,
-        workers: usize,
+        _workers: usize,
     ) -> Result<(), SolveError> {
-        self.solve_single(&self.snapshot().factor, b, out, ws, Tier::Pinned(workers)).map(drop)
+        self.solve_into(b, out, ws)
     }
 
-    /// The one single-RHS warm-solve core behind `solve`, `solve_into`
-    /// and `solve_sharded_into`: validate, pick the tier, sweep, verify
-    /// — all on the caller's pinned `factor`, so the whole call runs
-    /// against a single value epoch. Returns the verified relative
-    /// error when `opts.verify` is set.
+    /// The one single-RHS warm-solve core behind `solve` and
+    /// `solve_into`: validate, sweep, verify — all on the caller's
+    /// pinned `factor`, so the whole call runs against a single value
+    /// epoch. Returns the verified relative error when `opts.verify`
+    /// is set.
     fn solve_single(
         &self,
         factor: &NumericFactor,
         b: &[f64],
         out: &mut [f64],
         ws: &mut SolveWorkspace,
-        tier: Tier,
     ) -> Result<Option<f64>, SolveError> {
         let n = self.m.n();
         if b.len() != n {
@@ -699,39 +558,14 @@ impl<'m> SolverEngine<'m> {
         if out.len() != n {
             return Err(SolveError::OutputLength { n, out: out.len(), buffer: "out" });
         }
-        let on_worker = pool::on_worker_thread();
-        // (worker count, whether the sharded tier's entry point and
-        // spans serve the call, probe start while the auto tier samples)
-        let (workers, sharded_tier, probe) = match tier {
-            Tier::Auto => {
-                let (w, probing) = self.tier.pick(on_worker);
-                (w, w > 1, probing.then(Instant::now))
-            }
-            // a nested parallel region cannot guarantee each index its
-            // own thread, so a pinned request from inside a pool task
-            // degrades to the serial sweep
-            Tier::Pinned(w) => (if on_worker { 1 } else { w.max(1) }, true, None),
-        };
-        let ran_sharded = if sharded_tier {
-            let _g = SpanGuard::enter(Site::SolveSharded);
-            let sw = Stopwatch::start();
-            let ran = factor.solve_sharded_into(b, &mut ws.replay, out, self.pool(), workers);
-            sw.stop(Hist::SolveShardedNs);
-            ran
-        } else {
-            let _g = SpanGuard::enter(Site::SolveSerial);
-            let sw = Stopwatch::start();
-            factor.solve_into(b, &mut ws.replay, out);
-            sw.stop(Hist::SolveSerialNs);
-            false
-        };
-        if let Some(t0) = probe {
-            self.tier.record(workers, ran_sharded, t0.elapsed().as_nanos() as u64);
-        }
-        self.verify_into(factor, b, out, ws, !ran_sharded)
+        let _g = SpanGuard::enter(Site::SolveSerial);
+        let sw = Stopwatch::start();
+        factor.solve_into(b, &mut ws.replay, out);
+        sw.stop(Hist::SolveSerialNs);
+        self.verify_into(factor, b, out, ws, true)
     }
 
-    /// Fused multi-RHS warm solve (tier 3): the factor is streamed
+    /// Fused multi-RHS warm solve (tier 2): the factor is streamed
     /// once per [`crate::exec::PANEL_K`]-wide block of right-hand
     /// sides instead of once per RHS — single-threaded, in the
     /// caller's workspace, zero heap allocation in steady state (each
@@ -863,7 +697,7 @@ impl<'m> SolverEngine<'m> {
         Ok(amortized(reports))
     }
 
-    /// Zero-allocation batched warm solve (tier 4): contiguous chunks
+    /// Zero-allocation batched warm solve (tier 3): contiguous chunks
     /// of the batch run fused panels ([`SolverEngine::solve_panel_into`])
     /// on the persistent worker pool, writing into the caller's output
     /// vectors. Workspaces are recycled from an engine-internal pool,
@@ -984,7 +818,7 @@ impl<'m> SolverEngine<'m> {
     /// the serial tier into workspace scratch and compare; `None`
     /// unless `opts.verify`. Takes the factor the caller pinned, so
     /// the check uses the values of that epoch. This checks the tier
-    /// that ran (sharded, panel) against the serial tier — whose bits
+    /// that ran (the panel) against the serial tier — whose bits
     /// are [`crate::reference`]'s — so when the solve itself was the
     /// serial sweep (`serial`), the error is exactly zero without a
     /// second sweep.
@@ -1029,7 +863,7 @@ impl<'m> SolverEngine<'m> {
     /// and every solve that starts after it returns sees the new
     /// values. The spare is the retired epoch: only the first refresh
     /// allocates, unless a reader still pins the epoch before last.
-    /// After a commit, all four warm tiers produce bit-for-bit the
+    /// After a commit, all three warm tiers produce bit-for-bit the
     /// solutions of a cold [`SolverEngine::build`] on `m2`.
     pub fn refresh_values(&self, m2: &CscMatrix) -> Result<RefreshReport, SolveError> {
         let _g = SpanGuard::enter(Site::ValueRefresh);
@@ -1107,8 +941,12 @@ impl<'m> SolverEngine<'m> {
     }
 }
 
+/// The host's hardware thread count, read once per process and cached:
+/// `available_parallelism` reads cgroup and affinity files on every
+/// call (~15 µs), and every batch call asks.
 fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Assemble the amortized multi-RHS accounting: the analysis phase is
@@ -1351,97 +1189,6 @@ mod tests {
         let bs: Vec<Vec<f64>> = (0..3).map(|k| verify::rhs_for(&m, 800 + k).1).collect();
         let multi = engine.solve_batch_with_threads(&bs, 0).unwrap();
         assert_eq!(multi.reports.len(), 3);
-    }
-
-    /// The probe log is a pure function of the timings fed to it:
-    /// candidates alternate serial-first, and the verdict is the
-    /// smaller *best* time once both have `TIER_PROBES` samples.
-    #[test]
-    fn tier_probe_alternates_then_commits_to_the_min() {
-        let run = |serial: [u64; 3], sharded: [u64; 3]| {
-            let (mut p, mut asked) = (TierProbe::default(), Vec::new());
-            loop {
-                let s = p.next_is_sharded();
-                asked.push(s);
-                let k = p.samples[usize::from(s)] as usize;
-                if let Some(v) = p.record(s, if s { sharded[k] } else { serial[k] }) {
-                    assert_eq!(asked, [false, true, false, true, false, true]);
-                    return v;
-                }
-            }
-        };
-        assert!(run([90, 70, 80], [100, 60, 95]), "best 60 beats best 70, whatever the rest");
-        assert!(!run([90, 70, 80], [71, 500, 71]), "best 71 loses to best 70");
-        assert!(!run([70, 70, 70], [70, 70, 70]), "a tie stays serial");
-    }
-
-    #[test]
-    fn auto_tier_drops_fallback_samples_and_never_probes_from_a_pool_worker() {
-        let tier = AutoTier::new(4);
-        assert_eq!(tier.pick(false), (1, true), "serial probes first");
-        // from a pool worker thread: serial, not a probe, log untouched
-        assert_eq!(tier.pick(true), (1, false));
-        tier.record(1, false, 50);
-        assert_eq!(tier.pick(false), (4, true));
-        // the region slot was taken: asked for 4, ran serial — dropped
-        tier.record(4, false, 1);
-        assert_eq!(*tier.lock(), TierProbe { best_ns: [50, 0], samples: [1, 0], fallbacks: 1 });
-        assert_eq!(tier.pick(false), (4, true), "the sharded probe is asked again");
-        for _ in 0..TIER_PROBES {
-            tier.record(4, true, 30);
-            tier.record(1, false, 50);
-        }
-        assert_eq!(tier.pick(false), (4, false), "committed to the faster candidate");
-        assert_eq!(tier.pick(true), (1, false), "still serial from a pool worker");
-        // nothing to probe when the schedule offers no sharded candidate
-        assert_eq!(AutoTier::new(1).pick(false), (1, false));
-    }
-
-    /// A sharded candidate that can never run (its region slot always
-    /// taken) must not hold the probe window open: the tier commits
-    /// serial after `TIER_PROBES` fallbacks.
-    #[test]
-    fn auto_tier_commits_serial_when_the_sharded_probe_keeps_falling_back() {
-        let tier = AutoTier::new(4);
-        tier.record(1, false, 50);
-        for k in 0..TIER_PROBES {
-            assert_eq!(tier.pick(false), (4, true), "fallback {k}: still probing");
-            tier.record(4, false, 40);
-        }
-        assert_eq!(tier.pick(false), (1, false), "committed serial");
-        assert_eq!(tier.lock().samples, [1, 0], "fallbacks were never counted as samples");
-        // a lone wide level is swept serially whatever the worker
-        // count, so its schedule offers no candidate to begin with
-        let m = gen::diagonal(4096, 1);
-        let engine =
-            SolverEngine::build(&m, MachineConfig::dgx1(4), &SolveOptions::default()).unwrap();
-        assert_eq!(engine.tier.pick(false), (1, false));
-    }
-
-    /// The committed tier belongs to the layout: a value refresh
-    /// neither resets it nor re-opens the probe window.
-    #[test]
-    fn auto_tier_is_not_reprobed_after_a_refresh() {
-        let m = gen::level_structured(&gen::LevelSpec::new(8192, 4, 24_000, 9));
-        let (_, b) = verify::rhs_for(&m, 1);
-        let opts = SolveOptions { verify: false, ..SolveOptions::default() };
-        let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
-        let tier = &engine.tier;
-        let expect = engine.solve(&b).unwrap().x;
-        // run past the probe window (no window at all on a one-thread
-        // host, where the schedule offers no sharded candidate)
-        for _ in 0..64 {
-            if tier.committed.load(Ordering::Relaxed) != 0 {
-                break;
-            }
-            assert_eq!(engine.solve(&b).unwrap().x, expect, "probes are bit-identical");
-        }
-        let (committed, log) = (tier.committed.load(Ordering::Relaxed), *tier.lock());
-        assert_ne!(committed, 0, "the auto tier must commit");
-        engine.refresh_values(&m).unwrap();
-        assert_eq!(engine.solve(&b).unwrap().x, expect);
-        assert_eq!(tier.committed.load(Ordering::Relaxed), committed);
-        assert_eq!(*tier.lock(), log, "no probe ran after the refresh");
     }
 
     #[test]

@@ -61,9 +61,8 @@
 //! for c in 0..n { x[c] = y[pos[c]] }   // permute x out
 //! ```
 //!
-//! The sweep itself lives entirely in position space, so levels,
-//! chains and shards are plain index ranges of one contiguous array
-//! (the cholespy `level_ptr`/`chain_ptr` layout). The boundary
+//! The sweep itself lives entirely in position space, one contiguous
+//! pass over one array (the cholespy `level_ptr` layout). The boundary
 //! permutations walk the *components* sequentially — streaming `b` and
 //! `x`, scattering into `y` — which measures ~2× faster than gathering
 //! `b[order[i]]` inside the sweep, and ~2.5× on an 8-lane panel, where
@@ -91,25 +90,21 @@
 //! disappear. (Only the *gather addresses* inside a row follow the
 //! relabelling; rows hold 2–4 entries, so their order costs nothing.)
 //!
-//! ### Why every tier, worker count and chain shape agrees
+//! ### Why every tier agrees
 //!
 //! A row's value is a function of `b`, its stored entries and the `y`
-//! of **earlier levels** only (rows of one level never depend on each
-//! other). So any executor that (1) writes each row exactly once and
-//! (2) orders a level after the levels before it yields the same bits:
+//! of **earlier positions** only. Every tier — the scalar solve, each
+//! lane of a panel, each chunk of a pooled batch — sweeps all rows in
+//! position order on one thread per right-hand side, so each row is
+//! written exactly once, after every row it reads, and the lanes of a
+//! multi-RHS block never mix. That is the whole bit-identity argument,
+//! before and after a value refresh.
 //!
-//! | step shape  | who sweeps which rows                           | ordering               |
-//! |-------------|-------------------------------------------------|------------------------|
-//! | serial      | one thread, `0..n`                              | program order          |
-//! | fused chain | worker 0, the chain's contiguous row range      | program order          |
-//! | wide level  | worker `w`, shards `w, w+W, …` of the level     | barrier before & after |
-//!
-//! A wide level is a **single phase** — each worker gathers from
-//! earlier chains and writes only its own rows — so a parallel solve
-//! pays one barrier per chain boundary
-//! ([`sparsemat::levels::ChainPartition::barriers_per_solve`]), and
-//! the panel lanes of a multi-RHS block never mix. That is the whole
-//! bit-identity argument, before and after a value refresh.
+//! Parallelism lives *across* right-hand sides (the pooled batch), not
+//! inside one solve: a level-synchronous sweep — the `csrsv2` baseline
+//! the paper replaces, one barrier per level or chain — ran 2–6× slower
+//! on two host threads than on one, because a barrier costs about as
+//! much as a level's arithmetic.
 
 use sparsemat::Triangle;
 use std::ops::Range;
@@ -149,9 +144,3 @@ fn off_diagonal(col_ptr: &[usize], tri: Triangle, j: usize) -> Range<usize> {
 /// the widest monomorphized kernel (8 × f64 = one cache line of lanes
 /// per row; ragged tails use 4/2/1-wide blocks).
 pub const PANEL_K: usize = 8;
-
-/// How many shards each level is cut into. Worker counts above
-/// this are clamped; counts below it stripe shards round-robin
-/// (`shard % workers`). Results never depend on the striping — each
-/// row is written once, from rows of earlier levels only.
-pub const SHARD_COUNT: usize = 16;

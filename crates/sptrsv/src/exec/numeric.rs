@@ -4,11 +4,8 @@
 //! (see the [module docs](super)).
 
 use super::{diag_index, off_diagonal};
-use crate::pool::{DisjointSlice, RegionBarrier, WorkerPool};
-use crate::schedule::Schedule;
-use crate::telemetry::{Hist, Site, SpanGuard, Stopwatch};
+use crate::schedule::{Schedule, ScheduleStats};
 use sparsemat::{CscMatrix, Triangle};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Component ↔ position map of `tri`'s natural substitution order —
@@ -50,8 +47,8 @@ impl ReplayWorkspace {
 /// triangle, order)` alone and shared behind an `Arc` by every value
 /// epoch of a [`NumericFactor`]: the rows **relabelled into an
 /// execution order**, stored CSR over positions with each row's entries
-/// in natural source order, plus the [`Schedule`] whose levels, chains
-/// and shards are plain row ranges of it.
+/// in natural source order, plus the [`ScheduleStats`] of the schedule
+/// whose order it was laid out along.
 ///
 /// `ptr`/`cols` hold the off-diagonal entries of row `i` (position
 /// space), `pos` the position of each component (`None`: `tri`'s
@@ -66,22 +63,23 @@ pub struct Layout {
     ptr: Vec<u32>,
     cols: Vec<u32>,
     from: Vec<u32>,
-    schedule: Schedule,
+    stats: ScheduleStats,
 }
 
 impl Layout {
     /// Relabel triangular `m`'s pattern along `schedule`'s canonical
     /// level-major order (the schedule must be built from `m`'s level
-    /// sets). Cost: O(n + nnz); runs once per engine build.
+    /// sets), which is consumed into the layout's position table; only
+    /// the schedule's stats are kept. Cost: O(n + nnz); runs once per
+    /// engine build.
     pub fn level_major(m: &CscMatrix, tri: Triangle, schedule: Schedule) -> Layout {
         let relabelled = Layout::relabel(m, tri, Some(schedule.order()));
-        Layout { schedule, ..relabelled }
+        Layout { stats: schedule.stats(), ..relabelled }
     }
 
     /// Lay `m`'s pattern out in `tri`'s natural substitution order,
-    /// which needs no permutation table, under the degenerate
-    /// one-chain [`Schedule::serial`] — a natural sweep never runs in
-    /// parallel.
+    /// which needs no permutation table, with the degenerate one-chain
+    /// [`ScheduleStats::serial`].
     pub fn natural(m: &CscMatrix, tri: Triangle) -> Layout {
         Layout::relabel(m, tri, None)
     }
@@ -89,9 +87,8 @@ impl Layout {
     /// Relabel along `order` — which component sits at each position:
     /// any topological order of `m`'s dependency graph — or, with
     /// `None`, along `tri`'s natural order. Either way every row holds
-    /// [`crate::reference`]'s operand sequence. The schedule is the
-    /// serial one, whose sharded sweep never splits rows: only
-    /// [`Layout::level_major`] pairs rows with a schedule that does.
+    /// [`crate::reference`]'s operand sequence. The stats are the
+    /// serial ones: only [`Layout::level_major`] records a schedule's.
     pub(super) fn relabel(m: &CscMatrix, tri: Triangle, order: Option<&[u32]>) -> Layout {
         let (col_ptr, row_idx) = (m.col_ptr(), m.row_idx());
         let n = m.n();
@@ -132,8 +129,8 @@ impl Layout {
                 *at += 1;
             }
         }
-        let schedule = Schedule::serial(n);
-        let layout = Layout { n, tri, pos, ptr, cols, from, schedule };
+        let stats = ScheduleStats::serial(n);
+        let layout = Layout { n, tri, pos, ptr, cols, from, stats };
         debug_assert!(layout.rows_in_natural_order(), "rows must hold Algorithm 1's sequence");
         layout
     }
@@ -173,10 +170,10 @@ impl Layout {
         self.pos.is_none()
     }
 
-    /// The schedule whose row ranges this layout's positions follow.
+    /// The stats of the schedule this layout's positions follow.
     #[inline]
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
+    pub fn stats(&self) -> ScheduleStats {
+        self.stats
     }
 
     /// Call `f(c, position of c)` for every component `c` in order —
@@ -189,15 +186,11 @@ impl Layout {
         }
     }
 
-    /// Host bytes held by the layout's arrays and its schedule — what
-    /// an engine cache charges against its byte budget. Counts
-    /// capacity, not length: the allocation is what occupies memory.
+    /// Host bytes held by the layout's arrays — what an engine cache
+    /// charges against its byte budget. Counts capacity, not length:
+    /// the allocation is what occupies memory.
     pub fn host_bytes(&self) -> u64 {
-        self.schedule.host_bytes()
-            + self.pos.as_ref().map_or(0, cap)
-            + cap(&self.ptr)
-            + cap(&self.cols)
-            + cap(&self.from)
+        self.pos.as_ref().map_or(0, cap) + cap(&self.ptr) + cap(&self.cols) + cap(&self.from)
     }
 }
 
@@ -217,8 +210,7 @@ pub struct Values {
 
 /// The lean numeric core every warm tier solves on: a shared
 /// structure-only [`Layout`] plus one epoch of [`Values`] — 16 bytes
-/// per nonzero, nothing else: levels, chains and shards are index
-/// ranges into these arrays.
+/// per nonzero, nothing else.
 #[derive(Debug, Clone)]
 pub struct NumericFactor {
     layout: Arc<Layout>,
@@ -260,47 +252,47 @@ impl NumericFactor {
         cap(&self.values.vals) + cap(&self.values.diag)
     }
 
-    /// The one numeric kernel: solve the rows at positions `rows` of
-    /// the `K`-lane interleaved `y` in place — row `i` holds its `K`
-    /// right-hand-side entries going in and its solutions coming out.
-    /// Reads `y` otherwise only at earlier positions; `K` is a const
+    /// The one numeric kernel: solve every row of the `K`-lane
+    /// interleaved `y` in place, in position order — row `i` holds its
+    /// `K` right-hand-side entries going in and its solutions coming
+    /// out, and is read otherwise only by later rows. `K` is a const
     /// generic so the lane loops have compile-time trip counts (LLVM
     /// unrolls and vectorizes them into packed f64 operations).
     #[inline(always)]
-    fn sweep<const K: usize>(&self, rows: Range<usize>, y: &DisjointSlice<'_>) {
+    fn sweep<const K: usize>(&self, y: &mut [f64]) {
         let (ptr, cols) = (&self.layout.ptr[..], &self.layout.cols[..]);
         let (vals, diag) = (&self.values.vals[..], &self.values.diag[..]);
-        for i in rows {
+        let (y, tail) = y.as_chunks_mut::<K>();
+        debug_assert!(tail.is_empty() && y.len() == self.layout.n, "y must hold n rows of K lanes");
+        for i in 0..self.layout.n {
             let mut acc = [0.0f64; K];
             for k in ptr[i] as usize..ptr[i + 1] as usize {
-                let v = vals[k];
-                let src = y.lanes::<K>(cols[k] as usize);
+                let (v, src) = (vals[k], y[cols[k] as usize]);
                 for l in 0..K {
                     acc[l] += v * src[l];
                 }
             }
-            let (b, d) = (y.lanes::<K>(i), diag[i]);
-            y.set_lanes(i, std::array::from_fn::<f64, K, _>(|l| (b[l] - acc[l]) / d));
+            let (b, d) = (y[i], diag[i]);
+            y[i] = std::array::from_fn(|l| (b[l] - acc[l]) / d);
         }
     }
 
     /// Permute `K` right-hand sides into the interleaved position-space
-    /// `y`, run `solve` on it, and permute the solutions out. Both
-    /// boundary passes walk the *components* sequentially (`K`
-    /// streaming vectors) and scatter whole `K`-lane rows of `y`.
+    /// `y`, sweep it, and permute the solutions out. Both boundary
+    /// passes walk the *components* sequentially (`K` streaming
+    /// vectors) and scatter whole `K`-lane rows of `y`.
     fn in_position_space<const K: usize>(
         &self,
         bs: &[impl AsRef<[f64]>],
         y: &mut [f64],
         outs: &mut [impl AsMut<[f64]>],
-        solve: impl FnOnce(&DisjointSlice<'_>),
     ) {
         self.layout.each_position(|c, p| {
             for (l, b) in bs.iter().enumerate() {
                 y[p * K + l] = b.as_ref()[c];
             }
         });
-        solve(&DisjointSlice::new(y));
+        self.sweep::<K>(y);
         self.layout.each_position(|c, p| {
             for (l, out) in outs.iter_mut().enumerate() {
                 out.as_mut()[c] = y[p * K + l];
@@ -308,40 +300,28 @@ impl NumericFactor {
         });
     }
 
-    /// Scalar solve of `b` into `x`, sweeping with `solve`. A
-    /// natural-order factor solves in `x` itself (positions are
-    /// components, up to a reversal), so only a canonical-order factor
-    /// touches `ws`.
-    fn scalar_into(
-        &self,
-        b: &[f64],
-        ws: &mut ReplayWorkspace,
-        x: &mut [f64],
-        solve: impl FnOnce(&DisjointSlice<'_>),
-    ) {
+    /// Serial scalar solve of `b` into `x`. A natural-order factor
+    /// solves in `x` itself (positions are components, up to a
+    /// reversal), so only a canonical-order factor touches `ws`.
+    /// Allocates nothing once `ws` has grown to `n`.
+    pub fn solve_into(&self, b: &[f64], ws: &mut ReplayWorkspace, x: &mut [f64]) {
         let n = self.layout.n;
         assert_eq!(b.len(), n, "rhs length mismatch");
         assert_eq!(x.len(), n, "output length mismatch");
         match (&self.layout.pos, self.layout.tri) {
             (None, Triangle::Lower) => {
                 x.copy_from_slice(b);
-                solve(&DisjointSlice::new(x));
+                self.sweep::<1>(x);
             }
             (None, Triangle::Upper) => {
                 for (xi, bi) in x.iter_mut().zip(b.iter().rev()) {
                     *xi = *bi;
                 }
-                solve(&DisjointSlice::new(x));
+                self.sweep::<1>(x);
                 x.reverse();
             }
-            (Some(_), _) => self.in_position_space::<1>(&[b], ws.rows(n), &mut [x], solve),
+            (Some(_), _) => self.in_position_space::<1>(&[b], ws.rows(n), &mut [x]),
         }
-    }
-
-    /// Serial scalar solve of `b` into `x`. Allocates nothing once
-    /// `ws` has grown to `n`.
-    pub fn solve_into(&self, b: &[f64], ws: &mut ReplayWorkspace, x: &mut [f64]) {
-        self.scalar_into(b, ws, x, |y| self.sweep::<1>(0..self.layout.n, y));
     }
 
     /// Fused multi-RHS solve: stream the factor **once per K-wide
@@ -394,80 +374,6 @@ impl NumericFactor {
         ws: &mut ReplayWorkspace,
         outs: &mut [Vec<f64>],
     ) {
-        let n = self.layout.n;
-        let y = ws.rows(n * K);
-        self.in_position_space::<K>(bs, y, outs, |y| self.sweep::<K>(0..n, y));
-    }
-
-    /// Chain-parallel scalar solve across `workers` region workers,
-    /// stepping the layout's own [`Schedule`] (its levels, chains and
-    /// shards are row ranges of the layout by construction): a
-    /// **fused** chain is swept entirely by worker 0, a **wide** level
-    /// is one phase with worker `w` sweeping shards `w, w + workers,
-    /// …`, and one barrier at every chain boundary publishes the
-    /// chain's rows (the region join covers the last). Bit-identical to
-    /// [`NumericFactor::solve_into`] for every worker count (see the
-    /// module docs); allocation-free in steady state.
-    ///
-    /// `workers` is clamped to `[1, SHARD_COUNT]`. One worker, fewer
-    /// than two chains (a natural layout's schedule has none) or a pool
-    /// whose region slot a concurrent sharded solve holds run the
-    /// serial sweep on the calling thread instead — same bits, no
-    /// blocking. Returns whether the parallel region actually ran.
-    pub(crate) fn solve_sharded_into(
-        &self,
-        b: &[f64],
-        ws: &mut ReplayWorkspace,
-        x: &mut [f64],
-        pool: &WorkerPool,
-        workers: usize,
-    ) -> bool {
-        let schedule = &self.layout.schedule;
-        let shards = schedule.shards();
-        let workers = workers.clamp(1, shards.max(1));
-        let (seg_ptr, chains) = (schedule.seg_ptr(), schedule.chains());
-        let n_chains = chains.n_chains();
-        let barrier = RegionBarrier::new(workers);
-        let mut ran_parallel = false;
-        self.scalar_into(b, ws, x, |y| {
-            // Telemetry: every worker records its barrier waits
-            // (imbalance shows as a spread in `barrier_wait_ns`), but
-            // only worker 0 records spans — one `ShardedChain` per
-            // chain and one `ShardedBarrier` per barrier, so the
-            // timeline reconciles exactly with `ScheduleStats`.
-            ran_parallel = workers > 1
-                && n_chains > 1
-                && pool.try_run_region(workers, &|w| {
-                    for k in 0..n_chains {
-                        let lv = chains.chain(k);
-                        let chain_span = SpanGuard::enter_on(w == 0, Site::ShardedChain);
-                        if !chains.is_fused(k) {
-                            let base = lv.start * shards;
-                            for s in (w..shards).step_by(workers) {
-                                let rows =
-                                    seg_ptr[base + s] as usize..seg_ptr[base + s + 1] as usize;
-                                self.sweep::<1>(rows, y);
-                            }
-                        } else if w == 0 {
-                            // seg_ptr is cumulative across levels, so a
-                            // chain's rows are one contiguous range
-                            let rows = seg_ptr[lv.start * shards] as usize
-                                ..seg_ptr[lv.end * shards] as usize;
-                            self.sweep::<1>(rows, y);
-                        }
-                        drop(chain_span);
-                        if k + 1 < n_chains {
-                            let _g = SpanGuard::enter_on(w == 0, Site::ShardedBarrier);
-                            let sw = Stopwatch::start();
-                            barrier.wait();
-                            sw.stop(Hist::BarrierWaitNs);
-                        }
-                    }
-                });
-            if !ran_parallel {
-                self.sweep::<1>(0..self.layout.n, y);
-            }
-        });
-        ran_parallel
+        self.in_position_space::<K>(bs, ws.rows(self.layout.n * K), outs);
     }
 }

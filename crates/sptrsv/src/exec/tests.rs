@@ -2,9 +2,8 @@
 
 use super::*;
 use crate::plan::{ExecutionPlan, Partition};
-use crate::pool::WorkerPool;
 use crate::reference;
-use crate::schedule::{Schedule, ScheduleTuning};
+use crate::schedule::Schedule;
 use crate::verify;
 use crate::Backend;
 use desim::SimTime;
@@ -334,95 +333,6 @@ fn rows_hold_algorithm_1s_sequence_in_every_order() {
                 f.solve_into(&b, &mut ReplayWorkspace::new(), &mut x);
                 assert!(x.iter().zip(&want).all(|(a, r)| a.to_bits() == r.to_bits()), "{cell}");
             }
-        }
-    }
-}
-
-#[test]
-fn sharded_replay_bit_identical_to_serial_replay() {
-    let m = gen::level_structured(&gen::LevelSpec::new(1500, 25, 6000, 41));
-    let plan = ExecutionPlan::build(m.n(), 4, Partition::Tasks { per_gpu: 8 }, Triangle::Lower);
-    let levels = LevelSets::analyze(&m, Triangle::Lower);
-    let pool = WorkerPool::new();
-    // thresholds span no fusion (0), mixed (32 vs ~60 mean width)
-    // and the default (everything here fuses)
-    for threshold in [0usize, 32, ScheduleTuning::default().chain_width_threshold] {
-        for owner in [None, Some(&plan.owner[..])] {
-            let tuning = ScheduleTuning { chain_width_threshold: threshold, ..Default::default() };
-            let schedule = Schedule::build(&levels, owner, tuning);
-            let (_, b) = verify::rhs_for(&m, 99);
-            let serial = solve_along(&m, schedule.order(), &b);
-            let factor = factor(&m, Layout::level_major(&m, Triangle::Lower, schedule));
-            for workers in [1usize, 2, 3, 5, SHARD_COUNT, SHARD_COUNT + 7] {
-                let mut ws = ReplayWorkspace { y: vec![1.0; m.n()] }; // dirty scratch
-                let mut x = vec![2.0; m.n()];
-                factor.solve_sharded_into(&b, &mut ws, &mut x, &pool, workers);
-                assert_eq!(x, serial, "workers={workers} owner={} t={threshold}", owner.is_some());
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_order_is_level_major_and_owner_grouped() {
-    let m = gen::level_structured(&gen::LevelSpec::new(600, 12, 2400, 7));
-    let plan = ExecutionPlan::build(m.n(), 4, Partition::Blocked, Triangle::Lower);
-    let levels = LevelSets::analyze(&m, Triangle::Lower);
-    let schedule = Schedule::build(&levels, Some(&plan.owner), ScheduleTuning::default());
-    let order = schedule.order();
-    assert_eq!(order.len(), m.n());
-    // level-major: levels never decrease along the order
-    let mut last = 0u32;
-    for &c in order.iter() {
-        let l = levels.level_of[c as usize];
-        assert!(l >= last, "order must be level-major");
-        last = l;
-    }
-    // owner-grouped within a level: owners never decrease inside one level
-    for l in 0..levels.n_levels() {
-        let lp = levels.level_ptr();
-        let slice = &order[lp[l] as usize..lp[l + 1] as usize];
-        for pair in slice.windows(2) {
-            assert!(
-                plan.owner[pair[0] as usize] <= plan.owner[pair[1] as usize],
-                "level {l} must group by owner"
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_replay_handles_degenerate_shapes() {
-    let pool = WorkerPool::new();
-    let mut ws = ReplayWorkspace::new();
-    // empty system
-    let empty = sparsemat::TripletBuilder::new(0).build().unwrap();
-    let levels = LevelSets::analyze(&empty, Triangle::Lower);
-    let schedule = Schedule::build(&levels, None, ScheduleTuning::default());
-    let empty_factor = factor(&empty, Layout::level_major(&empty, Triangle::Lower, schedule));
-    assert!(!empty_factor.solve_sharded_into(&[], &mut ws, &mut [], &pool, 4));
-    // fully sequential chain: every level has width 1. Default
-    // tuning fuses it into one chain (serial degrade); threshold 0
-    // forces 50 singleton chains through the barriered path.
-    let chain = gen::chain(50);
-    let levels = LevelSets::analyze(&chain, Triangle::Lower);
-    for threshold in [ScheduleTuning::default().chain_width_threshold, 0] {
-        let tuning = ScheduleTuning { chain_width_threshold: threshold, ..Default::default() };
-        let schedule = Schedule::build(&levels, None, tuning);
-        let (_, b) = verify::rhs_for(&chain, 5);
-        let serial = reference::solve_lower(&chain, &b).unwrap();
-        for layout in [
-            Layout::level_major(&chain, Triangle::Lower, schedule),
-            Layout::natural(&chain, Triangle::Lower),
-        ] {
-            // a natural layout's schedule has no chain to split: the
-            // sharded sweep runs serially
-            let natural = layout.is_natural();
-            let f = factor(&chain, layout);
-            let mut x = vec![0.0; 50];
-            let ran = f.solve_sharded_into(&b, &mut ws, &mut x, &pool, 4);
-            assert!(!(natural && ran), "a natural layout never mounts a region");
-            assert_eq!(x, serial, "t={threshold} natural={natural}");
         }
     }
 }

@@ -48,8 +48,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// A [`crate::pool`] worker thread fails to spawn: `ensure_threads`
-    /// stops growing, parallel regions decline, sharded solves degrade
-    /// to the bit-identical serial replay.
+    /// stops growing and a pooled batch narrows — its submitting thread
+    /// runs the chunks no worker takes, with the same bits.
     WorkerSpawn = 0,
     /// A pool task body panics on a worker thread — the panic is
     /// latched and re-raised on the submitting thread, exactly like a

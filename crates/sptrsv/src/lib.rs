@@ -22,13 +22,10 @@
 //!   unidirectional waiting §V criticizes) and the malleable
 //!   round-robin task pool (§V).
 //! * [`schedule`] — the warm-path **Schedule IR**: one
-//!   [`Schedule`] built at engine-build time owning the
-//!   levels → chains → shards decomposition (canonical level-major
-//!   order, owner-computes shard segments, and the chain partition
-//!   that fuses runs of narrow levels so barriers land only at chain
-//!   boundaries). Every warm tier and the engine's auto-heuristics
-//!   read this one structure instead of re-deriving it from raw
-//!   level sets.
+//!   [`Schedule`] built at engine-build time holding the canonical
+//!   level-major order the factor is relabelled into, and the
+//!   [`ScheduleStats`] of its levels and fused chains that every
+//!   report carries.
 //! * [`solver`] — the high-level API tying a matrix, a machine
 //!   configuration and a solver variant into a verified
 //!   [`report::SolveReport`].
@@ -50,15 +47,10 @@
 //!   §II-B amortization argument surfaced as API, and the shape the
 //!   paper's preconditioned-iterative-solver workload needs.
 //!
-//!   Warm solves come in **four tiers** (see the [`engine`] docs):
+//!   Warm solves come in **three tiers** (see the [`engine`] docs):
 //!   single solves ([`SolverEngine::solve`], or the zero-allocation
 //!   [`SolverEngine::solve_into`] with a reusable [`SolveWorkspace`]),
-//!   the **sharded chain-parallel solve**
-//!   ([`SolverEngine::solve_sharded_into`], which executes one
-//!   right-hand side across the persistent worker pool chain by chain,
-//!   each row written by exactly one worker — the paper's parallel
-//!   execution model running real numerics; `solve`/`solve_into`
-//!   select it when they *measure* it faster), the **fused multi-RHS
+//!   one serial sweep per right-hand side; the **fused multi-RHS
 //!   panel**
 //!   ([`SolverEngine::solve_panel_into`], which streams the factor
 //!   once per [`exec::PANEL_K`]-wide block of right-hand sides instead
@@ -68,7 +60,7 @@
 //!   persistent worker pool. All tiers sweep one row-gather kernel
 //!   over the factor relabelled into one order
 //!   ([`exec::NumericFactor`]), so every tier is bit-identical per
-//!   RHS — whatever the worker count.
+//!   RHS — whatever the worker count of a batch.
 //! * [`serve`] — the async batched serving front-end: a
 //!   [`SolverService`] accepts right-hand sides from any number of
 //!   client threads (`submit(b) -> Ticket`), coalesces them into
@@ -118,10 +110,8 @@
 //! | layer | spans | metrics |
 //! |---|---|---|
 //! | engine build | `engine.build.{analyze,schedule}`; the lazy calibration adds `engine.build.{plan,analyze,calibrate}` | `engine_build_ns` |
-//! | warm tiers | `engine.solve.{serial,sharded,panel,batch}` | `solve_*_ns` histograms |
+//! | warm tiers | `engine.solve.{serial,panel,batch}` | `solve_*_ns` histograms |
 //! | value refresh | `engine.refresh.values` | `value_refresh_ns` |
-//! | sharded solve | `exec.sharded.chain` (one per chain), `exec.sharded.barrier` (one per barrier — the measured cost next to [`ScheduleStats::barriers_per_solve`]); both on worker 0's lane | `barrier_wait_ns` (every worker) |
-//! | worker pool | `pool.region.dispatch`, `pool.worker.park` instants | per-site counters |
 //! | serving | `serve.admit`, `serve.panel` spans; `serve.flush`, `serve.ticket` instants | `serve_queue_wait_ns`, `serve_solve_ns`, `serve_queue_depth` |
 //! | fleet | `fleet.build`, `fleet.refresh` spans; `fleet.{quarantine,evict}` instants | `fleet_tenants_live`, `fleet_cache_bytes` |
 //!

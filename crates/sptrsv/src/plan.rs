@@ -64,13 +64,9 @@ pub struct KernelDesc {
 
 /// A complete component→GPU/kernel mapping.
 ///
-/// Besides driving the simulated executor, the ownership map seeds the
-/// host-side warm path: [`crate::schedule::Schedule`] — the Schedule
-/// IR built once at engine-build time — groups each level's components
-/// by their owning GPU before cutting it into worker shards and fusing
-/// runs of narrow levels into chains, so the chain-parallel solve's
-/// shard layout ([`crate::SolverEngine::solve_sharded_into`] steps that
-/// schedule) mirrors the data distribution the plan gives the machine.
+/// The ownership map drives the simulated executor only: the host-side
+/// warm path lays every level out in ascending component order,
+/// whatever GPU owns each component.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     /// Owning GPU per component.

@@ -52,7 +52,8 @@ pub struct SolveReport {
     /// (`None` when verification was disabled).
     pub verified_rel_err: Option<f64>,
     /// The warm-path Schedule IR statistics — levels, chains, shards,
-    /// fused-level fraction and barriers per sharded solve. Always
+    /// fused-level fraction and barriers per level-synchronous solve.
+    /// Always
     /// populated: variants that replay without analyzing level sets
     /// (the plain serial solver) report the degenerate
     /// [`ScheduleStats::serial`] single-chain stats, so consumers

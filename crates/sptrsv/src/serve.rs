@@ -154,7 +154,7 @@
 //!
 //! | Fault site ([`crate::fault::FaultSite`]) | Containment boundary | Client sees | Counter | Telemetry signal |
 //! |---|---|---|---|---|
-//! | `WorkerSpawn` | pool `ensure_threads` under-provisions; sharded tier declines and replays serially (bit-identical) | nothing — correct results, less parallelism | [`ServiceReport::spawn_shortfalls`] | `engine.solve.serial` spans replace `exec.sharded.chain` spans |
+//! | `WorkerSpawn` | pool `ensure_threads` under-provisions; a pooled batch narrows, its helping submitter running the chunks no worker takes (bit-identical) | nothing — correct results, less parallelism | [`ServiceReport::spawn_shortfalls`] | fewer threads carry `engine.solve.panel` spans under `engine.solve.batch` |
 //! | `WorkerTaskPanic` | worker-loop `catch_unwind`; batch tier converts to an error for that panel | [`ServeError::Solve`] / [`ServeError::DispatcherPanicked`] on the panel | [`ServiceReport::failed`], breaker counters | `serve.panel` span present, `serve_solve_ns` sample still recorded |
 //! | `DispatcherPanic` | supervisor in `dispatcher_loop`: in-flight panel failed `Retryable`, dispatcher restarted with backoff ([`SolverService::run_supervised`]) | [`ServeError::Retryable`]; resubmit succeeds | [`ServiceReport::dispatcher_restarts`] | gap in `serve.panel` spans across the restart |
 //! | `PanelSolve` (kernel panic) | per-panel `catch_unwind` in `run_group`; [`BREAKER_TRIP_PANELS`] consecutive failures open the circuit breaker → per-request serial solves | [`ServeError::DispatcherPanicked`] on failed panels, then plain results (degraded, bit-identical) | [`ServiceReport::breaker_trips`], [`ServiceReport::degraded_solves`] | `engine.solve.serial` spans inside `serve.panel` while the breaker is open |
@@ -1008,8 +1008,8 @@ pub struct ServiceReport {
     /// `rejected_full`.
     pub admission_shed: u64,
     /// Worker-pool spawn shortfalls observed by this service's engine
-    /// during the run — each one degraded a sharded solve to the
-    /// bit-identical serial replay.
+    /// during the run — each one narrowed a pooled batch (same bits,
+    /// fewer threads).
     pub spawn_shortfalls: u64,
     /// In-place value refreshes committed through
     /// [`SolverService::refresh_solver`] /

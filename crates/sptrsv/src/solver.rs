@@ -86,23 +86,11 @@ pub struct SolveOptions {
     pub poll_caching: bool,
     /// Gather left_sum from all PEs (Alg. 3) vs only dependency owners.
     pub gather_all_pes: bool,
-    /// Minimum rows a level must offer **each** worker before the
-    /// engine's auto tier adds that worker to its sharded candidate
-    /// (which it then times against the serial sweep). Below this the
-    /// barrier overhead outweighs the parallel substitution work.
-    /// Default
-    /// [`crate::schedule::SHARD_MIN_ROWS_PER_WORKER`].
-    pub shard_min_rows_per_worker: usize,
-    /// Minimum average rows per synchronization step (levels, after
-    /// chain fusion collapses narrow runs) for the auto tier to
-    /// consider the sharded tier at all. Factors deeper than they are
-    /// wide solve serially unless fusion shrinks the step count. Default
-    /// [`crate::schedule::SHARD_MIN_AVG_LEVEL_WIDTH`].
-    pub shard_min_avg_level_width: usize,
     /// Levels at most this wide fuse with adjacent narrow levels into
-    /// a single-worker **chain** with no internal barriers (the warm
-    /// path's Schedule IR). `0` disables fusion — every level is its
-    /// own chain, reproducing the per-level barrier schedule. Default
+    /// one **chain** in the reported [`crate::ScheduleStats`] (chains,
+    /// fused fraction, barriers a level-synchronous solve would pay).
+    /// `0` disables fusion — every level is its own chain. Results
+    /// never depend on it. Default
     /// [`crate::schedule::CHAIN_WIDTH_THRESHOLD`].
     pub chain_width_threshold: usize,
 }
@@ -111,26 +99,19 @@ impl SolveOptions {
     /// The Schedule IR tuning these options describe — handed to
     /// [`crate::schedule::Schedule::build`] at engine-build time.
     pub fn schedule_tuning(&self) -> crate::schedule::ScheduleTuning {
-        crate::schedule::ScheduleTuning {
-            shard_min_rows_per_worker: self.shard_min_rows_per_worker,
-            shard_min_avg_level_width: self.shard_min_avg_level_width,
-            chain_width_threshold: self.chain_width_threshold,
-        }
+        crate::schedule::ScheduleTuning { chain_width_threshold: self.chain_width_threshold }
     }
 }
 
 impl Default for SolveOptions {
     fn default() -> Self {
-        let tuning = crate::schedule::ScheduleTuning::default();
         SolveOptions {
             kind: SolverKind::ZeroCopy { per_gpu: 8 },
             triangle: Triangle::Lower,
             verify: true,
             poll_caching: true,
             gather_all_pes: true,
-            shard_min_rows_per_worker: tuning.shard_min_rows_per_worker,
-            shard_min_avg_level_width: tuning.shard_min_avg_level_width,
-            chain_width_threshold: tuning.chain_width_threshold,
+            chain_width_threshold: crate::schedule::CHAIN_WIDTH_THRESHOLD,
         }
     }
 }

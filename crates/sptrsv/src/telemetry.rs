@@ -106,51 +106,40 @@ pub enum Site {
     BuildAnalyze = 0,
     /// Lazy calibration: execution-plan construction (cross-GPU edges).
     BuildPlan = 1,
-    /// Engine build: Schedule IR (levels → chains → shards) and the
+    /// Engine build: Schedule IR (canonical order, chain stats) and the
     /// relabelled layout.
     BuildSchedule = 2,
     /// Lazy calibration: the simulation that seeds the report template,
     /// run on an engine's first `solve`/`calibration`/`cross_edges`.
     BuildCalibrate = 3,
-    /// Warm tier: plain serial replay (`solve`/`solve_into`).
+    /// Warm tier: one serial sweep (`solve`/`solve_into`).
     SolveSerial = 4,
-    /// Warm tier: chain-stepped sharded replay.
-    SolveSharded = 5,
     /// Warm tier: fused multi-RHS panel kernel.
-    SolvePanel = 6,
+    SolvePanel = 5,
     /// Warm tier: batched multi-RHS dispatch over the pool.
-    SolveBatch = 7,
+    SolveBatch = 6,
     /// Analysis-free value refresh on an existing engine.
-    ValueRefresh = 8,
-    /// One chain stepped by the sharded solve (worker 0's lane).
-    ShardedChain = 9,
-    /// One region-barrier wait inside the sharded solve (worker 0's
-    /// lane; every worker's wait lands in [`Hist::BarrierWaitNs`]).
-    ShardedBarrier = 10,
-    /// A parallel region installed on the worker pool.
-    RegionDispatch = 11,
-    /// A pool worker gave up spinning and parked on the condvar.
-    WorkerPark = 12,
+    ValueRefresh = 7,
     /// Serving: one request admitted (span covers admission checks).
-    ServeAdmit = 13,
+    ServeAdmit = 8,
     /// Serving: the dispatcher flushed a group (arg = flush cause).
-    ServeFlush = 14,
+    ServeFlush = 9,
     /// Serving: one coalesced panel solve.
-    ServePanel = 15,
+    ServePanel = 10,
     /// Serving: one ticket resolved (arg = queue-wait ns).
-    ServeTicket = 16,
+    ServeTicket = 11,
     /// Fleet: one tenant engine build (span covers retries).
-    FleetBuild = 17,
+    FleetBuild = 12,
     /// Fleet: a tenant was quarantined.
-    FleetQuarantine = 18,
+    FleetQuarantine = 13,
     /// Fleet: a tenant was evicted from the factor cache.
-    FleetEvict = 19,
+    FleetEvict = 14,
     /// Fleet: one tenant value refresh (live or at-rest).
-    FleetRefresh = 20,
+    FleetRefresh = 15,
 }
 
 /// Number of [`Site`] variants (size of the counter registry).
-pub const SITE_COUNT: usize = 21;
+pub const SITE_COUNT: usize = 16;
 
 impl Site {
     /// All sites, in registry (discriminant) order.
@@ -160,14 +149,9 @@ impl Site {
         Site::BuildSchedule,
         Site::BuildCalibrate,
         Site::SolveSerial,
-        Site::SolveSharded,
         Site::SolvePanel,
         Site::SolveBatch,
         Site::ValueRefresh,
-        Site::ShardedChain,
-        Site::ShardedBarrier,
-        Site::RegionDispatch,
-        Site::WorkerPark,
         Site::ServeAdmit,
         Site::ServeFlush,
         Site::ServePanel,
@@ -186,14 +170,9 @@ impl Site {
             Site::BuildSchedule => "engine.build.schedule",
             Site::BuildCalibrate => "engine.build.calibrate",
             Site::SolveSerial => "engine.solve.serial",
-            Site::SolveSharded => "engine.solve.sharded",
             Site::SolvePanel => "engine.solve.panel",
             Site::SolveBatch => "engine.solve.batch",
             Site::ValueRefresh => "engine.refresh.values",
-            Site::ShardedChain => "exec.sharded.chain",
-            Site::ShardedBarrier => "exec.sharded.barrier",
-            Site::RegionDispatch => "pool.region.dispatch",
-            Site::WorkerPark => "pool.worker.park",
             Site::ServeAdmit => "serve.admit",
             Site::ServeFlush => "serve.flush",
             Site::ServePanel => "serve.panel",
@@ -280,38 +259,29 @@ impl Gauge {
 pub enum Hist {
     /// Wall time of one serial warm solve.
     SolveSerialNs = 0,
-    /// Wall time of one sharded warm solve.
-    SolveShardedNs = 1,
     /// Wall time of one fused panel warm solve.
-    SolvePanelNs = 2,
+    SolvePanelNs = 1,
     /// Wall time of one batched warm solve.
-    SolveBatchNs = 3,
-    /// Wall time one region worker spent in one sharded-solve barrier
-    /// wait — recorded on every worker, so load imbalance shows as a
-    /// spread (the measured cost next to
-    /// `ScheduleStats.barriers_per_solve`).
-    BarrierWaitNs = 4,
+    SolveBatchNs = 2,
     /// Per-ticket queue wait (submit → dispatch) in the server.
-    ServeQueueWaitNs = 5,
+    ServeQueueWaitNs = 3,
     /// Per-group panel solve time in the server.
-    ServeSolveNs = 6,
+    ServeSolveNs = 4,
     /// Wall time of one full engine build.
-    BuildNs = 7,
+    BuildNs = 5,
     /// Wall time of one value refresh.
-    RefreshNs = 8,
+    RefreshNs = 6,
 }
 
 /// Number of [`Hist`] variants.
-pub const HIST_COUNT: usize = 9;
+pub const HIST_COUNT: usize = 7;
 
 impl Hist {
     /// All histograms, in registry order.
     pub const ALL: [Hist; HIST_COUNT] = [
         Hist::SolveSerialNs,
-        Hist::SolveShardedNs,
         Hist::SolvePanelNs,
         Hist::SolveBatchNs,
-        Hist::BarrierWaitNs,
         Hist::ServeQueueWaitNs,
         Hist::ServeSolveNs,
         Hist::BuildNs,
@@ -322,10 +292,8 @@ impl Hist {
     pub fn name(self) -> &'static str {
         match self {
             Hist::SolveSerialNs => "solve_serial_ns",
-            Hist::SolveShardedNs => "solve_sharded_ns",
             Hist::SolvePanelNs => "solve_panel_ns",
             Hist::SolveBatchNs => "solve_batch_ns",
-            Hist::BarrierWaitNs => "barrier_wait_ns",
             Hist::ServeQueueWaitNs => "serve_queue_wait_ns",
             Hist::ServeSolveNs => "serve_solve_ns",
             Hist::BuildNs => "engine_build_ns",
@@ -482,7 +450,8 @@ impl SpanGuard {
         SpanGuard::enter_on(true, site)
     }
 
-    /// Open a span only when `cond` holds (e.g. "worker 0 only");
+    /// Open a span only when `cond` holds (e.g. "only if the panel
+    /// runs");
     /// otherwise the guard is inert.
     #[inline]
     pub fn enter_on(cond: bool, site: Site) -> SpanGuard {
@@ -915,7 +884,7 @@ mod tests {
 
     #[test]
     fn report_pairs_spans_per_thread_and_site() {
-        let s = Site::SolveSharded;
+        let s = Site::SolvePanel;
         let snap = synthetic(vec![
             ev(1, 0, 100, Kind::SpanEnter, s, 0),
             ev(1, 1, 400, Kind::SpanExit, s, 0),
@@ -926,11 +895,11 @@ mod tests {
         ]);
         let rep = report_from(&snap);
         assert_eq!(rep.spans.len(), 1);
-        assert_eq!(rep.spans[0].site, "engine.solve.sharded");
+        assert_eq!(rep.spans[0].site, "engine.solve.panel");
         assert_eq!(rep.spans[0].count, 2);
         assert_eq!(rep.spans[0].total_ns, 350);
         let line = rep.to_string();
-        assert!(line.contains("engine.solve.sharded 2x"), "{line}");
+        assert!(line.contains("engine.solve.panel 2x"), "{line}");
     }
 
     #[test]
@@ -961,7 +930,7 @@ mod tests {
             events: Vec::new(),
             total_events: 0,
             dropped: 0,
-            counters: vec![("engine.solve.sharded", 7)],
+            counters: vec![("engine.solve.panel", 7)],
             gauges: vec![("serve_queue_depth", 2)],
             histograms: vec![HistogramSnapshot {
                 name: "serve_solve_ns",
@@ -974,7 +943,7 @@ mod tests {
             }],
         };
         let text = prometheus_text(&snap);
-        assert!(text.contains("sptrsv_site_events_total{site=\"engine.solve.sharded\"} 7"));
+        assert!(text.contains("sptrsv_site_events_total{site=\"engine.solve.panel\"} 7"));
         assert!(text.contains("sptrsv_serve_queue_depth 2"));
         assert!(text.contains("sptrsv_serve_solve_ns_bucket{le=\"32\"} 3"));
         assert!(text.contains("sptrsv_serve_solve_ns_bucket{le=\"+Inf\"} 3"));

@@ -1,6 +1,6 @@
-//! Proof that warm `solve_into` / `solve_panel_into` /
-//! `solve_sharded_into` — and the preconditioner tier's `apply_into` /
-//! `apply_batch_into` — allocate nothing.
+//! Proof that warm `solve_into` / `solve_panel_into` — and the
+//! preconditioner tier's `apply_into` / `apply_batch_into` — allocate
+//! nothing, from a fresh engine's second solve on.
 //!
 //! Also proves `refresh_values` — the value swap under every warm
 //! tier — requests no heap memory once its first call has allocated
@@ -19,15 +19,14 @@
 //! are pure atomics in steady state.
 //!
 //! A counting global allocator wraps [`std::alloc::System`]; after a
-//! warm-up call has grown the workspace and output buffers (and, for
-//! the sharded tier, spawned the pool workers and sized the region
-//! queue), further warm solves must report **zero** allocator hits —
-//! the property the zero-allocation tiers of the engine advertise.
-//! The counter is process-global, so the sharded window also proves
-//! the *worker threads* stay heap-silent: any allocation they made
-//! while the measured solve runs would land in the same counter. This
-//! lives in its own integration-test binary so the global allocator
-//! swap cannot perturb (or be perturbed by) other tests.
+//! warm-up call has grown the workspace and output buffers, further
+//! warm solves must report **zero** allocator hits — the property the
+//! zero-allocation tiers of the engine advertise. The counter is
+//! process-global, so the serving window also proves the *dispatcher
+//! thread* stays heap-silent: any allocation it made while the
+//! measured requests run would land in the same counter. This lives in
+//! its own integration-test binary so the global allocator swap cannot
+//! perturb (or be perturbed by) other tests.
 
 use mgpu_sim::MachineConfig;
 use sparsemat::factor::ilu0;
@@ -139,22 +138,6 @@ fn warm_solve_into_and_panel_allocate_nothing() {
             "{kind:?} verify={verify_opt}: warm solve_panel_into must not allocate"
         );
 
-        // sharded level-parallel tier: the warm-up solve spawns the
-        // pool workers and sizes the region state; steady-state
-        // sharded solves must then be heap-silent end to end —
-        // region dispatch, chain barriers and the row-gather kernel
-        // included
-        engine.solve_sharded_into(&bs[0], &mut out, &mut ws, 2).unwrap();
-        let sharded = allocations_during(|| {
-            for b in &bs {
-                engine.solve_sharded_into(b, &mut out, &mut ws, 2).unwrap();
-            }
-        });
-        assert_eq!(
-            sharded, 0,
-            "{kind:?} verify={verify_opt}: warm solve_sharded_into must not allocate"
-        );
-
         // value refresh: the first allocates the spare epoch refreshes
         // gather into (the retired one, reused while no reader pins
         // it); after it, structure validation, the numeric audit, the
@@ -179,33 +162,28 @@ fn warm_solve_into_and_panel_allocate_nothing() {
         );
     }
 
-    // --- the measured auto tier: on a factor wide enough that this
-    // host offers a sharded candidate, the first auto-tier solves are
-    // timed probes (alternating serial / sharded) and the rest run on
-    // the committed tier. Probing, committing and committed solves
-    // must all be heap-silent once the pool threads exist (on a
-    // one-thread host there is no candidate and the window is all
-    // committed-serial solves).
+    // --- a fresh engine, one solve at a time: the first `solve_into`
+    // grows the caller's workspace, and every later one is heap-silent
+    // from the second call on — no warm-up tier, no probe, no pool
+    // thread spawned behind the caller's back. The factor is
+    // heavy-shaped: wide levels, ~4 nonzeros per row.
     {
-        let wide = gen::level_structured(&LevelSpec::new(8192, 4, 24_000, 5));
+        let heavy = gen::level_structured(&LevelSpec::new(100_000, 200, 400_000, 11));
         let opts = SolveOptions {
             kind: SolverKind::ZeroCopy { per_gpu: 8 },
             verify: false,
             ..SolveOptions::default()
         };
-        let engine = SolverEngine::build(&wide, MachineConfig::dgx1(4), &opts).unwrap();
-        let (_, b) = verify::rhs_for(&wide, 3);
+        let engine = SolverEngine::build(&heavy, MachineConfig::dgx1(4), &opts).unwrap();
+        let (_, b) = verify::rhs_for(&heavy, 3);
         let mut ws = SolveWorkspace::new();
-        let mut out = vec![0.0f64; wide.n()];
-        // a pinned solve warms the workspace and spawns the pool
-        // workers without consuming any of the auto tier's probes
-        engine.solve_sharded_into(&b, &mut out, &mut ws, 2).unwrap();
-        let auto = allocations_during(|| {
-            for _ in 0..16 {
-                engine.solve_into(&b, &mut out, &mut ws).unwrap();
-            }
-        });
-        assert_eq!(auto, 0, "probing and committed auto-tier solves must not allocate");
+        let mut out = vec![0.0f64; heavy.n()];
+        let first = allocations_during(|| engine.solve_into(&b, &mut out, &mut ws).unwrap());
+        assert!(first > 0, "the first solve grows the workspace");
+        for call in 2..=8 {
+            let warm = allocations_during(|| engine.solve_into(&b, &mut out, &mut ws).unwrap());
+            assert_eq!(warm, 0, "solve_into call #{call} on a fresh engine must not allocate");
+        }
     }
 
     // --- the serving front-end: once the slots, group buffers and
@@ -289,8 +267,8 @@ fn warm_solve_into_and_panel_allocate_nothing() {
     }
 
     // --- the telemetry plane, enabled: after each recording thread's
-    // ring exists (pool workers register theirs eagerly at spawn; the
-    // caller's is created by the warm-up solves below), steady-state
+    // ring exists (the caller's is created by the warm-up solves
+    // below), steady-state
     // recording — spans, instants, counters, histograms — is pure
     // atomics and must keep every warm tier heap-silent.
     {
@@ -308,13 +286,11 @@ fn warm_solve_into_and_panel_allocate_nothing() {
         // the spare epoch a refresh gathers into
         engine.solve_into(&bs[0], &mut out, &mut ws).unwrap();
         engine.solve_panel_into(&bs, &mut outs, &mut ws).unwrap();
-        engine.solve_sharded_into(&bs[0], &mut out, &mut ws, 2).unwrap();
         engine.refresh_values(&m).unwrap();
 
         let traced = allocations_during(|| {
             for b in &bs {
                 engine.solve_into(b, &mut out, &mut ws).unwrap();
-                engine.solve_sharded_into(b, &mut out, &mut ws, 2).unwrap();
             }
             engine.solve_panel_into(&bs, &mut outs, &mut ws).unwrap();
             engine.refresh_values(&m2).unwrap();

@@ -11,10 +11,10 @@
 //!   the kernel is proved to reproduce independent bits, not merely to
 //!   agree with itself;
 //! * **the scatter oracle** — [`sptrsv::reference::solve_serial`],
-//!   compared bit for bit against every tier × lane width × worker
-//!   count × {cold, refreshed} × {canonical, serial kind} cell;
+//!   compared bit for bit against every tier × lane width ×
+//!   {cold, refreshed} × {canonical, serial kind} cell;
 //! * **adversarial rows** — signed zeros, empty rows, `n ∈ {0, 1}`,
-//!   levels narrower than the shard count, single-chain factors.
+//!   narrow levels, single-chain factors.
 //!
 //! New warm paths add a row to [`every_tier`], not a file — the
 //! coalescing service is one such row, and [`fleet_routed`] holds the
@@ -23,10 +23,10 @@
 
 use mgpu_sim::MachineConfig;
 use sparsemat::gen::{self, LevelSpec};
-use sparsemat::{corpus, CscMatrix, LevelSets, Triangle, TripletBuilder};
+use sparsemat::{corpus, CscMatrix, Triangle, TripletBuilder};
 use sptrsv::{
-    reference, serve_solver, verify, EngineFleet, FleetConfig, PreconditionerEngine, Schedule,
-    ServiceConfig, SolveOptions, SolveWorkspace, SolverEngine, SolverKind,
+    reference, serve_solver, verify, EngineFleet, FleetConfig, PreconditionerEngine, ServiceConfig,
+    SolveError, SolveOptions, SolveWorkspace, SolverEngine, SolverKind,
 };
 use std::sync::Arc;
 
@@ -67,11 +67,10 @@ fn perturbed(m: &CscMatrix) -> CscMatrix {
 }
 
 /// Every single-engine warm path, each compared bit for bit against
-/// the oracle's solutions `want[k]` of `bs[k]`: scalar (auto tier,
-/// allocating and not — repeated past the auto tier's probe window),
-/// K ∈ {1, 2, 4, 8} lanes plus the ragged 13 = 8 + 4 + 1, the pooled
-/// batch, workers ∈ {1, 2, 3, 8, 16}, and all of `bs` at once through
-/// a coalescing [`sptrsv::SolverService`] (panels of 8 + 5).
+/// the oracle's solutions `want[k]` of `bs[k]`: scalar (allocating and
+/// not, repeated), K ∈ {1, 2, 4, 8} lanes plus the ragged
+/// 13 = 8 + 4 + 1, the pooled batch, and all of `bs` at once through a
+/// coalescing [`sptrsv::SolverService`] (panels of 8 + 5).
 fn every_tier(engine: &SolverEngine<'_>, bs: &[Vec<f64>], want: &[Vec<f64>], cell: &str) {
     let n = engine.matrix().n();
     let mut ws = SolveWorkspace::new();
@@ -93,11 +92,6 @@ fn every_tier(engine: &SolverEngine<'_>, bs: &[Vec<f64>], want: &[Vec<f64>], cel
     engine.solve_batch_into(bs, &mut outs).unwrap();
     for k in 0..bs.len() {
         assert_eq!(bits(&outs[k]), bits(&want[k]), "{cell} batch lane {k}");
-    }
-    for workers in [1usize, 2, 3, 8, 16] {
-        out.fill(f64::NAN);
-        engine.solve_sharded_into(&bs[0], &mut out, &mut ws, workers).unwrap();
-        assert_eq!(bits(&out), bits(&want[0]), "{cell} workers={workers}");
     }
     let (served, _) = serve_solver(engine, &ServiceConfig::default(), |svc| {
         let tickets: Vec<_> = bs.iter().map(|b| svc.submit(b).unwrap()).collect();
@@ -172,15 +166,8 @@ fn gather_kernel_reproduces_the_parent_commits_bits() {
         for kind in [CANONICAL, SolverKind::Serial] {
             let engine =
                 SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &opts(kind, tri)).unwrap();
-            for workers in [1usize, 2] {
-                engine.solve_sharded_into(&b, &mut x, &mut ws, workers).unwrap();
-                assert_eq!(
-                    hash_bits(&x),
-                    golden,
-                    "{name}/{tri:?}/{kind:?} workers={workers}: {:#018x}",
-                    hash_bits(&x)
-                );
-            }
+            engine.solve_into(&b, &mut x, &mut ws).unwrap();
+            assert_eq!(hash_bits(&x), golden, "{name}/{tri:?}/{kind:?}: {:#018x}", hash_bits(&x));
         }
     }
 }
@@ -190,7 +177,7 @@ fn gather_kernel_reproduces_the_parent_commits_bits() {
 #[test]
 fn every_tier_matches_the_scatter_oracle_bit_for_bit() {
     let factors = [
-        // wide levels: every level takes the sharded single-phase path
+        // wide levels
         ("wide", gen::level_structured(&LevelSpec::new(2400, 6, 9600, 0xA1))),
         // mixed: fused chains between wide levels
         ("mixed", gen::level_structured(&LevelSpec::new(1800, 40, 7200, 0xB2))),
@@ -214,6 +201,39 @@ fn every_tier_matches_the_scatter_oracle_bit_for_bit() {
                 }
                 fleet_routed((m, &m2), &o, &bs, &format!("{name}/{tri:?}/{kind:?}"));
             }
+        }
+    }
+}
+
+/// `solve_sharded_into` is `solve_into` under its historical name,
+/// kept for the layered benchmark (which calls it with `w = 1`): every
+/// worker count returns the same bits on both engine kinds and both
+/// triangles, and bad inputs are the same typed errors.
+#[test]
+fn sharded_shim_returns_solve_intos_bits() {
+    let lower = gen::level_structured(&LevelSpec::new(2400, 6, 9600, 0xA1));
+    let upper = lower.transpose();
+    for (m, tri) in [(&lower, Triangle::Lower), (&upper, Triangle::Upper)] {
+        let (_, b) = verify::rhs_for(m, 0x5111);
+        let want = bits(&oracle(m, tri, &b));
+        for kind in [CANONICAL, SolverKind::Serial] {
+            let cell = format!("{tri:?}/{kind:?}");
+            let o = opts(kind, tri);
+            let engine = SolverEngine::build(m, MachineConfig::dgx1(GPUS), &o).unwrap();
+            let mut ws = SolveWorkspace::new();
+            let mut x = vec![f64::NAN; m.n()];
+            engine.solve_into(&b, &mut x, &mut ws).unwrap();
+            assert_eq!(bits(&x), want, "{cell} solve_into");
+            for workers in [0usize, 1, 2, 16] {
+                x.fill(f64::NAN);
+                engine.solve_sharded_into(&b, &mut x, &mut ws, workers).unwrap();
+                assert_eq!(bits(&x), want, "{cell} workers={workers}");
+            }
+            let short_rhs = engine.solve_sharded_into(&[1.0, 2.0], &mut x, &mut ws, 2);
+            assert_eq!(short_rhs, engine.solve_into(&[1.0, 2.0], &mut x, &mut ws), "{cell}");
+            assert!(matches!(short_rhs, Err(SolveError::DimensionMismatch { rhs: 2, .. })));
+            let short_out = engine.solve_sharded_into(&b, &mut [0.0; 3], &mut ws, 2);
+            assert!(matches!(short_out, Err(SolveError::OutputLength { out: 3, .. })), "{cell}");
         }
     }
 }
@@ -274,11 +294,10 @@ fn lower_from(n: usize, entries: &[(usize, usize, f64)]) -> CscMatrix {
 }
 
 /// Adversarial shapes and values, each through every tier of both
-/// engine kinds (unfused, so narrow levels take the sharded path too).
+/// engine kinds (unfused, so every level is its own chain).
 #[test]
 fn adversarial_rows_keep_every_bit() {
-    // a 40-wide level 0 feeding a 5-wide level 1 (narrower than the
-    // 16 shards: most shards of that level are empty) feeding one row;
+    // a 40-wide level 0 feeding a 5-wide level 1 feeding one row;
     // rows 40.. have updates, rows 0..40 are empty
     let mut narrow = Vec::new();
     for r in 40..45 {
@@ -328,35 +347,34 @@ fn adversarial_rows_keep_every_bit() {
 }
 
 /// The relabelled layout is leaner than the one it replaced: the
-/// parent commit held the matrix-order analysis (12 B/nnz) plus the
-/// sharded bucket copy (20 B/nnz); now one canonical factor of
+/// column-scatter engine held the matrix-order analysis (12 B/nnz) plus
+/// the sharded bucket copy (20 B/nnz); now one canonical factor of
 /// 16 B/nnz, whether or not the engine verifies, plus 8 B/nnz of spare
-/// values once a refresh has run.
+/// values once a refresh has run. The schedule adds nothing: the
+/// layout keeps its stats, and its order lives on only as `pos`.
 #[test]
 fn footprint_counts_exactly_the_arrays_that_exist() {
     // heavy-shaped: wide levels, ~4 nonzeros per row
     let m = gen::level_structured(&LevelSpec::new(20_000, 40, 80_000, 0xF00D));
     let (n, nnz) = (m.n() as u64, m.nnz() as u64);
     let o = opts(CANONICAL, Triangle::Lower);
-    let schedule = Schedule::build(&LevelSets::analyze(&m, o.triangle), None, o.schedule_tuning())
-        .host_bytes();
     // cols + vals + from per off-diagonal entry, pos + ptr + diag per row
     let factor = 16 * nnz + 4;
     let workspace = |verify: u64| n * 8 * (sptrsv::exec::PANEL_K as u64 + verify);
 
     let engine = SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &o).unwrap();
-    assert_eq!(engine.footprint_bytes(), schedule + factor + workspace(0));
+    assert_eq!(engine.footprint_bytes(), factor + workspace(0));
     assert!(factor < (12 + 20) * nnz, "leaner than the parent's analysis + buckets");
     // a refresh allocates the spare epoch it gathers into: one more
     // set of values (vals + diag, 8 B per stored entry), nothing else
     engine.refresh_values(&m).unwrap();
-    assert_eq!(engine.footprint_bytes(), schedule + factor + 8 * nnz + workspace(0));
+    assert_eq!(engine.footprint_bytes(), factor + 8 * nnz + workspace(0));
 
     // a verifying engine sweeps the same factor with the serial tier:
     // only the workspace's reference vector is added
     let vo = SolveOptions { verify: true, ..o };
     let verifying = SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &vo).unwrap();
-    assert_eq!(verifying.footprint_bytes(), schedule + factor + workspace(1));
+    assert_eq!(verifying.footprint_bytes(), factor + workspace(1));
     verifying.solve(&verify::rhs_for(&m, 1).1).unwrap();
-    assert_eq!(verifying.footprint_bytes(), schedule + factor + workspace(1));
+    assert_eq!(verifying.footprint_bytes(), factor + workspace(1));
 }

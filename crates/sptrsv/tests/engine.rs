@@ -118,7 +118,6 @@ fn build_is_structure_only() {
         engine.solve_into(&bs[0], &mut out, &mut ws).unwrap();
         engine.solve_panel_into(&bs, &mut outs, &mut ws).unwrap();
         engine.solve_batch_into(&bs, &mut outs).unwrap();
-        engine.solve_sharded_into(&bs[0], &mut out, &mut ws, 2).unwrap();
         engine.refresh_values(&m).unwrap();
         assert_eq!(plan::build_invocations(), plans, "{kind:?}: a plan was built");
         assert_eq!(exec::analysis_builds(), execs, "{kind:?}: adjacency was built");
@@ -305,8 +304,8 @@ fn perturbed(m: &sparsemat::CscMatrix) -> sparsemat::CscMatrix {
 }
 
 /// The tentpole contract: after `refresh_values(&m2)`, every warm tier
-/// — plain solve, `solve_into`, the sharded level-parallel solve, the
-/// fused panel and the pooled batch — is **bit-identical** to a cold
+/// — plain solve, `solve_into`, the fused panel and the pooled batch —
+/// is **bit-identical** to a cold
 /// engine built from `m2`, for representative engine kinds and both
 /// triangles.
 #[test]
@@ -338,8 +337,6 @@ fn refresh_matches_cold_rebuild_across_all_tiers_and_triangles() {
             let mut out = vec![0.0f64; m.n()];
             warm.solve_into(&bs[0], &mut out, &mut ws).unwrap();
             assert_eq!(out, expect[0], "{kind:?}/{tri:?}: solve_into bits");
-            warm.solve_sharded_into(&bs[0], &mut out, &mut ws, 3).unwrap();
-            assert_eq!(out, expect[0], "{kind:?}/{tri:?}: sharded bits");
             let mut outs: Vec<Vec<f64>> = vec![Vec::new(); bs.len()];
             warm.solve_panel_into(&bs, &mut outs, &mut ws).unwrap();
             assert_eq!(outs, expect, "{kind:?}/{tri:?}: panel bits");

@@ -1,6 +1,6 @@
 //! Armed-telemetry integration tests: ring wraparound semantics, the
-//! span/schedule reconciliation contract, and result bit-identity
-//! under tracing.
+//! span/call reconciliation contract, and result bit-identity under
+//! tracing.
 //!
 //! The telemetry sink is process-global (one enable switch, one metric
 //! registry, one ring per thread), so these tests live in their own
@@ -61,13 +61,12 @@ fn ring_wraparound_keeps_the_newest_events_in_order() {
     assert_eq!(flushes, total, "the counter saw every event, wrapped or not");
 }
 
-/// The acceptance contract from the schedule IR: one warm sharded
-/// solve on the deep/narrow corpus entry emits exactly one
-/// `exec.sharded.chain` span per chain and one `exec.sharded.barrier`
-/// span per `barriers_per_solve` — the trace and the static stats
-/// reconcile event-for-event.
+/// The closure contract on what runs: every `solve_into` emits exactly
+/// one `engine.solve.serial` span and one `solve_serial_ns` sample, and
+/// every panel call one `engine.solve.panel` span and one
+/// `solve_panel_ns` sample — the trace reconciles call for call.
 #[test]
-fn sharded_solve_spans_reconcile_with_schedule_stats() {
+fn solve_spans_reconcile_with_calls() {
     let _g = SINK.lock().unwrap_or_else(PoisonError::into_inner);
     let m = corpus::deep_narrow_entry().matrix;
     let opts = SolveOptions {
@@ -76,62 +75,47 @@ fn sharded_solve_spans_reconcile_with_schedule_stats() {
         ..SolveOptions::default()
     };
     let engine = SolverEngine::build(&m, MachineConfig::dgx1(4), &opts).unwrap();
-    let (_, b) = verify::rhs_for(&m, 7);
-    let stats = engine.solve(&b).unwrap().schedule.expect("sharded engine always carries stats");
-    assert!(stats.chains > 0 && stats.barriers_per_solve > 0, "corpus entry must be non-trivial");
-
+    let bs: Vec<Vec<f64>> = (0..4u64).map(|k| verify::rhs_for(&m, 7 + k).1).collect();
     let mut ws = SolveWorkspace::new();
     let mut out = vec![0.0f64; m.n()];
+    let mut outs: Vec<Vec<f64>> = vec![Vec::new(); bs.len()];
     telemetry::set_enabled(true);
-    // warm-up: spawns the pool workers (which register their rings)
-    // and sizes the workspace, so the measured solve is steady-state
-    engine.solve_sharded_into(&b, &mut out, &mut ws, 2).unwrap();
+    // warm-up: sizes the workspace and registers this thread's ring
+    engine.solve_into(&bs[0], &mut out, &mut ws).unwrap();
+    engine.solve_panel_into(&bs, &mut outs, &mut ws).unwrap();
 
-    // the sharded tier falls back to the bit-identical serial replay
-    // if the pool declines the region (e.g. a transient spawn
-    // shortfall); that replay records no chain spans, so retry — the
-    // contract under test is about the parallel replay's trace
-    let mut snap = None;
-    for _ in 0..5 {
-        telemetry::reset();
-        engine.solve_sharded_into(&b, &mut out, &mut ws, 2).unwrap();
-        let s = telemetry::snapshot();
-        if !enters(&s, Site::ShardedChain).is_empty() {
-            snap = Some(s);
-            break;
-        }
+    const SOLVES: usize = 5;
+    const PANELS: usize = 3;
+    telemetry::reset();
+    for k in 0..SOLVES {
+        engine.solve_into(&bs[k % bs.len()], &mut out, &mut ws).unwrap();
     }
+    for _ in 0..PANELS {
+        engine.solve_panel_into(&bs, &mut outs, &mut ws).unwrap();
+    }
+    let snap = telemetry::snapshot();
     telemetry::set_enabled(false);
-    let snap = snap.expect("five consecutive region declines is not a healthy pool");
 
-    let chains = enters(&snap, Site::ShardedChain);
-    assert_eq!(chains.len(), stats.chains, "one chain span per schedule chain");
-    assert_eq!(exits(&snap, Site::ShardedChain), stats.chains, "every chain span closed");
-    let barriers = enters(&snap, Site::ShardedBarrier);
-    assert_eq!(
-        barriers.len(),
-        stats.barriers_per_solve,
-        "one barrier span per ScheduleStats::barriers_per_solve"
-    );
-    assert_eq!(exits(&snap, Site::ShardedBarrier), stats.barriers_per_solve);
-    // all on worker 0's lane, and none lost to wraparound
-    let lane = chains[0].tid;
-    assert!(chains.iter().chain(barriers.iter()).all(|e| e.tid == lane));
-    assert_eq!(snap.dropped, 0, "one solve's events fit the ring");
-    // the barrier-wait histogram measured what the stats only count —
-    // on every worker (both of them here), so imbalance is visible
-    let waits = snap.histograms.iter().find(|h| h.name == "barrier_wait_ns").unwrap();
-    assert_eq!(waits.count, 2 * stats.barriers_per_solve as u64);
+    for (site, hist, calls) in [
+        (Site::SolveSerial, "solve_serial_ns", SOLVES),
+        (Site::SolvePanel, "solve_panel_ns", PANELS),
+    ] {
+        assert_eq!(enters(&snap, site).len(), calls, "one {} span per call", site.name());
+        assert_eq!(exits(&snap, site), calls, "every {} span closed", site.name());
+        let h = snap.histograms.iter().find(|h| h.name == hist).unwrap();
+        assert_eq!(h.count, calls as u64, "one {hist} sample per call");
+    }
+    assert_eq!(snap.dropped, 0, "the window's events fit the ring");
 
     // the digest and both exporters agree with the raw events
     let report = telemetry::report_from(&snap);
-    let chain_summary = report.spans.iter().find(|s| s.site == "exec.sharded.chain").unwrap();
-    assert_eq!(chain_summary.count, stats.chains as u64);
+    let serial = report.spans.iter().find(|s| s.site == "engine.solve.serial").unwrap();
+    assert_eq!(serial.count, SOLVES as u64);
     let trace = telemetry::chrome_trace_json(&snap);
-    assert!(trace.contains("\"exec.sharded.chain\"") && trace.contains("\"ph\":\"B\""));
+    assert!(trace.contains("\"engine.solve.panel\"") && trace.contains("\"ph\":\"B\""));
     let prom = telemetry::prometheus_text(&snap);
-    assert!(prom.contains("sptrsv_barrier_wait_ns_count"));
-    assert!(prom.contains("sptrsv_site_events_total{site=\"exec.sharded.chain\"}"));
+    assert!(prom.contains("sptrsv_solve_serial_ns_count"));
+    assert!(prom.contains("sptrsv_site_events_total{site=\"engine.solve.panel\"}"));
 }
 
 /// Arming the sink must not change a single output bit on any warm
@@ -160,11 +144,13 @@ fn tracing_does_not_change_results() {
     assert_eq!(dark, traced, "bit-identical serial solve under tracing");
     assert!(serial_events > 0, "the traced solve actually recorded spans");
 
-    engine.solve_sharded_into(&b, &mut dark, &mut ws, 2).unwrap();
+    let bs = vec![b.clone(), verify::rhs_for(&m, 12).1];
+    let (mut dark_outs, mut traced_outs) = (vec![Vec::new(); 2], vec![Vec::new(); 2]);
+    engine.solve_panel_into(&bs, &mut dark_outs, &mut ws).unwrap();
     telemetry::set_enabled(true);
-    engine.solve_sharded_into(&b, &mut traced, &mut ws, 2).unwrap();
+    engine.solve_panel_into(&bs, &mut traced_outs, &mut ws).unwrap();
     telemetry::set_enabled(false);
-    assert_eq!(dark, traced, "bit-identical sharded solve under tracing");
+    assert_eq!(dark_outs, traced_outs, "bit-identical panel solve under tracing");
 
     // and the disabled path stays dark: no events, default digest
     telemetry::reset();

@@ -1,5 +1,6 @@
 //! The unified telemetry plane end to end: arm the sink, run every
-//! warm tier plus a value refresh, then export the same run three
+//! warm tier (serial, panel, batch) plus a value refresh, then export
+//! the same run three
 //! ways — a chrome://tracing timeline, a Prometheus text page, and
 //! the one-line digests the reports embed.
 //!
@@ -35,17 +36,18 @@ fn main() {
     telemetry::set_enabled(true);
     let mut ws = SolveWorkspace::new();
     let mut out = vec![0.0f64; m.n()];
-    // warm-up: sizes buffers, spawns pool workers, registers rings
-    engine.solve_sharded_into(&b, &mut out, &mut ws, 2).unwrap();
-    telemetry::reset();
-
     let bs: Vec<Vec<f64>> = (0..4u64).map(|k| sptrsv::verify::rhs_for(&m, 20 + k).1).collect();
     let mut outs: Vec<Vec<f64>> = vec![Vec::new(); bs.len()];
+    // warm-up: sizes buffers and registers this thread's ring
+    engine.solve_into(&b, &mut out, &mut ws).unwrap();
+    engine.solve_panel_into(&bs, &mut outs, &mut ws).unwrap();
+    telemetry::reset();
+
     for rhs in &bs {
         engine.solve_into(rhs, &mut out, &mut ws).unwrap();
-        engine.solve_sharded_into(rhs, &mut out, &mut ws, 2).unwrap();
     }
     engine.solve_panel_into(&bs, &mut outs, &mut ws).unwrap();
+    engine.solve_batch_into(&bs, &mut outs).unwrap();
     let refresh = engine.refresh_values(&m).unwrap();
     println!("{refresh}");
 
@@ -94,9 +96,11 @@ fn main() {
     // --- Prometheus text page (excerpt) -------------------------------
     let prom = telemetry::prometheus_text(&snap);
     assert!(prom.contains("sptrsv_site_events_total"));
-    assert!(prom.contains("sptrsv_solve_sharded_ns_count"));
+    for tier in ["serial", "panel", "batch"] {
+        assert!(prom.contains(&format!("sptrsv_solve_{tier}_ns_count")), "{tier} histogram");
+    }
     let shown: Vec<&str> =
-        prom.lines().filter(|l| l.contains("sharded") || l.starts_with("# TYPE")).take(8).collect();
+        prom.lines().filter(|l| l.contains("solve_") || l.starts_with("# TYPE")).take(8).collect();
     println!("prometheus excerpt:");
     for l in &shown {
         println!("  {l}");
