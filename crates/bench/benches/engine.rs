@@ -22,8 +22,9 @@
 //!   committed figure) and on never losing to the per-RHS loop;
 //! * **idle service round trip** — one lone request at a time through
 //!   a default-config [`sptrsv::serve::SolverService`] against
-//!   `solve_into` on the same engine; asserted ≤ 2× on any hardware
-//!   (the idle-aware linger: an idle dispatcher does not wait).
+//!   `solve_into` on the same engine, the two sampled interleaved;
+//!   asserted ≤ 2× on any hardware (the idle-aware linger: an idle
+//!   dispatcher does not wait).
 //! * **value refresh vs full rebuild** — the time-stepping step cost:
 //!   `refresh_values` (in-place value swap, zero symbolic work) then a
 //!   warm solve, against a full `SolverEngine::build` then the same
@@ -53,7 +54,7 @@ use sptrsv::krylov::{pcg, KrylovOptions, PreconditionerEngine};
 use sptrsv::serve::{serve_solver, ServiceConfig};
 use sptrsv::telemetry;
 use sptrsv::{solve, verify, SolveOptions, SolveWorkspace, SolverEngine, SolverKind};
-use sptrsv_bench::timer::{time_ns, TimingSummary};
+use sptrsv_bench::timer::{time_interleaved_ns, time_ns, TimingSummary};
 use std::cell::Cell;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -253,19 +254,19 @@ fn main() {
     // Once the dispatcher has seen that lingering buys a lone request
     // nothing it stops waiting, so the ratio must stay under 2 on any
     // host — it read 2.0 when every request still paid `max_linger`.
+    // The two sides are sampled interleaved: timed in separate windows,
+    // host drift between the windows alone moved the ratio past 2.
     let idle_b = &serve_bs[0];
-    let idle_kernel = {
-        let (mut ws, mut out) = (SolveWorkspace::new(), vec![0.0f64; n]);
-        time_ns(31, || engine.solve_into(idle_b, &mut out, &mut ws).unwrap())
-    };
-    let (idle_roundtrip, _) = serve_solver(&engine, &ServiceConfig::default(), |svc| {
-        let mut out = vec![0.0f64; n];
-        let mut lone = || svc.submit(idle_b).unwrap().wait_into(&mut out).unwrap();
-        // past the dispatcher's futile-linger run and buffer warm-up
-        (0..8).for_each(|_| lone());
-        time_ns(31, lone)
-    })
-    .unwrap();
+    let ((idle_kernel, idle_roundtrip), _) =
+        serve_solver(&engine, &ServiceConfig::default(), |svc| {
+            let (mut ws, mut bare) = (SolveWorkspace::new(), vec![0.0f64; n]);
+            let mut out = vec![0.0f64; n];
+            let mut lone = || svc.submit(idle_b).unwrap().wait_into(&mut out).unwrap();
+            // past the dispatcher's futile-linger run and buffer warm-up
+            (0..8).for_each(|_| lone());
+            time_interleaved_ns(31, || engine.solve_into(idle_b, &mut bare, &mut ws).unwrap(), lone)
+        })
+        .unwrap();
     let idle_over_kernel = idle_roundtrip.median_ns as f64 / idle_kernel.median_ns.max(1) as f64;
     println!(
         "idle service round trip median {:>12}   ({idle_over_kernel:.2}x of solve_into {})",

@@ -39,20 +39,44 @@ impl TimingSummary {
 
 /// Time `f` over `samples` iterations after one untimed warmup.
 pub fn time_ns<R>(samples: usize, mut f: impl FnMut() -> R) -> TimingSummary {
-    let samples = samples.max(1);
     std::hint::black_box(f()); // warmup
-    let mut laps = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        laps.push(t0.elapsed().as_nanos() as u64);
+    summarize((0..samples.max(1)).map(|_| lap(&mut f)).collect())
+}
+
+/// Time `f` and `g` over `samples` rounds after one untimed warmup of
+/// each, one lap of each per round. Host drift — a neighbour taking
+/// cycles, a frequency change — then lands on both sides alike, so the
+/// ratio of the two medians holds still while each absolute time moves.
+pub fn time_interleaved_ns<R, S>(
+    samples: usize,
+    mut f: impl FnMut() -> R,
+    mut g: impl FnMut() -> S,
+) -> (TimingSummary, TimingSummary) {
+    std::hint::black_box(f()); // warmup
+    std::hint::black_box(g());
+    let (mut fs, mut gs) = (Vec::new(), Vec::new());
+    for _ in 0..samples.max(1) {
+        fs.push(lap(&mut f));
+        gs.push(lap(&mut g));
     }
+    (summarize(fs), summarize(gs))
+}
+
+/// One timed call of `f`, in ns.
+fn lap<R>(f: &mut impl FnMut() -> R) -> u64 {
+    let t0 = Instant::now();
+    std::hint::black_box(f());
+    t0.elapsed().as_nanos() as u64
+}
+
+/// Min/median/mean of a non-empty set of laps.
+fn summarize(mut laps: Vec<u64>) -> TimingSummary {
     laps.sort_unstable();
     TimingSummary {
         min_ns: laps[0],
         median_ns: laps[laps.len() / 2],
         mean_ns: laps.iter().sum::<u64>() / laps.len() as u64,
-        samples,
+        samples: laps.len(),
     }
 }
 
@@ -98,6 +122,18 @@ mod tests {
         });
         assert!(s.min_ns <= s.median_ns);
         assert!(s.samples == 9);
+    }
+
+    #[test]
+    fn interleaved_runs_every_lap_of_both_sides_alternately() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let (f, g) = time_interleaved_ns(
+            3,
+            || calls.borrow_mut().push('f'),
+            || calls.borrow_mut().push('g'),
+        );
+        assert_eq!((f.samples, g.samples), (3, 3));
+        assert_eq!(calls.into_inner(), ['f', 'g', 'f', 'g', 'f', 'g', 'f', 'g']);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 use crate::csc::CscMatrix;
 use crate::{Idx, Triangle};
 use std::cell::Cell;
-use std::sync::Arc;
 
 thread_local! {
     /// Per-thread count of [`LevelSets::analyze`] invocations. The
@@ -43,10 +42,7 @@ pub struct LevelSets {
     /// `level_comps[level_ptr[ℓ] as usize .. level_ptr[ℓ+1] as usize]`.
     level_ptr: Vec<u32>,
     /// Components grouped by level, ascending within each level.
-    /// Reference-counted so consumers that need the flat order (the
-    /// build-once/solve-many engine stores it as its replay schedule)
-    /// can share this allocation instead of copying all `n` entries.
-    level_comps: Arc<[Idx]>,
+    level_comps: Vec<Idx>,
 }
 
 impl LevelSets {
@@ -103,7 +99,7 @@ impl LevelSets {
             level_comps[cursor[l as usize] as usize] = i as Idx;
             cursor[l as usize] += 1;
         }
-        LevelSets { level_of, level_ptr, level_comps: level_comps.into() }
+        LevelSets { level_of, level_ptr, level_comps }
     }
 
     /// Number of levels (0 for an empty matrix).
@@ -133,14 +129,6 @@ impl LevelSets {
     #[inline]
     pub fn level_comps(&self) -> &[Idx] {
         &self.level_comps
-    }
-
-    /// The flat component order behind a shared handle — a refcount
-    /// bump, not an `n`-length copy. The solver engine holds this as
-    /// its warm-solve replay schedule.
-    #[inline]
-    pub fn level_comps_shared(&self) -> Arc<[Idx]> {
-        Arc::clone(&self.level_comps)
     }
 
     /// Size of the largest level.

@@ -34,11 +34,11 @@
 //! (timings, machine statistics, event counts) is recorded once and
 //! every [`SolverEngine::solve`] runs only the `O(n + nnz)` numeric
 //! substitution on the engine's [`crate::exec::NumericFactor`] — the
-//! factor's rows relabelled once, at build, into the **canonical
-//! order** (level-major, ascending within each level: the level sets'
-//! own order, whatever the solver kind) and swept as a contiguous row
-//! gather. Warm results are bit-identical to one-shot [`crate::solve`]
-//! — at a small fraction of the wall-clock. `BENCH_engine.json`
+//! factor's rows relabelled once, at build, into the order its
+//! structure sweeps fastest (level-major or natural, picked from the
+//! pattern whatever the solver kind — see [`crate::exec`]) and swept as
+//! a contiguous row gather. Warm results are bit-identical to one-shot
+//! [`crate::solve`] — at a small fraction of the wall-clock. `BENCH_engine.json`
 //! (emitted by `cargo bench -p sptrsv-bench --bench engine`) tracks the
 //! ratio.
 //!
@@ -127,8 +127,8 @@ use crate::exec::{self, ExecError, Layout, NumericFactor, ReplayWorkspace, Simul
 use crate::fault::{self, FaultSite};
 use crate::pool::{ScopedTask, WorkerPool};
 use crate::report::SolveReport;
-use crate::schedule::Schedule;
-use crate::solver::{MultiRhsReport, SolveError, SolveOptions, SolverKind};
+use crate::schedule::{Schedule, ScheduleStats};
+use crate::solver::{MultiRhsReport, SolveError, SolveOptions};
 use crate::telemetry::{Hist, Site, SpanGuard, Stopwatch};
 use crate::verify;
 use desim::SimTime;
@@ -146,12 +146,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// live for the whole Krylov iteration.
 ///
 /// The prebuilt state is split along the refresh boundary: the
-/// structure-only [`Layout`] (relabelled pattern + Schedule IR) is
-/// immutable for the engine's lifetime; the *values* it lays out are
-/// published as an immutable [`Epoch`] snapshot, which
-/// [`SolverEngine::refresh_values`] replaces by swapping an `Arc`. The
-/// solver kind only picks the layout's order and what the lazy
-/// calibration simulates.
+/// structure-only [`Layout`] (the relabelled pattern) is immutable for
+/// the engine's lifetime; the *values* it lays out are published as an
+/// immutable [`Epoch`] snapshot, which [`SolverEngine::refresh_values`]
+/// replaces by swapping an `Arc`. The solver kind picks what the lazy
+/// calibration simulates and the schedule stats it reports, never the
+/// layout.
 #[derive(Debug)]
 pub struct SolverEngine<'m> {
     m: &'m CscMatrix,
@@ -159,6 +159,10 @@ pub struct SolverEngine<'m> {
     /// What [`SolverEngine::calibration`] simulates (nothing for the
     /// serial kind).
     simulation: Simulation,
+    /// The stats every report carries: [`Schedule::build`]'s for a
+    /// simulated kind, whichever order the layout follows, and
+    /// [`ScheduleStats::serial`] for the serial kind.
+    schedule: ScheduleStats,
     /// The report template every [`SolverEngine::solve`] clones: the
     /// calibration run's report with an empty `x`, filled on the first
     /// `solve`, `calibration` or `cross_edges`. Value-independent (see
@@ -334,10 +338,12 @@ impl<'m> SolverEngine<'m> {
     /// Validates and audits the factor, performs the machine
     /// feasibility check (NVSHMEM needs all-pairs P2P), analyzes the
     /// level sets and builds the [`Schedule`] (a simulated kind), and
-    /// relabels the factor into the schedule's canonical order for the
-    /// warm tiers. Structure only: the calibration simulation waits
-    /// for the first [`SolverEngine::solve`],
-    /// [`SolverEngine::calibration`] or [`SolverEngine::cross_edges`].
+    /// lays the factor out for the warm tiers in the order its
+    /// structure picks: level-major along the level sets (analyzed for
+    /// that even on the serial kind) or natural. Structure only: the
+    /// calibration simulation waits for the first
+    /// [`SolverEngine::solve`], [`SolverEngine::calibration`] or
+    /// [`SolverEngine::cross_edges`].
     pub fn build(
         m: &'m CscMatrix,
         machine_cfg: MachineConfig,
@@ -370,24 +376,25 @@ impl<'m> SolverEngine<'m> {
             return Err(SolveError::Matrix(e));
         }
         let simulation = Simulation::for_kind(&machine_cfg, opts)?;
-        let tri = opts.triangle;
-        let layout = match opts.kind {
-            // no level analysis: natural substitution order needs no
-            // permutation and no schedule beyond the one-chain serial
-            SolverKind::Serial => {
-                let _g = SpanGuard::enter(Site::BuildAnalyze);
-                Layout::natural(m, tri)
-            }
-            // every simulated kind: level-major, ascending within each
-            // level — the level sets' own order
-            _ => {
-                let levels = {
-                    let _g = SpanGuard::enter(Site::BuildAnalyze);
-                    LevelSets::analyze(m, tri)
-                };
-                let _g = SpanGuard::enter(Site::BuildSchedule);
-                Layout::level_major(m, tri, Schedule::build(&levels, None, opts.schedule_tuning()))
-            }
+        let (tri, simulated) = (opts.triangle, !matches!(simulation, Simulation::Host));
+        // the warm layout's order follows the pattern, the stats follow
+        // the kind: a simulated kind reports its level schedule however
+        // the factor is laid out, so the serial kind analyzes levels
+        // only when the layout asks for them
+        let level_major = exec::prefers_level_major(m, tri);
+        let levels = (simulated || level_major).then(|| {
+            let _g = SpanGuard::enter(Site::BuildAnalyze);
+            LevelSets::analyze(m, tri)
+        });
+        let (schedule, layout) = {
+            let _g = SpanGuard::enter(Site::BuildSchedule);
+            let schedule = match &levels {
+                Some(levels) if simulated => {
+                    Schedule::build(levels, None, opts.schedule_tuning()).stats()
+                }
+                _ => ScheduleStats::serial(m.n()),
+            };
+            (schedule, Layout::new(m, tri, levels.as_ref().filter(|_| level_major)))
         };
         let factor = NumericFactor::new(Arc::new(layout), m);
 
@@ -396,6 +403,7 @@ impl<'m> SolverEngine<'m> {
             m,
             opts: opts.clone(),
             simulation,
+            schedule,
             template: OnceLock::new(),
             current: Mutex::new(Arc::new(Epoch { factor, audit })),
             spare: Mutex::new(None),
@@ -442,9 +450,10 @@ impl<'m> SolverEngine<'m> {
     }
 
     /// Host bytes this engine holds beyond the matrix it borrows: the
-    /// relabelled factor (its layout keeps the schedule's stats, not
-    /// its order), the spare values a refresh gathers into
-    /// (once the first refresh has allocated them), plus one warm
+    /// relabelled factor (a level-major layout keeps its position
+    /// table, a natural one has none), the spare values a refresh
+    /// gathers into (once the first refresh has allocated them), plus
+    /// one warm
     /// [`SolveWorkspace`] at this dimension — the per-engine charge a
     /// byte-bounded factor cache accounts (the cache adds the matrix's
     /// own bytes separately, since the cache is what keeps the matrix
@@ -470,8 +479,7 @@ impl<'m> SolverEngine<'m> {
     fn template(&self) -> Result<&Arc<SolveReport>, SolveError> {
         self.template
             .get_or_init(|| {
-                let schedule = self.snapshot().factor.layout().stats();
-                self.simulation.calibrate(self.m, &self.opts, schedule).map(Arc::new)
+                self.simulation.calibrate(self.m, &self.opts, self.schedule).map(Arc::new)
             })
             .as_ref()
             .map_err(|e| SolveError::Exec(e.clone()))
@@ -963,7 +971,8 @@ fn amortized(reports: Vec<SolveReport>) -> MultiRhsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparsemat::gen;
+    use crate::solver::SolverKind;
+    use sparsemat::{gen, Triangle};
     use std::time::Duration;
 
     fn small() -> (CscMatrix, Vec<f64>) {
@@ -1009,6 +1018,38 @@ mod tests {
         assert_eq!(s.rows, m.n());
         // untraced solves embed the zero-cost default telemetry digest
         assert_eq!(r.telemetry, crate::telemetry::TelemetryReport::default());
+    }
+
+    /// The schedule stats follow the kind, not the layout. `small()`
+    /// is laid out in natural order, yet a simulated kind reports its
+    /// level schedule through `solve()` and `calibration()`, with the
+    /// event count and simulated time recorded when every simulated
+    /// kind was level-major. The grid's `L` is laid out level-major, yet
+    /// the serial kind reports the one-chain serial stats.
+    #[test]
+    fn schedule_stats_follow_the_kind_not_the_layout() {
+        let (m, b) = small();
+        let levels =
+            Schedule::build(&LevelSets::analyze(&m, Triangle::Lower), None, Default::default());
+        assert_ne!(levels.stats(), ScheduleStats::serial(m.n()));
+        let engine =
+            SolverEngine::build(&m, MachineConfig::dgx1(4), &SolveOptions::default()).unwrap();
+        assert!(engine.snapshot().factor.layout().is_natural());
+        let calibration = engine.calibration().expect("simulated kind");
+        assert_eq!(calibration.schedule, Some(levels.stats()));
+        assert_eq!((calibration.events, calibration.timings.total.as_ns()), (5410, 124_293));
+        assert_eq!(engine.solve(&b).unwrap().schedule, Some(levels.stats()));
+
+        let grid = sparsemat::factor::ilu0(&gen::grid_laplacian(24, 24), 1e-8).unwrap();
+        let (_, b) = verify::rhs_for(&grid.l, 42);
+        let opts = SolveOptions { kind: SolverKind::Serial, ..Default::default() };
+        let serial = SolverEngine::build(&grid.l, MachineConfig::dgx1(1), &opts).unwrap();
+        assert!(!serial.snapshot().factor.layout().is_natural());
+        assert_eq!(serial.solve(&b).unwrap().schedule, Some(ScheduleStats::serial(grid.l.n())));
+        let simulated =
+            SolverEngine::build(&grid.l, MachineConfig::dgx1(4), &Default::default()).unwrap();
+        let calibration = simulated.calibration().expect("simulated kind");
+        assert_eq!((calibration.events, calibration.timings.total.as_ns()), (2864, 216_463));
     }
 
     #[test]

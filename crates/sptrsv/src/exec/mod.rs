@@ -44,12 +44,17 @@
 //!
 //! Warm solves run on a [`NumericFactor`]: a structure-only [`Layout`]
 //! — the factor's rows **relabelled into an execution order** at build
-//! time (the [`crate::schedule::Schedule`]'s canonical level-major
-//! order for a simulated engine, the natural substitution order for
-//! the serial kind), stored CSR over *positions* in that order, each
-//! row's entries in natural source order — plus the [`Values`] of one
-//! epoch. One kernel body ([`NumericFactor`]'s row sweep, in scalar and
-//! const-`K` lane forms) serves every tier:
+//! time, stored CSR over *positions* in that order, each row's entries
+//! in natural source order — plus the [`Values`] of one epoch. The
+//! order follows the factor's structure, never the solver kind: a
+//! factor whose rows mostly read their natural predecessor (a grid's
+//! ILU(0) factors) is laid out level-major, since its natural sweep is
+//! one long chain of dependent rows while each level's rows are
+//! independent of each other; every other factor sweeps its natural
+//! substitution order, which needs no position table and no boundary
+//! permutes (the rule is `prefers_level_major`). One kernel body
+//! ([`NumericFactor`]'s row sweep, in scalar and const-`K` lane forms)
+//! serves every tier:
 //!
 //! ```text
 //! for c in 0..n { y[pos[c]] = b[c] }   // permute b in, by component
@@ -114,6 +119,7 @@ mod sim;
 #[cfg(test)]
 mod tests;
 
+pub(crate) use numeric::prefers_level_major;
 pub use numeric::{Layout, NumericFactor, ReplayWorkspace, Values};
 pub(crate) use sim::Simulation;
 pub use sim::{

@@ -3,13 +3,19 @@
 use super::*;
 use crate::plan::{ExecutionPlan, Partition};
 use crate::reference;
-use crate::schedule::Schedule;
 use crate::verify;
 use crate::Backend;
 use desim::SimTime;
 use mgpu_sim::{Machine, MachineConfig};
 use sparsemat::{gen, CscMatrix, LevelSets};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The Table-I corpus, generated once per test binary: its tests share
+/// it rather than each paying the generation.
+fn corpus() -> &'static [sparsemat::corpus::NamedMatrix] {
+    static CORPUS: OnceLock<Vec<sparsemat::corpus::NamedMatrix>> = OnceLock::new();
+    CORPUS.get_or_init(sparsemat::corpus::corpus)
+}
 
 /// `m`'s values laid out in `layout`.
 fn factor(m: &CscMatrix, layout: Layout) -> NumericFactor {
@@ -294,7 +300,7 @@ fn replay_into_matches_replay() {
     let m = gen::banded_lower(400, 6, 3.0, 5);
     let (_, b) = verify::rhs_for(&m, 77);
     let expect = reference::solve_lower(&m, &b).unwrap();
-    let natural = factor(&m, Layout::natural(&m, Triangle::Lower));
+    let natural = factor(&m, Layout::relabel(&m, Triangle::Lower, None));
     let order: Vec<u32> = (0..m.n() as u32).collect();
     let explicit = factor(&m, Layout::relabel(&m, Triangle::Lower, Some(&order)));
     assert!(natural.layout().is_natural() && !explicit.layout().is_natural());
@@ -306,26 +312,24 @@ fn replay_into_matches_replay() {
     }
 }
 
-/// The data half of the bit contract: in every order the engine
-/// builds (natural, and the schedule's canonical level-major order),
-/// every row holds Algorithm 1's operand sequence — so the sweep
-/// returns the reference's bits.
+/// The data half of the bit contract: in both orders the engine
+/// builds (natural, and the level sets' level-major order), every row
+/// holds Algorithm 1's operand sequence — so the sweep returns the
+/// reference's bits.
 #[test]
 fn rows_hold_algorithm_1s_sequence_in_every_order() {
-    let mut entries = sparsemat::corpus::corpus();
-    entries.push(sparsemat::corpus::deep_narrow_entry());
-    for e in &entries {
+    let deep = sparsemat::corpus::deep_narrow_entry();
+    for e in corpus().iter().chain([&deep]) {
         for tri in [Triangle::Lower, Triangle::Upper] {
             let m = match tri {
                 Triangle::Lower => e.matrix.clone(),
                 Triangle::Upper => e.matrix.transpose(),
             };
             let levels = LevelSets::analyze(&m, tri);
-            let schedule = Schedule::build(&levels, None, Default::default());
             let (_, b) = verify::rhs_for(&m, 0x2A);
             let want = reference::solve_serial(&m, &b, tri).unwrap();
-            for layout in [Layout::natural(&m, tri), Layout::level_major(&m, tri, schedule.clone())]
-            {
+            for order in [None, Some(levels.level_comps())] {
+                let layout = Layout::relabel(&m, tri, order);
                 let cell = format!("{}/{tri:?}/natural={}", e.name, layout.is_natural());
                 assert!(layout.rows_in_natural_order(), "{cell}");
                 let f = factor(&m, layout);
@@ -369,4 +373,59 @@ fn poll_caching_reduces_poll_gets() {
         r.poll_gets
     );
     assert!(c.poll_gets_saved > 0);
+}
+
+/// The order rule, as a table over both engine kinds: each row's
+/// predictor value and the order its engine lays the factor out in.
+/// Level-structured factors and every corpus entry read almost none of
+/// their natural predecessors and sweep natural; a grid's ILU(0)
+/// factors read nearly all of them and sweep level-major; a chain reads
+/// all of them, but its level order *is* natural order, so it needs no
+/// position table; a diagonal reads none.
+#[test]
+fn sweep_order_follows_the_natural_predecessor_share() {
+    use super::numeric::natural_predecessor_share;
+    use crate::{SolveOptions, SolverEngine, SolverKind};
+    use std::ops::RangeInclusive;
+    type Row = (&'static str, CscMatrix, Triangle, RangeInclusive<f64>, bool);
+    let (lower, upper) = (Triangle::Lower, Triangle::Upper);
+    let grid = sparsemat::factor::ilu0(&gen::grid_laplacian(48, 48), 1e-8).unwrap();
+    let mut rows: Vec<Row> = vec![
+        (
+            "heavy",
+            gen::level_structured(&gen::LevelSpec::new(100_000, 200, 400_000, 11)),
+            lower,
+            0.0..=0.01,
+            false,
+        ),
+        (
+            "light",
+            gen::level_structured(&gen::LevelSpec::new(12_000, 2_000, 48_000, 7)),
+            lower,
+            0.0..=0.1,
+            false,
+        ),
+        ("deep_narrow", gen::deep_narrow(2_000, 6, 3.2, 0xBEEF), lower, 0.0..=0.1, false),
+        ("grid ILU(0)", grid.l, lower, 0.95..=1.0, true),
+        ("grid ILU(0)", grid.u, upper, 0.95..=1.0, true),
+        ("chain", gen::chain(500), lower, 1.0..=1.0, false),
+        ("chain", gen::chain(500).transpose(), upper, 1.0..=1.0, false),
+        ("diagonal", gen::diagonal(300, 3), lower, 0.0..=0.0, false),
+        ("n=1", gen::diagonal(1, 3), lower, 0.0..=0.0, false),
+        ("n=0", sparsemat::TripletBuilder::new(0).build().unwrap(), lower, 0.0..=0.0, false),
+    ];
+    for e in corpus() {
+        rows.push((e.name, e.matrix.transpose(), upper, 0.0..=0.25, false));
+        rows.push((e.name, e.matrix.clone(), lower, 0.0..=0.25, false));
+    }
+    for (name, m, tri, share, level_major) in &rows {
+        let got = natural_predecessor_share(m, *tri);
+        assert!(share.contains(&got), "{name}/{tri:?}: share {got} outside {share:?}");
+        for kind in [SolverKind::ZeroCopy { per_gpu: 8 }, SolverKind::Serial] {
+            let opts = SolveOptions { kind, triangle: *tri, ..SolveOptions::default() };
+            let engine = SolverEngine::build(m, MachineConfig::dgx1(4), &opts).unwrap();
+            let natural = engine.snapshot().factor.layout().is_natural();
+            assert_eq!(natural, !level_major, "{name}/{tri:?}/{kind:?}: share {got}");
+        }
+    }
 }

@@ -32,10 +32,11 @@
 //!
 //! Preconditioner applications sweep each engine's own
 //! [`crate::exec::NumericFactor`] with the serial tier — the shared
-//! [`crate::exec::Layout`] the engine's warm tiers use (level-major for
-//! a simulated kind, natural for the serial kind) and its current
-//! values. No application reads a calibration, so a pair that only
-//! preconditions never simulates.
+//! [`crate::exec::Layout`] the engine's warm tiers use (level-major or
+//! natural, as the factor's structure picks; an ILU(0) factor of a
+//! grid is level-major whatever the kind) and its current values. No
+//! application reads a calibration, so a pair that only preconditions
+//! never simulates.
 //! Every row of that factor holds its entries in natural source order,
 //! so it sums exactly Algorithm 1's `left_sum` sequence whatever the
 //! row order: [`PreconditionerEngine::apply_into`] is **bit-identical**

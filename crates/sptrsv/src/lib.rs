@@ -21,11 +21,11 @@
 //! * [`plan`] — data distribution: blocked (the baseline layout whose
 //!   unidirectional waiting §V criticizes) and the malleable
 //!   round-robin task pool (§V).
-//! * [`schedule`] — the warm-path **Schedule IR**: one
-//!   [`Schedule`] built at engine-build time holding the canonical
-//!   level-major order the factor is relabelled into, and the
-//!   [`ScheduleStats`] of its levels and fused chains that every
-//!   report carries.
+//! * [`schedule`] — the **Schedule IR**: one [`Schedule`] built at
+//!   engine-build time holding the [`ScheduleStats`] of the factor's
+//!   levels and fused chains that every report carries. (The warm
+//!   layout's order is picked from the factor's structure, not from
+//!   the schedule — see [`exec`].)
 //! * [`solver`] — the high-level API tying a matrix, a machine
 //!   configuration and a solver variant into a verified
 //!   [`report::SolveReport`].

@@ -1,31 +1,25 @@
-//! The Schedule IR: the canonical level-major order of one engine's
-//! factor and the chain statistics of its levels, built once per
-//! engine build.
+//! The Schedule IR: the chain statistics of one engine's level sets,
+//! built once per engine build of a simulated kind.
 //!
 //! [`Schedule`] is the one place scheduling facts are derived from raw
-//! [`LevelSets`]:
-//!
-//! * **order** — the level-major canonical order (ascending index
-//!   within each level, as the level sets hold it): the order the
-//!   engine's [`crate::exec::Layout`] is relabelled into, consumed
-//!   there into its position table;
-//! * **stats** — [`ScheduleStats`]: levels, the chains that fuse runs
-//!   of narrow levels (threshold-driven:
-//!   [`sparsemat::levels::ChainPartition`]), the fused fraction and
-//!   the barriers a level-synchronous solve over those chains would
-//!   pay.
+//! [`LevelSets`]: [`ScheduleStats`] — levels, the chains that fuse runs
+//! of narrow levels (threshold-driven:
+//! [`sparsemat::levels::ChainPartition`]), the fused fraction and the
+//! barriers a level-synchronous solve over those chains would pay.
 //!
 //! Everything in here depends only on the factor's *structure* and the
-//! [`ScheduleTuning`] — never on matrix values — so the stats live in
-//! the engine's structure-only [`crate::exec::Layout`] and survive
-//! `refresh_values` untouched by construction. They are observability
-//! ([`crate::report::SolveReport`], the bench JSON): every warm solve
-//! is one serial sweep per right-hand side (see [`crate::exec`]'s
-//! module docs for why there is no level-synchronous tier).
+//! [`ScheduleTuning`] — never on matrix values — so the engine keeps
+//! the stats beside its structure-only [`crate::exec::Layout`] and they
+//! survive `refresh_values` untouched by construction. They describe
+//! the levels, not the warm layout: a simulated kind reports them
+//! whether its factor is laid out level-major or in natural order. They
+//! are observability ([`crate::report::SolveReport`], the bench JSON):
+//! every warm solve is one serial sweep per right-hand side (see
+//! [`crate::exec`]'s module docs for why there is no level-synchronous
+//! tier).
 
 use sparsemat::LevelSets;
 use std::fmt;
-use std::sync::Arc;
 
 /// Default for [`ScheduleTuning::chain_width_threshold`]: levels at or
 /// below this width fuse into chains — a level this narrow cannot keep
@@ -76,7 +70,8 @@ pub struct ScheduleStats {
 impl ScheduleStats {
     /// Degenerate stats for a variant that replays the whole factor as
     /// one fused sequential chain (the plain serial solver, which
-    /// never analyzes level sets): one level, one chain, one shard,
+    /// reports no level schedule even when its layout is level-major):
+    /// one level, one chain, one shard,
     /// everything fused, zero barriers. An empty factor is all zeros,
     /// matching [`Schedule::build`] on an empty matrix. Populating
     /// this everywhere means `SolveReport.schedule` consumers never
@@ -116,19 +111,17 @@ impl fmt::Display for ScheduleStats {
     }
 }
 
-/// The Schedule IR: the canonical order of one engine's factor plus
-/// its precomputed stats. Built once by [`Schedule::build`]; immutable
-/// and value-independent thereafter.
+/// The Schedule IR: the precomputed stats of one factor's level sets.
+/// Built once by [`Schedule::build`]; immutable and value-independent
+/// thereafter.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    order: Arc<[u32]>,
     stats: ScheduleStats,
 }
 
 impl Schedule {
-    /// Build the schedule for analyzed `levels` under `tuning`. The
-    /// canonical order is the level sets' own flat array (ascending
-    /// index within each level), shared not copied. Cost: O(levels).
+    /// Build the schedule for analyzed `levels` under `tuning`. Cost:
+    /// O(levels).
     ///
     /// `owner` is ignored: it stays for the layered benchmark's
     /// schedule timing, which passes the simulated owner map.
@@ -146,13 +139,7 @@ impl Schedule {
             max_level_width: levels.max_level_width(),
             barriers_per_solve: chains.barriers_per_solve(),
         };
-        Schedule { order: levels.level_comps_shared(), stats }
-    }
-
-    /// The canonical level-major component order.
-    #[inline]
-    pub fn order(&self) -> &[u32] {
-        &self.order
+        Schedule { stats }
     }
 
     /// The precomputed structure stats.
@@ -207,7 +194,6 @@ mod tests {
         assert_eq!(s.chains, s.levels);
         assert_eq!(s.fused_levels, 0);
         assert_eq!(s.barriers_per_solve, s.levels - 1);
-        assert_eq!(sch.order(), ls.level_comps());
     }
 
     /// Every factor shape gets one worker per solve, and the owner
@@ -222,7 +208,6 @@ mod tests {
             Schedule::build(&ls, Some(&owner), ScheduleTuning::default()),
         );
         assert_eq!(plain.stats(), owned.stats());
-        assert_eq!(plain.order(), owned.order());
         assert_eq!(plain.stats().shards, 1);
         for threads in [0, 1, 2, 16] {
             assert_eq!(plain.auto_workers(threads), 1);
@@ -293,6 +278,5 @@ mod tests {
         let s = sch.stats();
         assert_eq!((s.rows, s.levels, s.chains, s.fused_levels), (0, 0, 0, 0));
         assert_eq!(s.barriers_per_solve, 0);
-        assert!(sch.order().is_empty());
     }
 }

@@ -524,7 +524,7 @@ pub const HEALTH_RECOVERY_PANELS: u64 = 4;
 pub enum ServiceEngine<'e, 'm> {
     /// One triangular factor: panels run
     /// [`SolverEngine::solve_panel_into`]'s kernel along the engine's
-    /// canonical warm order — results bit-identical to
+    /// warm layout order — results bit-identical to
     /// [`SolverEngine::solve`].
     Solver(&'e SolverEngine<'m>),
     /// An L/U pair: panels run

@@ -106,8 +106,8 @@ pub enum Site {
     BuildAnalyze = 0,
     /// Lazy calibration: execution-plan construction (cross-GPU edges).
     BuildPlan = 1,
-    /// Engine build: Schedule IR (canonical order, chain stats) and the
-    /// relabelled layout.
+    /// Engine build: Schedule IR (chain stats) and the relabelled
+    /// layout, level-major or natural.
     BuildSchedule = 2,
     /// Lazy calibration: the simulation that seeds the report template,
     /// run on an engine's first `solve`/`calibration`/`cross_edges`.

@@ -162,27 +162,36 @@ fn warm_solve_into_and_panel_allocate_nothing() {
         );
     }
 
-    // --- a fresh engine, one solve at a time: the first `solve_into`
-    // grows the caller's workspace, and every later one is heap-silent
-    // from the second call on — no warm-up tier, no probe, no pool
-    // thread spawned behind the caller's back. The factor is
-    // heavy-shaped: wide levels, ~4 nonzeros per row.
+    // --- a fresh engine, one solve at a time: no warm-up tier, no
+    // probe, no pool thread spawned behind the caller's back. The
+    // heavy-shaped factor (wide levels, ~4 nonzeros per row) is laid
+    // out in natural order and solves in the caller's `out`, so even
+    // its first `solve_into` is heap-silent. The grid's ILU(0) `L` is
+    // laid out level-major: its first call grows the caller's
+    // workspace, and every later one is heap-silent.
     {
         let heavy = gen::level_structured(&LevelSpec::new(100_000, 200, 400_000, 11));
+        let grid_l = ilu0(&gen::grid_laplacian(64, 64), 1e-8).unwrap().l;
         let opts = SolveOptions {
             kind: SolverKind::ZeroCopy { per_gpu: 8 },
             verify: false,
             ..SolveOptions::default()
         };
-        let engine = SolverEngine::build(&heavy, MachineConfig::dgx1(4), &opts).unwrap();
-        let (_, b) = verify::rhs_for(&heavy, 3);
-        let mut ws = SolveWorkspace::new();
-        let mut out = vec![0.0f64; heavy.n()];
-        let first = allocations_during(|| engine.solve_into(&b, &mut out, &mut ws).unwrap());
-        assert!(first > 0, "the first solve grows the workspace");
-        for call in 2..=8 {
-            let warm = allocations_during(|| engine.solve_into(&b, &mut out, &mut ws).unwrap());
-            assert_eq!(warm, 0, "solve_into call #{call} on a fresh engine must not allocate");
+        for (name, m, level_major) in [("heavy", &heavy, false), ("grid L", &grid_l, true)] {
+            let engine = SolverEngine::build(m, MachineConfig::dgx1(4), &opts).unwrap();
+            let (_, b) = verify::rhs_for(m, 3);
+            let mut ws = SolveWorkspace::new();
+            let mut out = vec![0.0f64; m.n()];
+            let first = allocations_during(|| engine.solve_into(&b, &mut out, &mut ws).unwrap());
+            if level_major {
+                assert!(first > 0, "{name}: the first solve grows the workspace");
+            } else {
+                assert_eq!(first, 0, "{name}: a natural-order solve needs no workspace");
+            }
+            for call in 2..=8 {
+                let warm = allocations_during(|| engine.solve_into(&b, &mut out, &mut ws).unwrap());
+                assert_eq!(warm, 0, "{name}: solve_into call #{call} must not allocate");
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 //!   agree with itself;
 //! * **the scatter oracle** — [`sptrsv::reference::solve_serial`],
 //!   compared bit for bit against every tier × lane width ×
-//!   {cold, refreshed} × {canonical, serial kind} cell;
+//!   {cold, refreshed} × {natural, level-major order} cell;
 //! * **adversarial rows** — signed zeros, empty rows, `n ∈ {0, 1}`,
 //!   narrow levels, single-chain factors.
 //!
@@ -172,36 +172,60 @@ fn gather_kernel_reproduces_the_parent_commits_bits() {
     }
 }
 
-/// The table: factors × triangles × {cold, refreshed} × {canonical,
-/// serial kind} × every tier, all against the scatter oracle.
+/// Footprint bytes of a fresh, non-verifying engine over `m`: the
+/// factor — cols + vals + from per off-diagonal entry, ptr + diag per
+/// row, plus `pos` per row when it is laid out level-major (16·nnz + 4
+/// in level-major order, 16·nnz + 4 − 4n in natural order) — and one
+/// fully grown workspace of `PANEL_K` lanes.
+fn fresh_footprint(m: &CscMatrix, level_major: bool) -> u64 {
+    let (n, nnz) = (m.n() as u64, m.nnz() as u64);
+    let pos = if level_major { 4 * n } else { 0 };
+    16 * nnz + 4 - 4 * n + pos + n * 8 * sptrsv::exec::PANEL_K as u64
+}
+
+/// The table: factors × triangles × {cold, refreshed} × every tier,
+/// all against the scatter oracle. The order axis: level-structured
+/// factors are laid out in natural order, a grid's ILU(0) factors
+/// level-major (each cell checks which, through the footprint's
+/// position table). One serial-kind row covers that kind's report
+/// path.
 #[test]
 fn every_tier_matches_the_scatter_oracle_bit_for_bit() {
-    let factors = [
+    let (lower, upper) = (Triangle::Lower, Triangle::Upper);
+    let mut cells: Vec<(&str, CscMatrix, Triangle, SolverKind)> = Vec::new();
+    for (name, l) in [
         // wide levels
         ("wide", gen::level_structured(&LevelSpec::new(2400, 6, 9600, 0xA1))),
         // mixed: fused chains between wide levels
         ("mixed", gen::level_structured(&LevelSpec::new(1800, 40, 7200, 0xB2))),
         // deep and narrow: fuses into very few chains
         ("deep", gen::deep_narrow(300, 5, 3.0, 0xC3)),
-    ];
-    for (name, lower) in &factors {
-        let upper = lower.transpose();
-        for (m, tri) in [(lower, Triangle::Lower), (&upper, Triangle::Upper)] {
-            let m2 = perturbed(m);
-            let bs: Vec<Vec<f64>> = (0..13u64).map(|k| verify::rhs_for(m, 0x5EED + k).1).collect();
-            for kind in [CANONICAL, SolverKind::Serial] {
-                let o = opts(kind, tri);
-                let engine = SolverEngine::build(m, MachineConfig::dgx1(GPUS), &o).unwrap();
-                for (epoch, values) in [("cold", m), ("refreshed", &m2), ("restored", m)] {
-                    if epoch != "cold" {
-                        engine.refresh_values(values).unwrap();
-                    }
-                    let want: Vec<Vec<f64>> = bs.iter().map(|b| oracle(values, tri, b)).collect();
-                    every_tier(&engine, &bs, &want, &format!("{name}/{tri:?}/{kind:?}/{epoch}"));
-                }
-                fleet_routed((m, &m2), &o, &bs, &format!("{name}/{tri:?}/{kind:?}"));
+    ] {
+        cells.push((name, l.transpose(), upper, CANONICAL));
+        cells.push((name, l, lower, CANONICAL));
+    }
+    // every row reads its natural predecessor: level-major
+    let grid = sparsemat::factor::ilu0(&gen::grid_laplacian(40, 30), 1e-8).unwrap();
+    cells.push(("grid", grid.l.clone(), lower, SolverKind::Serial));
+    cells.push(("grid", grid.l, lower, CANONICAL));
+    cells.push(("grid", grid.u, upper, CANONICAL));
+    for (name, m, tri, kind) in &cells {
+        let tri = *tri;
+        let level_major = *name == "grid";
+        let m2 = perturbed(m);
+        let bs: Vec<Vec<f64>> = (0..13u64).map(|k| verify::rhs_for(m, 0x5EED + k).1).collect();
+        let o = opts(*kind, tri);
+        let engine = SolverEngine::build(m, MachineConfig::dgx1(GPUS), &o).unwrap();
+        let cell = format!("{name}/{tri:?}/{kind:?}/level-major={level_major}");
+        assert_eq!(engine.footprint_bytes(), fresh_footprint(m, level_major), "{cell}");
+        for (epoch, values) in [("cold", m), ("refreshed", &m2), ("restored", m)] {
+            if epoch != "cold" {
+                engine.refresh_values(values).unwrap();
             }
+            let want: Vec<Vec<f64>> = bs.iter().map(|b| oracle(values, tri, b)).collect();
+            every_tier(&engine, &bs, &want, &format!("{cell}/{epoch}"));
         }
+        fleet_routed((m, &m2), &o, &bs, &cell);
     }
 }
 
@@ -348,33 +372,39 @@ fn adversarial_rows_keep_every_bit() {
 
 /// The relabelled layout is leaner than the one it replaced: the
 /// column-scatter engine held the matrix-order analysis (12 B/nnz) plus
-/// the sharded bucket copy (20 B/nnz); now one canonical factor of
-/// 16 B/nnz, whether or not the engine verifies, plus 8 B/nnz of spare
+/// the sharded bucket copy (20 B/nnz); now one relabelled factor of
+/// 16 B/nnz — less 4 B/row in natural order, which needs no position
+/// table — whether or not the engine verifies, plus 8 B/nnz of spare
 /// values once a refresh has run. The schedule adds nothing: the
-/// layout keeps its stats, and its order lives on only as `pos`.
+/// engine keeps its stats, and a level-major order lives on only as
+/// `pos`.
 #[test]
 fn footprint_counts_exactly_the_arrays_that_exist() {
-    // heavy-shaped: wide levels, ~4 nonzeros per row
-    let m = gen::level_structured(&LevelSpec::new(20_000, 40, 80_000, 0xF00D));
-    let (n, nnz) = (m.n() as u64, m.nnz() as u64);
-    let o = opts(CANONICAL, Triangle::Lower);
-    // cols + vals + from per off-diagonal entry, pos + ptr + diag per row
-    let factor = 16 * nnz + 4;
-    let workspace = |verify: u64| n * 8 * (sptrsv::exec::PANEL_K as u64 + verify);
+    // heavy-shaped: wide levels, ~4 nonzeros per row — natural order
+    let heavy = gen::level_structured(&LevelSpec::new(20_000, 40, 80_000, 0xF00D));
+    // a grid's ILU(0) `L`: level-major, so it keeps `pos`
+    let grid_l = sparsemat::factor::ilu0(&gen::grid_laplacian(64, 64), 1e-8).unwrap().l;
+    for (name, m, level_major) in [("heavy", &heavy, false), ("grid L", &grid_l, true)] {
+        let (n, nnz) = (m.n() as u64, m.nnz() as u64);
+        let o = opts(CANONICAL, Triangle::Lower);
+        let workspace = |verify: u64| n * 8 * (sptrsv::exec::PANEL_K as u64 + verify);
+        let factor = fresh_footprint(m, level_major) - workspace(0);
 
-    let engine = SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &o).unwrap();
-    assert_eq!(engine.footprint_bytes(), factor + workspace(0));
-    assert!(factor < (12 + 20) * nnz, "leaner than the parent's analysis + buckets");
-    // a refresh allocates the spare epoch it gathers into: one more
-    // set of values (vals + diag, 8 B per stored entry), nothing else
-    engine.refresh_values(&m).unwrap();
-    assert_eq!(engine.footprint_bytes(), factor + 8 * nnz + workspace(0));
+        let engine = SolverEngine::build(m, MachineConfig::dgx1(GPUS), &o).unwrap();
+        assert_eq!(engine.footprint_bytes(), factor + workspace(0), "{name}");
+        assert!(factor < (12 + 20) * nnz, "{name}: leaner than the parent's analysis + buckets");
+        // a refresh allocates the spare epoch it gathers into: one more
+        // set of values (vals + diag, 8 B per stored entry), nothing
+        // else
+        engine.refresh_values(m).unwrap();
+        assert_eq!(engine.footprint_bytes(), factor + 8 * nnz + workspace(0), "{name}");
 
-    // a verifying engine sweeps the same factor with the serial tier:
-    // only the workspace's reference vector is added
-    let vo = SolveOptions { verify: true, ..o };
-    let verifying = SolverEngine::build(&m, MachineConfig::dgx1(GPUS), &vo).unwrap();
-    assert_eq!(verifying.footprint_bytes(), factor + workspace(1));
-    verifying.solve(&verify::rhs_for(&m, 1).1).unwrap();
-    assert_eq!(verifying.footprint_bytes(), factor + workspace(1));
+        // a verifying engine sweeps the same factor with the serial
+        // tier: only the workspace's reference vector is added
+        let vo = SolveOptions { verify: true, ..o };
+        let verifying = SolverEngine::build(m, MachineConfig::dgx1(GPUS), &vo).unwrap();
+        assert_eq!(verifying.footprint_bytes(), factor + workspace(1), "{name}");
+        verifying.solve(&verify::rhs_for(m, 1).1).unwrap();
+        assert_eq!(verifying.footprint_bytes(), factor + workspace(1), "{name}");
+    }
 }
