@@ -4,10 +4,12 @@
 //! beats none" rule) independent of the paper-shape experiments.
 
 use desim::{EventQueue, Pcg32, Resource, SimTime};
+use mgpu_sim::{Machine, MachineConfig};
 use sparsemat::gen::{self, LevelSpec};
 use sparsemat::levels::LevelSets;
 use sparsemat::{CsrMatrix, Triangle};
-use sptrsv::reference;
+use sptrsv::exec::{run_prepared, ExecAnalysis, ExecConfig};
+use sptrsv::{reference, Backend, ExecutionPlan, Partition};
 use sptrsv_bench::timer::Group;
 use std::hint::black_box;
 
@@ -110,6 +112,35 @@ fn bench_cpu_parallel() {
     }
 }
 
+/// The calibration simulation's own cost on the heavy factor (100k
+/// rows, 200 levels, 400k nnz): the simulator's analysis, and one
+/// event-loop run of `ZeroCopy { per_gpu: 8 }` on a 4-GPU DGX-1 with a
+/// fresh machine, as an engine's first `calibration()` runs them.
+fn bench_sim_calibration() {
+    let m = gen::level_structured(&LevelSpec::new(100_000, 200, 400_000, 11));
+    let plan = ExecutionPlan::build(m.n(), 4, Partition::Tasks { per_gpu: 8 }, Triangle::Lower);
+    let cfg =
+        ExecConfig { backend: Backend::Shmem { poll_caching: true }, ..ExecConfig::default() };
+    let mut g = Group::new("sim_calibration");
+    let build =
+        g.bench("analysis_build_100k", 10, || ExecAnalysis::build(black_box(&m), &plan, &cfg));
+    let analysis = ExecAnalysis::build(&m, &plan, &cfg);
+    let mut events = 0;
+    let run = g.bench("run_prepared_100k", 10, || {
+        let mut machine = Machine::new(MachineConfig::dgx1(4));
+        let out = run_prepared(&plan, &analysis, &mut machine, &cfg).expect("no deadlock");
+        events = out.events;
+        out.makespan
+    });
+    println!(
+        "sim_calibration: analysis {:.3} ms + run {:.3} ms; {events} logical events, \
+         {:.1} ns per event",
+        build.median_ns as f64 / 1e6,
+        run.median_ns as f64 / 1e6,
+        run.median_ns as f64 / events as f64,
+    );
+}
+
 fn main() {
     bench_event_queue();
     bench_resource();
@@ -117,4 +148,5 @@ fn main() {
     bench_analysis();
     bench_reference_solver();
     bench_cpu_parallel();
+    bench_sim_calibration();
 }

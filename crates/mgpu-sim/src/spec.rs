@@ -9,7 +9,7 @@
 use crate::topology::TopologyKind;
 
 /// A V100-class GPU.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct GpuSpec {
     /// Streaming multiprocessors.
     pub sms: usize,

@@ -25,21 +25,28 @@
 //! ## Analysis / solve separation
 //!
 //! Everything the *simulator* needs that depends only on the structure
-//! — in-degrees, remote-source masks, gather peer lists, per-component
-//! update lists, diagonals, per-GPU sizing — lives in
-//! [`ExecAnalysis`], built once and stored flat, CSR-style (`(ptr,
-//! data)` pairs), so the event handlers walk contiguous memory and
-//! allocate nothing. [`run`] is the one-shot convenience that builds
-//! the analysis and immediately simulates. The build-once/solve-many
-//! engine ([`crate::engine::SolverEngine`]) reaches the simulator only
-//! through its lazy calibration hook (`sim::Simulation`), which builds
-//! the plan and the analysis for the one calibration run and then
-//! drops them — no build, warm path or refresh reads them.
+//! — in-degrees, remote-source masks, per-GPU sizing, the cross-GPU
+//! edge count — lives in [`ExecAnalysis`], built in one pass over the
+//! off-diagonal entries. Update lists and column sizes are not copied:
+//! the analysis borrows the CSC and reads them in place, and gather
+//! peers come from the owner map and the remote masks when a warp
+//! wakes. [`run`] is the one-shot convenience that builds the analysis
+//! and immediately simulates. The build-once/solve-many engine
+//! ([`crate::engine::SolverEngine`]) reaches the simulator only through
+//! its lazy calibration hook (`sim::Simulation`), which builds the plan
+//! and the analysis for the one calibration run and then drops them —
+//! no build, warm path or refresh reads them.
 //!
-//! The executor runs real `f64` numerics as virtual time advances; the
-//! returned `x` is bit-stable for a fixed seed and is verified against
-//! the serial reference by the caller.
-//!
+//! The simulator times the protocol without doing its arithmetic: no
+//! values, diagonals or right-hand side enter the event loop, and a
+//! run returns the timeline, the event count and the order the warps
+//! solved in. What stands in for the value check is an exact audit of
+//! that order and of when each component was satisfied, woke and
+//! published (`ExecOutcome`). When every update of a warp and its
+//! retire become durable at one instant — always under NVSHMEM
+//! zero-copy and on one GPU — the warp publishes them as one calendar
+//! entry.
+
 //! ## The warm numeric core: permute once, gather forever
 //!
 //! Warm solves run on a [`NumericFactor`]: a structure-only [`Layout`]

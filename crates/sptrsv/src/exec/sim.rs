@@ -4,7 +4,7 @@
 //! [module docs](super)), and [`Simulation`] — the calibration hook
 //! through which the engine reaches the machine model.
 
-use super::{diag_index, off_diagonal};
+use super::off_diagonal;
 use crate::levelset;
 use crate::plan::{ExecutionPlan, Partition};
 use crate::report::{SolveReport, Timings};
@@ -14,10 +14,13 @@ use crate::telemetry::{Site, SpanGuard};
 use crate::Backend;
 use desim::{EventQueue, SimTime};
 use mgpu_sim::topology::Topology;
-use mgpu_sim::{um::UmRange, GpuId, Machine, MachineConfig};
+use mgpu_sim::{um::UmRange, GpuId, GpuSpec, Machine, MachineConfig};
 use sparsemat::{CscMatrix, Triangle};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+#[cfg(test)]
+use super::tests::{fires, Mutation};
 
 thread_local! {
     /// Per-thread count of [`ExecAnalysis::build`] invocations. The
@@ -93,10 +96,10 @@ impl Simulation {
     /// `opts`, returned as the report template every engine `solve()`
     /// clones — an empty `x`, no verification, `schedule` as given.
     /// The discrete-event timeline advances on structure alone (column
-    /// sizes, ownership, the seeded jitter stream), so it is simulated
-    /// on a zero right-hand side and holds for every right-hand side
-    /// and value epoch. [`Simulation::Host`] returns the degenerate
-    /// template without a machine.
+    /// sizes, ownership, the seeded jitter stream) and the simulator
+    /// does none of the solve's arithmetic, so it holds for every
+    /// right-hand side and value epoch. [`Simulation::Host`] returns
+    /// the degenerate template without a machine.
     pub(crate) fn calibrate(
         &self,
         m: &CscMatrix,
@@ -114,7 +117,6 @@ impl Simulation {
         };
         CALIBRATIONS.fetch_add(1, Ordering::Relaxed);
         let tri = opts.triangle;
-        let zeros = vec![0.0f64; m.n()];
         let mut machine = Machine::new(cfg.clone());
         let (analysis_end, makespan) = match self {
             Simulation::Dataflow { partition, cfg, .. } => {
@@ -122,20 +124,20 @@ impl Simulation {
                     let _g = SpanGuard::enter(Site::BuildPlan);
                     ExecutionPlan::build(m.n(), machine.n_gpus(), *partition, tri)
                 };
-                report.cross_edges = plan.cross_gpu_edges(m, tri);
                 report.kernels = plan.kernels.len();
                 let analysis = {
                     let _g = SpanGuard::enter(Site::BuildAnalyze);
                     ExecAnalysis::build(m, &plan, cfg)
                 };
+                report.cross_edges = analysis.cross_edges();
                 let _g = SpanGuard::enter(Site::BuildCalibrate);
-                let out = run_prepared(&zeros, &plan, &analysis, &mut machine, cfg)?;
+                let out = run_prepared(&plan, &analysis, &mut machine, cfg)?;
                 report.events = out.events;
                 (out.analysis_end, out.makespan)
             }
             _ => {
                 let _g = SpanGuard::enter(Site::BuildCalibrate);
-                let out = levelset::run(m, &zeros, &mut machine, tri);
+                let out = levelset::run(m, &mut machine, tri);
                 report.kernels = out.levels;
                 (out.analysis_end, out.makespan)
             }
@@ -171,153 +173,129 @@ impl Default for ExecConfig {
 }
 
 /// The simulator's structure-only inputs for one `(matrix, plan,
-/// config)` triple, stored flat for cache-linear event handling.
+/// config)` triple. Update lists and column sizes are read straight
+/// from the borrowed CSC; what is derived is computed in one pass over
+/// the off-diagonal entries.
 ///
-/// Nothing in here depends on the right-hand side or on machine state,
-/// so one analysis serves arbitrarily many simulated solves. Warm
-/// numeric solves do not read it — they run on a
+/// Nothing in here depends on values, the right-hand side or machine
+/// state, so one analysis serves arbitrarily many simulated solves.
+/// Warm numeric solves do not read it — they run on a
 /// [`super::NumericFactor`].
 #[derive(Debug, Clone)]
-pub struct ExecAnalysis {
+pub struct ExecAnalysis<'m> {
     /// Matrix dimension.
     pub n: usize,
+    /// The CSC column offsets (n+1 entries).
+    col_ptr: &'m [usize],
+    /// The CSC row indices: a column's off-diagonal rows are its
+    /// component's update list.
+    row_idx: &'m [u32],
+    /// Which triangle the columns hold.
+    tri: Triangle,
     /// Initial in-degree per component (dependency count).
     in_degree: Vec<u32>,
     /// Bitmask of GPUs that produce at least one dependency of `i`
     /// from a different GPU than `i`'s owner.
     remote_mask: Vec<u16>,
-    /// CSR-style offsets into [`Self::peers`] (n+1 entries).
-    peers_ptr: Vec<u32>,
-    /// Gather peer lists, flat (empty for non-Shmem backends).
-    peers: Vec<GpuId>,
-    /// CSR-style offsets into the update lists (n+1 entries).
-    dep_ptr: Vec<u32>,
-    /// Dependent row per update entry.
-    dep_rows: Vec<u32>,
-    /// Matrix value per update entry.
-    dep_vals: Vec<f64>,
-    /// Diagonal entry per component.
-    pub(super) diag: Vec<f64>,
-    /// Stored entries per column (timing model input).
-    col_nnz: Vec<u32>,
     /// Owned nonzeros per GPU (in-degree setup kernel sizing).
     nnz_per_gpu: Vec<u64>,
     /// Device bytes per GPU under this plan/backend.
     device_bytes: Vec<u64>,
+    /// Stored entries whose producer and consumer live on different
+    /// GPUs — the communication volume the plan induces.
+    cross_edges: u64,
 }
 
-impl ExecAnalysis {
+impl<'m> ExecAnalysis<'m> {
     /// Run the analysis phase for `m` under `plan` and `cfg`:
-    /// in-degrees, remote masks, gather peers, flattened update lists.
-    /// Cost: O(n + nnz); runs once per engine build.
-    pub fn build(m: &CscMatrix, plan: &ExecutionPlan, cfg: &ExecConfig) -> ExecAnalysis {
+    /// in-degrees, remote masks, per-GPU sizing and the cross-GPU edge
+    /// count, in one O(n + nnz) pass; runs once per calibration.
+    pub fn build(m: &'m CscMatrix, plan: &ExecutionPlan, cfg: &ExecConfig) -> ExecAnalysis<'m> {
         ANALYSIS_BUILDS.with(|c| c.set(c.get() + 1));
         let n = m.n();
         let tri = cfg.triangle;
         let gpus = plan.gpus;
         assert_eq!(plan.owner.len(), n, "plan size mismatch");
 
-        let in_degree = m.in_degrees(tri);
-
-        // --- source-GPU masks for each component's dependencies -------
+        let (col_ptr, row_idx) = (m.col_ptr(), m.row_idx());
+        let mut in_degree = vec![0u32; n];
         let mut remote_mask = vec![0u16; n];
+        let mut nnz_per_gpu = vec![0u64; gpus];
+        let mut cols_per_gpu = vec![0u64; gpus];
+        let mut cross_edges = 0;
         for j in 0..n {
             let gj = plan.owner[j];
-            for (r, _) in m.col(j) {
+            nnz_per_gpu[gj] += (col_ptr[j + 1] - col_ptr[j]) as u64;
+            cols_per_gpu[gj] += 1;
+            for &r in &row_idx[off_diagonal(col_ptr, tri, j)] {
                 let r = r as usize;
-                let is_dep = match tri {
-                    Triangle::Lower => r > j,
-                    Triangle::Upper => r < j,
-                };
-                if is_dep && plan.owner[r] != gj {
+                in_degree[r] += 1;
+                if plan.owner[r] != gj {
                     remote_mask[r] |= 1 << gj;
+                    cross_edges += 1;
                 }
             }
-        }
-
-        // --- flat gather-peer adjacency (Shmem only) ------------------
-        let mut peers_ptr = vec![0u32; n + 1];
-        let mut peers: Vec<GpuId> = Vec::new();
-        if matches!(cfg.backend, Backend::Shmem { .. }) {
-            for i in 0..n {
-                if cfg.gather_all_pes {
-                    peers.extend((0..gpus).filter(|&g| g != plan.owner[i]));
-                } else {
-                    peers.extend((0..gpus).filter(|&g| remote_mask[i] & (1 << g) != 0));
-                }
-                peers_ptr[i + 1] = peers.len() as u32;
-            }
-        }
-
-        // --- flattened per-component update lists and diagonals -------
-        let (col_ptr, row_idx, values) = (m.col_ptr(), m.row_idx(), m.values());
-        let mut dep_ptr = vec![0u32; n + 1];
-        let mut dep_rows = Vec::with_capacity(m.nnz().saturating_sub(n));
-        let mut dep_vals = Vec::with_capacity(m.nnz().saturating_sub(n));
-        let mut diag = vec![0.0f64; n];
-        let mut col_nnz = vec![0u32; n];
-        for j in 0..n {
-            col_nnz[j] = (col_ptr[j + 1] - col_ptr[j]) as u32;
-            diag[j] = values[diag_index(col_ptr, tri, j)];
-            let off = off_diagonal(col_ptr, tri, j);
-            dep_rows.extend_from_slice(&row_idx[off.clone()]);
-            dep_vals.extend_from_slice(&values[off]);
-            dep_ptr[j + 1] = dep_rows.len() as u32;
-        }
-
-        // --- per-GPU sizing -------------------------------------------
-        let mut nnz_per_gpu = vec![0u64; gpus];
-        for j in 0..n {
-            nnz_per_gpu[plan.owner[j]] += col_nnz[j] as u64;
         }
         let replicated = matches!(cfg.backend, Backend::Shmem { .. });
-        let device_bytes = (0..gpus).map(|g| plan.device_bytes(m, g, replicated)).collect();
+        let device_bytes = (0..gpus)
+            .map(|g| plan.device_bytes(nnz_per_gpu[g], cols_per_gpu[g], replicated))
+            .collect();
 
         ExecAnalysis {
             n,
+            col_ptr,
+            row_idx,
+            tri,
             in_degree,
             remote_mask,
-            peers_ptr,
-            peers,
-            dep_ptr,
-            dep_rows,
-            dep_vals,
-            diag,
-            col_nnz,
             nnz_per_gpu,
             device_bytes,
+            cross_edges,
         }
     }
 
-    /// Update list (dependent rows and matrix values) of component `c`.
-    #[inline]
-    pub(super) fn updates_of(&self, c: u32) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.dep_ptr[c as usize] as usize, self.dep_ptr[c as usize + 1] as usize);
-        (&self.dep_rows[lo..hi], &self.dep_vals[lo..hi])
+    /// Stored entries whose producer and consumer live on different
+    /// GPUs under the analyzed plan.
+    pub(crate) fn cross_edges(&self) -> u64 {
+        self.cross_edges
     }
 
-    /// Gather peers of component `c` (empty unless Shmem).
+    /// Update list (dependent rows) of component `c`.
     #[inline]
-    fn peers_of(&self, c: u32) -> &[GpuId] {
-        let (lo, hi) =
-            (self.peers_ptr[c as usize] as usize, self.peers_ptr[c as usize + 1] as usize);
-        &self.peers[lo..hi]
+    pub(super) fn updates_of(&self, c: u32) -> &'m [u32] {
+        &self.row_idx[off_diagonal(self.col_ptr, self.tri, c as usize)]
+    }
+
+    /// Stored entries of column `c` (timing model input).
+    #[inline]
+    fn col_nnz(&self, c: u32) -> u64 {
+        (self.col_ptr[c as usize + 1] - self.col_ptr[c as usize]) as u64
     }
 }
 
-/// Result of an executor run.
-#[derive(Debug, Clone)]
+/// Result of an executor run: the simulated timeline and the protocol
+/// trace that audits it.
+#[derive(Debug, Clone, Default)]
 pub struct ExecOutcome {
-    /// The solution vector.
-    pub x: Vec<f64>,
     /// When the analysis phase (in-degree setup) completed.
     pub analysis_end: SimTime,
     /// When the last warp retired.
     pub makespan: SimTime,
-    /// Events processed by the calendar.
+    /// Logical events processed: one per kernel launch, warp slot and
+    /// wake, one per update delivered and one per retire — counted the
+    /// same whether a warp's updates were delivered one calendar entry
+    /// each or batched into one.
     pub events: u64,
     /// Components in the order their warps woke and solved.
     pub solve_order: Vec<u32>,
+    /// Per component: when its last dependency was delivered (zero for
+    /// a component with none).
+    pub satisfied_at: Vec<SimTime>,
+    /// Per component: when its warp observed satisfaction and woke.
+    pub woke_at: Vec<SimTime>,
+    /// Per component: when its update phase ended — the earliest
+    /// instant a dependent may see its contribution.
+    pub published_at: Vec<SimTime>,
 }
 
 /// Executor failure modes.
@@ -356,6 +334,11 @@ enum Ev {
     Wake(u32),
     /// Updates durable; warp retires and frees its slot.
     Retire(u32),
+    /// Every update of the component and its retire became durable at
+    /// one instant: deliver the updates in list order, then retire.
+    /// Replaces that many consecutive `Dep`s and a `Retire` scheduled
+    /// at the same time, which nothing else could pop between.
+    Publish(u32),
 }
 
 // component flag bits
@@ -366,25 +349,27 @@ const DONE: u8 = 8;
 const WATCHING: u8 = 16;
 const POLLING: u8 = 32;
 
-/// Mutable per-solve state — everything here is reset for each RHS,
-/// while [`ExecAnalysis`] is shared read-only across solves.
-struct ExecState<'m> {
-    plan: &'m ExecutionPlan,
-    cfg: &'m ExecConfig,
+/// Mutable per-run state, while [`ExecAnalysis`] is shared read-only
+/// across runs.
+struct ExecState<'a> {
+    plan: &'a ExecutionPlan,
+    cfg: &'a ExecConfig,
+    spec: GpuSpec,
     remaining: Vec<u32>,
-    left_sum: Vec<f64>,
-    x: Vec<f64>,
-    b: &'m [f64],
     flags: Vec<u8>,
     /// While BLOCKED: block start. After SATISFIED: satisfaction time.
     aux: Vec<SimTime>,
     last_src: Vec<u8>,
     /// Components in wake order (the recorded replay schedule).
     solve_order: Vec<u32>,
+    satisfied_at: Vec<SimTime>,
+    woke_at: Vec<SimTime>,
+    published_at: Vec<SimTime>,
     // Unified-memory array mappings (None for other backends)
     indeg_um: Option<UmRange>,
     leftsum_um: Option<UmRange>,
     done_count: usize,
+    events: u64,
     makespan: SimTime,
 }
 
@@ -398,38 +383,32 @@ impl ExecState<'_> {
     }
 }
 
-/// Build the analysis for `(m, plan, cfg)` and immediately solve — the
-/// one-shot entry point. Callers with many right-hand sides should use
-/// [`crate::engine::SolverEngine`] instead, which runs
-/// [`ExecAnalysis::build`] exactly once.
+/// Build the analysis for `(m, plan, cfg)` and immediately simulate —
+/// the one-shot entry point.
 ///
 /// `plan` must order launches in substitution order (guaranteed by
 /// [`ExecutionPlan::build`]); otherwise the run can deadlock, which is
 /// detected and reported rather than hanging.
 pub fn run(
     m: &CscMatrix,
-    b: &[f64],
     plan: &ExecutionPlan,
     machine: &mut Machine,
     cfg: ExecConfig,
 ) -> Result<ExecOutcome, ExecError> {
-    assert_eq!(b.len(), m.n(), "rhs length mismatch");
     let analysis = ExecAnalysis::build(m, plan, &cfg);
-    run_prepared(b, plan, &analysis, machine, &cfg)
+    run_prepared(plan, &analysis, machine, &cfg)
 }
 
-/// Solve against a prebuilt [`ExecAnalysis`]. Performs zero level-set,
-/// plan or adjacency construction — only per-solve state (solution,
-/// partial sums, flags) is allocated.
+/// Simulate against a prebuilt [`ExecAnalysis`]. Performs zero
+/// level-set, plan or adjacency construction — only per-run state
+/// (flags, counters, the trace) is allocated.
 pub fn run_prepared(
-    b: &[f64],
     plan: &ExecutionPlan,
     a: &ExecAnalysis,
     machine: &mut Machine,
     cfg: &ExecConfig,
 ) -> Result<ExecOutcome, ExecError> {
     let n = a.n;
-    assert_eq!(b.len(), n, "rhs length mismatch");
     assert_eq!(plan.owner.len(), n, "plan size mismatch");
     assert_eq!(
         a.device_bytes.len(),
@@ -437,14 +416,27 @@ pub fn run_prepared(
         "analysis was built for a plan with a different GPU count"
     );
     if n == 0 {
-        return Ok(ExecOutcome {
-            x: Vec::new(),
-            analysis_end: SimTime::ZERO,
-            makespan: SimTime::ZERO,
-            events: 0,
-            solve_order: Vec::new(),
-        });
+        return Ok(ExecOutcome::default());
     }
+    let spec = machine.config().gpu;
+    let mut st = ExecState {
+        plan,
+        cfg,
+        spec,
+        remaining: a.in_degree.clone(),
+        flags: vec![0u8; n],
+        aux: vec![SimTime::ZERO; n],
+        last_src: vec![0u8; n],
+        solve_order: Vec::with_capacity(n),
+        satisfied_at: vec![SimTime::ZERO; n],
+        woke_at: vec![SimTime::ZERO; n],
+        published_at: vec![SimTime::ZERO; n],
+        indeg_um: None,
+        leftsum_um: None,
+        done_count: 0,
+        events: 0,
+        makespan: SimTime::ZERO,
+    };
     let gpus = plan.gpus;
 
     // --- device memory accounting --------------------------------------
@@ -453,18 +445,16 @@ pub fn run_prepared(
     }
 
     // --- unified-memory allocations -------------------------------------
-    let (indeg_um, leftsum_um) = if matches!(cfg.backend, Backend::Unified) {
-        (Some(machine.um_alloc(n as u64 * 4)), Some(machine.um_alloc(n as u64 * 8)))
-    } else {
-        (None, None)
-    };
+    if matches!(cfg.backend, Backend::Unified) {
+        st.indeg_um = Some(machine.um_alloc(n as u64 * 4));
+        st.leftsum_um = Some(machine.um_alloc(n as u64 * 8));
+    }
 
     // --- analysis phase: in-degree setup --------------------------------
     // The in-degree *values* are precomputed on the host (ExecAnalysis);
     // what is charged here is the device-side setup kernel that
     // materializes them before every solve (Algorithm 2 lines 4–9 /
     // Algorithm 3 lines 13–16), so virtual timelines match the paper.
-    let spec = machine.config().gpu.clone();
     let mut t_ready = vec![SimTime::ZERO; gpus];
     for g in 0..gpus {
         // one setup kernel: atomics over the local nonzeros, warp-wide
@@ -472,7 +462,7 @@ pub fn run_prepared(
         let dur = warp_ops * spec.atomic_ns / spec.exec_lanes as u64 + spec.launch_ns;
         t_ready[g] = SimTime::ZERO.after(dur);
     }
-    if let (Some(ri), Some(rl)) = (indeg_um, leftsum_um) {
+    if let (Some(ri), Some(rl)) = (st.indeg_um, st.leftsum_um) {
         // Algorithm 2 memsets both managed arrays (lines 4–5) and
         // computes the *global* in-degree with system-wide atomics
         // (lines 6–9). The sweeps are dense and in address order, so
@@ -486,28 +476,11 @@ pub fn run_prepared(
     let analysis_end = t_ready.iter().copied().max().unwrap_or(SimTime::ZERO);
 
     // --- schedule kernel launches ---------------------------------------
-    let mut q: EventQueue<Ev> = EventQueue::with_capacity(n * 2 + a.dep_rows.len() + n);
+    let mut q: EventQueue<Ev> = EventQueue::with_capacity(n + plan.kernels.len());
     for (k, kd) in plan.kernels.iter().enumerate() {
         let at = machine.launch_kernel(kd.gpu, t_ready[kd.gpu]);
         q.schedule_at(at, Ev::Kernel(k as u32));
     }
-
-    let mut st = ExecState {
-        plan,
-        cfg,
-        remaining: a.in_degree.clone(),
-        left_sum: vec![0.0; n],
-        x: vec![0.0; n],
-        b,
-        flags: vec![0u8; n],
-        aux: vec![SimTime::ZERO; n],
-        last_src: vec![0u8; n],
-        solve_order: Vec::with_capacity(n),
-        indeg_um,
-        leftsum_um,
-        done_count: 0,
-        makespan: SimTime::ZERO,
-    };
     // components with no dependencies are satisfied from the start
     for i in 0..n {
         if st.remaining[i] == 0 {
@@ -516,15 +489,15 @@ pub fn run_prepared(
     }
 
     // --- main event loop --------------------------------------------------
-    let mut events = 0u64;
     while let Some((now, ev)) = q.pop() {
-        events += 1;
+        st.events += 1;
         match ev {
             Ev::Kernel(k) => on_kernel(&mut st, machine, &mut q, now, k),
             Ev::Slot(c) => on_slot(&mut st, a, machine, &mut q, now, c),
             Ev::Dep(c, src) => on_dep(&mut st, a, machine, &mut q, now, c, src),
             Ev::Wake(c) => on_wake(&mut st, a, machine, &mut q, now, c),
             Ev::Retire(c) => on_retire(&mut st, machine, &mut q, now, c),
+            Ev::Publish(c) => on_publish(&mut st, a, machine, &mut q, now, c),
         }
     }
 
@@ -532,11 +505,13 @@ pub fn run_prepared(
         return Err(ExecError::Deadlock { unsolved: n - st.done_count });
     }
     Ok(ExecOutcome {
-        x: st.x,
         analysis_end,
         makespan: st.makespan,
-        events,
+        events: st.events,
         solve_order: st.solve_order,
+        satisfied_at: st.satisfied_at,
+        woke_at: st.woke_at,
+        published_at: st.published_at,
     })
 }
 
@@ -598,6 +573,10 @@ fn on_dep(
     c: u32,
     src: u8,
 ) {
+    #[cfg(test)]
+    if fires(Mutation::DropDelivery) {
+        return;
+    }
     let i = c as usize;
     debug_assert!(st.remaining[i] > 0, "dep underflow at {c}");
     st.remaining[i] -= 1;
@@ -605,6 +584,7 @@ fn on_dep(
         return;
     }
     st.last_src[i] = src;
+    st.satisfied_at[i] = now;
     if st.flags[i] & BLOCKED != 0 {
         // account the poll traffic spent while blocked
         match st.cfg.backend {
@@ -667,15 +647,15 @@ fn schedule_wake(
 ) {
     let i = c as usize;
     let gpu = st.plan.owner[i];
-    let spec = machine.config().gpu.clone();
+    let poll_ns = st.spec.poll_ns;
     let wake_at = match st.cfg.backend {
         Backend::SingleGpu | Backend::ShmemGup => {
-            base.after(spec.poll_ns / 2 + machine.jitter(spec.poll_ns / 2 + 1))
+            base.after(poll_ns / 2 + machine.jitter(poll_ns / 2 + 1))
         }
         Backend::Shmem { .. } => {
             let src = st.last_src[i] as GpuId;
             if src == gpu || st.remaining[i] == 0 && a.remote_mask[i] == 0 {
-                base.after(spec.poll_ns / 2 + machine.jitter(spec.poll_ns / 2 + 1))
+                base.after(poll_ns / 2 + machine.jitter(poll_ns / 2 + 1))
             } else {
                 // next poll round issues a get that sees the zero
                 let period = machine.remote_poll_period_ns();
@@ -701,8 +681,9 @@ fn on_wake(
 ) {
     let i = c as usize;
     let gpu = st.plan.owner[i];
-    let spec = machine.config().gpu.clone();
+    let spec = st.spec;
     debug_assert_eq!(st.remaining[i], 0, "woke before satisfaction");
+    st.woke_at[i] = now;
 
     if st.flags[i] & WATCHING != 0 {
         machine.um_unwatch(gpu, st.indeg_page(c));
@@ -713,11 +694,24 @@ fn on_wake(
     let t_gather = match st.cfg.backend {
         Backend::SingleGpu | Backend::ShmemGup => now,
         Backend::Shmem { .. } => {
-            let peers = a.peers_of(c);
-            if peers.is_empty() {
+            // every other PE, or only those holding a dependency of `c`
+            // (Algorithm 3 lines 24–26), in ascending PE order
+            let mut mask = if st.cfg.gather_all_pes {
+                ((1u32 << st.plan.gpus) - 1) as u16 & !(1 << gpu)
+            } else {
+                a.remote_mask[i]
+            };
+            if mask == 0 {
                 now
             } else {
-                machine.shmem_gather_reduce(gpu, peers, 8, now)
+                let mut peers = [0 as GpuId; 16];
+                let mut len = 0;
+                while mask != 0 {
+                    peers[len] = mask.trailing_zeros() as GpuId;
+                    len += 1;
+                    mask &= mask - 1;
+                }
+                machine.shmem_gather_reduce(gpu, &peers[..len], 8, now)
             }
         }
         Backend::Unified => {
@@ -728,7 +722,7 @@ fn on_wake(
     };
 
     // --- solve phase ------------------------------------------------------
-    let col_nnz = a.col_nnz[i] as u64;
+    let col_nnz = a.col_nnz(c);
     let mut t = t_gather;
     let spill = machine.spill_ratio(gpu);
     if spill > 0.0 {
@@ -742,76 +736,96 @@ fn on_wake(
     }
     let solve_dur = spec.solve_ns + col_nnz.div_ceil(32) * spec.per_nnz_ns;
     let t_solve = machine.exec(gpu, t, solve_dur);
-
-    let xi = (st.b[i] - st.left_sum[i]) / a.diag[i];
-    st.x[i] = xi;
     st.solve_order.push(c);
 
     // --- update phase -------------------------------------------------------
-    let (rows, vals) = a.updates_of(c);
+    let rows = a.updates_of(c);
     let k_total = rows.len() as u64;
     let t_upd = if k_total > 0 {
         machine.exec(gpu, t_solve, k_total.div_ceil(32) * spec.atomic_ns)
     } else {
         t_solve
     };
+    st.published_at[i] = t_upd;
+    #[cfg(test)]
+    let t_upd = if fires(Mutation::DeliverAtWake) { now } else { t_upd };
 
+    let gup = match st.cfg.backend {
+        // zero-copy publishes are atomics on the producer's OWN heap
+        // copy — local cost, no wire traffic — so, as on one GPU,
+        // every update and the retire are durable at `t_upd`
+        Backend::Shmem { .. } | Backend::SingleGpu => {
+            q.schedule_at(t_upd, Ev::Publish(c));
+            return;
+        }
+        Backend::ShmemGup => true,
+        Backend::Unified => false,
+    };
     let mut retire_at = t_upd;
     let mut gup_cursor = t_upd; // naive GUP round trips serialize per warp
-    for (r, v) in rows.iter().zip(vals) {
-        let r = *r;
-        let contrib = *v * xi;
-        st.left_sum[r as usize] += contrib;
+    for &r in rows {
         let target_gpu = st.plan.owner[r as usize];
         let durable_at = if target_gpu == gpu {
             t_upd
+        } else if gup {
+            // naive Get-Update-Put: two serialized wire round trips
+            // (left_sum, then in_degree) with a fence after each —
+            // the restriction cascade §IV-A describes
+            let h = target_gpu;
+            let t_get = machine.shmem_get(gpu, h, 8, gup_cursor);
+            let t_put = machine.shmem_put(gpu, h, 8, t_get);
+            let t_f1 = machine.shmem_fence(t_put);
+            let t_put2 = machine.shmem_put(gpu, h, 4, t_f1);
+            let t_f2 = machine.shmem_fence(t_put2);
+            gup_cursor = t_f2;
+            t_f2
         } else {
-            match st.cfg.backend {
-                // zero-copy: remote publishes are atomics on the
-                // producer's OWN heap copy — local cost, no wire traffic
-                Backend::Shmem { .. } | Backend::SingleGpu => t_upd,
-                // naive Get-Update-Put: two serialized wire round trips
-                // (left_sum, then in_degree) with a fence after each —
-                // the restriction cascade §IV-A describes
-                Backend::ShmemGup => {
-                    let h = target_gpu;
-                    let t_get = machine.shmem_get(gpu, h, 8, gup_cursor);
-                    let t_put = machine.shmem_put(gpu, h, 8, t_get);
-                    let t_f1 = machine.shmem_fence(t_put);
-                    let t_put2 = machine.shmem_put(gpu, h, 4, t_f1);
-                    let t_f2 = machine.shmem_fence(t_put2);
-                    gup_cursor = t_f2;
-                    t_f2
-                }
-                Backend::Unified => {
-                    // two system-wide atomics (s.left_sum, then
-                    // s.in_degree), issued by parallel threads of the
-                    // warp; the warp only pays issue cost, durability
-                    // rides the fabric / async migration machinery.
-                    // The decrement must not be observed before the
-                    // partial sum it guards, hence the max.
-                    let p1 = st.leftsum_page(r);
-                    let p2 = st.indeg_page(r);
-                    let (f1, d1) = machine.um_write(gpu, p1, t_upd);
-                    // both atomics are in flight concurrently (distinct
-                    // pages); issue order is preserved, wire latencies
-                    // overlap
-                    let (f2, d2) = machine.um_write(gpu, p2, t_upd.max(f1));
-                    retire_at = retire_at.max(f1).max(f2);
-                    d1.max(d2)
-                }
-            }
+            // Unified: two system-wide atomics (s.left_sum, then
+            // s.in_degree), issued by parallel threads of the warp;
+            // the warp only pays issue cost, durability rides the
+            // fabric / async migration machinery. The decrement must
+            // not be observed before the partial sum it guards, hence
+            // the max.
+            let p1 = st.leftsum_page(r);
+            let p2 = st.indeg_page(r);
+            let (f1, d1) = machine.um_write(gpu, p1, t_upd);
+            // both atomics are in flight concurrently (distinct
+            // pages); issue order is preserved, wire latencies overlap
+            let (f2, d2) = machine.um_write(gpu, p2, t_upd.max(f1));
+            retire_at = retire_at.max(f1).max(f2);
+            d1.max(d2)
         };
-        if target_gpu == gpu || matches!(st.cfg.backend, Backend::ShmemGup) {
+        if target_gpu == gpu || gup {
             retire_at = retire_at.max(durable_at);
         }
         q.schedule_at(durable_at, Ev::Dep(r, gpu as u8));
     }
-    if matches!(st.cfg.backend, Backend::ShmemGup) && gup_cursor > t_upd {
+    if gup && gup_cursor > t_upd {
         retire_at = retire_at.max(machine.shmem_quiet(gup_cursor));
     }
 
     q.schedule_at(retire_at, Ev::Retire(c));
+}
+
+/// Deliver every update of `c` in list order, then retire it — what
+/// the per-update `Dep` events and the `Retire` it replaces would do,
+/// in the same order.
+fn on_publish(
+    st: &mut ExecState,
+    a: &ExecAnalysis,
+    machine: &mut Machine,
+    q: &mut EventQueue<Ev>,
+    now: SimTime,
+    c: u32,
+) {
+    let src = st.plan.owner[c as usize] as u8;
+    let rows = a.updates_of(c);
+    // the pop counted the retire; count each delivery too
+    st.events += rows.len() as u64;
+    for &r in rows {
+        on_dep(st, a, machine, q, now, r, src);
+    }
+    on_retire(st, machine, q, now, c);
 }
 
 fn on_retire(

@@ -8,6 +8,7 @@ use crate::Backend;
 use desim::SimTime;
 use mgpu_sim::{Machine, MachineConfig};
 use sparsemat::{gen, CscMatrix, LevelSets};
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
 /// The Table-I corpus, generated once per test binary: its tests share
@@ -30,26 +31,85 @@ fn solve_along(m: &CscMatrix, order: &[u32], b: &[f64]) -> Vec<f64> {
     x
 }
 
-fn run_case(
-    m: &CscMatrix,
-    gpus: usize,
-    backend: Backend,
-    partition: Partition,
-) -> (ExecOutcome, Vec<f64>) {
-    let (_, b) = verify::rhs_for(m, 42);
+/// Protocol faults the audit tests seed into the event loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Mutation {
+    /// The next update delivered is lost.
+    DropDelivery,
+    /// A publishing warp's updates land when it wakes, before it solves.
+    DeliverAtWake,
+}
+
+thread_local! {
+    /// The fault seeded into this thread's runs, if any.
+    static MUTATION: Cell<Option<Mutation>> = const { Cell::new(None) };
+}
+
+/// Whether the seeded fault `f` fires here; a dropped delivery fires
+/// once.
+pub(super) fn fires(f: Mutation) -> bool {
+    MUTATION.with(|m| {
+        let hit = m.get() == Some(f);
+        if hit && f == Mutation::DropDelivery {
+            m.set(None);
+        }
+        hit
+    })
+}
+
+/// The exact protocol audit of a run over `m`: `solve_order` is a
+/// permutation and a topological order, and for every stored entry
+/// j→i, `published_at[j] ≤ satisfied_at[i] ≤ woke_at[i]` — no update
+/// is seen before its producer published it, and no warp wakes before
+/// its last dependency arrived.
+fn audit(m: &CscMatrix, out: &ExecOutcome) -> Result<(), String> {
+    let n = m.n();
+    let mut pos = vec![usize::MAX; n];
+    for (p, &c) in out.solve_order.iter().enumerate() {
+        if std::mem::replace(&mut pos[c as usize], p) != usize::MAX {
+            return Err(format!("component {c} solved twice"));
+        }
+    }
+    if out.solve_order.len() != n {
+        return Err(format!("{} of {n} components solved", out.solve_order.len()));
+    }
+    for i in 0..n {
+        if out.satisfied_at[i] > out.woke_at[i] {
+            return Err(format!("{i} woke at {} before satisfaction", out.woke_at[i]));
+        }
+    }
+    for j in 0..n {
+        for (i, _) in m.col(j) {
+            let i = i as usize;
+            if i == j {
+                continue;
+            }
+            if pos[j] > pos[i] {
+                return Err(format!("{i} solved before its source {j}"));
+            }
+            if out.published_at[j] > out.satisfied_at[i] {
+                let (p, s) = (out.published_at[j], out.satisfied_at[i]);
+                return Err(format!("{i} satisfied at {s}, before {j} published at {p}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Simulate `m` and audit the run exactly against its dependencies.
+fn run_case(m: &CscMatrix, gpus: usize, backend: Backend, partition: Partition) -> ExecOutcome {
     let plan = ExecutionPlan::build(m.n(), gpus, partition, Triangle::Lower);
     let mut machine = Machine::new(MachineConfig::dgx1(gpus.max(1)));
     let cfg = ExecConfig { backend, triangle: Triangle::Lower, gather_all_pes: true };
-    let out = run(m, &b, &plan, &mut machine, cfg).expect("no deadlock");
-    let reference = reference::solve_lower(m, &b).unwrap();
-    (out, reference)
+    let out = run(m, &plan, &mut machine, cfg).expect("no deadlock");
+    audit(m, &out).expect("protocol audit");
+    out
 }
 
 #[test]
 fn single_gpu_matches_reference() {
     let m = gen::banded_lower(800, 8, 4.0, 3);
-    let (out, r) = run_case(&m, 1, Backend::SingleGpu, Partition::Blocked);
-    assert!(verify::rel_inf_diff(&out.x, &r) < verify::DEFAULT_TOL);
+    let out = run_case(&m, 1, Backend::SingleGpu, Partition::Blocked);
     assert!(out.makespan > SimTime::ZERO);
 }
 
@@ -57,36 +117,59 @@ fn single_gpu_matches_reference() {
 fn shmem_multi_gpu_matches_reference() {
     let m = gen::level_structured(&gen::LevelSpec::new(1200, 30, 5000, 7));
     for gpus in [2usize, 3, 4] {
-        let (out, r) = run_case(
-            &m,
-            gpus,
-            Backend::Shmem { poll_caching: true },
-            Partition::Tasks { per_gpu: 8 },
-        );
-        assert!(verify::rel_inf_diff(&out.x, &r) < verify::DEFAULT_TOL, "gpus={gpus}");
+        for gather_all_pes in [true, false] {
+            let plan =
+                ExecutionPlan::build(m.n(), gpus, Partition::Tasks { per_gpu: 8 }, Triangle::Lower);
+            let mut machine = Machine::new(MachineConfig::dgx1(gpus));
+            let backend = Backend::Shmem { poll_caching: true };
+            let cfg = ExecConfig { backend, triangle: Triangle::Lower, gather_all_pes };
+            let out = run(&m, &plan, &mut machine, cfg).expect("no deadlock");
+            audit(&m, &out).unwrap_or_else(|e| panic!("gpus={gpus}: {e}"));
+        }
     }
 }
 
 #[test]
 fn unified_multi_gpu_matches_reference() {
     let m = gen::level_structured(&gen::LevelSpec::new(600, 15, 2400, 9));
-    let (out, r) = run_case(&m, 4, Backend::Unified, Partition::Blocked);
-    assert!(verify::rel_inf_diff(&out.x, &r) < verify::DEFAULT_TOL);
+    run_case(&m, 4, Backend::Unified, Partition::Blocked);
+    run_case(&m, 4, Backend::ShmemGup, Partition::Blocked);
+}
+
+/// The audit has teeth: a lost update leaves its dependent waiting
+/// forever, and an update that lands when its producer wakes — before
+/// the producer has solved — is seen too early.
+#[test]
+fn seeded_protocol_faults_fail() {
+    let m = gen::level_structured(&gen::LevelSpec::new(900, 22, 3600, 13));
+    let plan = ExecutionPlan::build(m.n(), 4, Partition::Tasks { per_gpu: 8 }, Triangle::Lower);
+    let cfg =
+        ExecConfig { backend: Backend::Shmem { poll_caching: true }, ..ExecConfig::default() };
+    let seeded = |fault| {
+        MUTATION.with(|f| f.set(Some(fault)));
+        let out = run(&m, &plan, &mut Machine::new(MachineConfig::dgx1(4)), cfg.clone());
+        MUTATION.with(|f| f.set(None));
+        out
+    };
+    assert!(matches!(seeded(Mutation::DropDelivery), Err(ExecError::Deadlock { .. })));
+    let early = seeded(Mutation::DeliverAtWake).expect("still completes");
+    assert!(audit(&m, &early).is_err(), "an early delivery passed the audit");
+    let clean = run(&m, &plan, &mut Machine::new(MachineConfig::dgx1(4)), cfg).unwrap();
+    audit(&m, &clean).expect("the unseeded run passes");
 }
 
 #[test]
 fn prepared_run_reproduces_one_shot_run() {
     let m = gen::level_structured(&gen::LevelSpec::new(900, 22, 3600, 13));
-    let (_, b) = verify::rhs_for(&m, 42);
     let plan = ExecutionPlan::build(m.n(), 4, Partition::Tasks { per_gpu: 8 }, Triangle::Lower);
     let cfg =
         ExecConfig { backend: Backend::Shmem { poll_caching: true }, ..ExecConfig::default() };
     let mut m1 = Machine::new(MachineConfig::dgx1(4));
-    let one_shot = run(&m, &b, &plan, &mut m1, cfg.clone()).unwrap();
+    let one_shot = run(&m, &plan, &mut m1, cfg.clone()).unwrap();
     let analysis = ExecAnalysis::build(&m, &plan, &cfg);
     let mut m2 = Machine::new(MachineConfig::dgx1(4));
-    let prepared = run_prepared(&b, &plan, &analysis, &mut m2, &cfg).unwrap();
-    assert_eq!(one_shot.x, prepared.x, "bit-identical numerics");
+    let prepared = run_prepared(&plan, &analysis, &mut m2, &cfg).unwrap();
+    assert_eq!(one_shot.solve_order, prepared.solve_order);
     assert_eq!(one_shot.makespan, prepared.makespan);
     assert_eq!(one_shot.events, prepared.events);
 }
@@ -98,21 +181,17 @@ fn replay_of_recorded_order_is_bit_identical() {
     let cfg =
         ExecConfig { backend: Backend::Shmem { poll_caching: true }, ..ExecConfig::default() };
     let analysis = ExecAnalysis::build(&m, &plan, &cfg);
-    // calibrate with one RHS, replay a different one: the schedule
-    // is value-independent, so the recorded order serves any b
-    let (_, b0) = verify::rhs_for(&m, 1);
     let mut machine = Machine::new(MachineConfig::dgx1(4));
-    let calibration = run_prepared(&b0, &plan, &analysis, &mut machine, &cfg).unwrap();
+    let calibration = run_prepared(&plan, &analysis, &mut machine, &cfg).unwrap();
     assert_eq!(calibration.solve_order.len(), m.n());
 
     let (_, b1) = verify::rhs_for(&m, 2);
     let mut machine = Machine::new(MachineConfig::dgx1(4));
-    let full = run_prepared(&b1, &plan, &analysis, &mut machine, &cfg).unwrap();
-    // the simulation sums each `left_sum` in wake order; the replay
-    // sums every row in Algorithm 1's order, whatever the row order
+    let full = run_prepared(&plan, &analysis, &mut machine, &cfg).unwrap();
+    // the replay sums every row in Algorithm 1's order, whatever the
+    // row order, so the recorded order serves any b
     let replayed = solve_along(&m, &calibration.solve_order, &b1);
     assert_eq!(replayed, reference::solve_lower(&m, &b1).unwrap(), "replay is the reference");
-    assert!(verify::rel_inf_diff(&full.x, &replayed) < verify::DEFAULT_TOL);
     assert_eq!(full.solve_order, calibration.solve_order, "schedule is value-independent");
 }
 
@@ -122,27 +201,19 @@ fn analysis_flat_layout_matches_matrix() {
     let plan = ExecutionPlan::build(m.n(), 2, Partition::Blocked, Triangle::Lower);
     let a = ExecAnalysis::build(&m, &plan, &ExecConfig::default());
     for j in 0..m.n() {
-        let (rows, vals) = a.updates_of(j as u32);
-        let expect: Vec<(u32, f64)> = m.col(j).filter(|&(r, _)| (r as usize) > j).collect();
-        assert_eq!(rows.len(), expect.len());
-        for (k, &(r, v)) in expect.iter().enumerate() {
-            assert_eq!(rows[k], r);
-            assert_eq!(vals[k], v);
-        }
-        assert_eq!(a.diag[j], m.get(j, j).unwrap());
+        let expect: Vec<u32> = m.col(j).map(|(r, _)| r).filter(|&r| r as usize > j).collect();
+        assert_eq!(a.updates_of(j as u32), expect);
     }
 }
 
 #[test]
 fn unified_generates_page_faults_shmem_does_not() {
     let m = gen::level_structured(&gen::LevelSpec::new(800, 20, 3200, 5));
-    let (_, b) = verify::rhs_for(&m, 42);
     let plan = ExecutionPlan::build(m.n(), 4, Partition::Blocked, Triangle::Lower);
 
     let mut um_machine = Machine::new(MachineConfig::dgx1(4));
     run(
         &m,
-        &b,
         &plan,
         &mut um_machine,
         ExecConfig { backend: Backend::Unified, ..ExecConfig::default() },
@@ -158,7 +229,6 @@ fn unified_generates_page_faults_shmem_does_not() {
     let mut sh_machine = Machine::new(MachineConfig::dgx1(4));
     run(
         &m,
-        &b,
         &plan,
         &mut sh_machine,
         ExecConfig { backend: Backend::Shmem { poll_caching: true }, ..ExecConfig::default() },
@@ -175,12 +245,10 @@ fn zero_copy_beats_unified_on_makespan() {
     // zero-copy finishes faster than the UM design. Needs enough
     // work per GPU to amortize the task kernels (crossover ~n=6k).
     let m = gen::level_structured(&gen::LevelSpec::new(8000, 25, 32000, 11));
-    let (_, b) = verify::rhs_for(&m, 1);
     let mut um = Machine::new(MachineConfig::dgx1(4));
     let plan_b = ExecutionPlan::build(m.n(), 4, Partition::Blocked, Triangle::Lower);
     let um_out = run(
         &m,
-        &b,
         &plan_b,
         &mut um,
         ExecConfig { backend: Backend::Unified, ..ExecConfig::default() },
@@ -191,7 +259,6 @@ fn zero_copy_beats_unified_on_makespan() {
     let plan_t = ExecutionPlan::build(m.n(), 4, Partition::Tasks { per_gpu: 8 }, Triangle::Lower);
     let zc_out = run(
         &m,
-        &b,
         &plan_t,
         &mut zc,
         ExecConfig { backend: Backend::Shmem { poll_caching: true }, ..ExecConfig::default() },
@@ -209,12 +276,10 @@ fn zero_copy_beats_unified_on_makespan() {
 fn upper_triangle_solves() {
     let l = gen::banded_lower(500, 6, 3.0, 13);
     let u = l.transpose();
-    let (_, b) = verify::rhs_for(&u, 3);
     let plan = ExecutionPlan::build(u.n(), 2, Partition::Tasks { per_gpu: 4 }, Triangle::Upper);
     let mut machine = Machine::new(MachineConfig::dgx1(2));
     let out = run(
         &u,
-        &b,
         &plan,
         &mut machine,
         ExecConfig {
@@ -224,8 +289,7 @@ fn upper_triangle_solves() {
         },
     )
     .unwrap();
-    let r = reference::solve_upper(&u, &b).unwrap();
-    assert!(verify::rel_inf_diff(&out.x, &r) < verify::DEFAULT_TOL);
+    audit(&u, &out).expect("protocol audit");
 }
 
 #[test]
@@ -233,8 +297,8 @@ fn chain_is_fully_sequential() {
     // n-level chain: makespan must scale ~linearly with n
     let m1 = gen::chain(100);
     let m2 = gen::chain(200);
-    let (o1, _) = run_case(&m1, 1, Backend::SingleGpu, Partition::Blocked);
-    let (o2, _) = run_case(&m2, 1, Backend::SingleGpu, Partition::Blocked);
+    let o1 = run_case(&m1, 1, Backend::SingleGpu, Partition::Blocked);
+    let o2 = run_case(&m2, 1, Backend::SingleGpu, Partition::Blocked);
     let ratio = o2.makespan.as_ns() as f64 / o1.makespan.as_ns() as f64;
     assert!((1.6..2.6).contains(&ratio), "chain should scale linearly: {ratio}");
 }
@@ -242,22 +306,25 @@ fn chain_is_fully_sequential() {
 #[test]
 fn diagonal_matrix_is_embarrassingly_parallel() {
     let m = gen::diagonal(4000, 3);
-    let (out, r) = run_case(&m, 1, Backend::SingleGpu, Partition::Blocked);
-    assert!(verify::rel_inf_diff(&out.x, &r) < 1e-12);
-    // no dependencies: every component solves without Dep events
-    assert!(out.events >= 4000 * 2);
+    let out = run_case(&m, 1, Backend::SingleGpu, Partition::Blocked);
+    // no dependencies: a slot, a wake and a retire per component, and
+    // no delivery
+    assert_eq!(out.events, 1 + 4000 * 3);
+    assert!(out.satisfied_at.iter().all(|&t| t == SimTime::ZERO));
 }
 
 #[test]
 fn deterministic_runs() {
     let m = gen::level_structured(&gen::LevelSpec::new(700, 12, 2800, 21));
-    let (a, _) =
-        run_case(&m, 4, Backend::Shmem { poll_caching: true }, Partition::Tasks { per_gpu: 8 });
-    let (b, _) =
-        run_case(&m, 4, Backend::Shmem { poll_caching: true }, Partition::Tasks { per_gpu: 8 });
+    let a = run_case(&m, 4, Backend::Shmem { poll_caching: true }, Partition::Tasks { per_gpu: 8 });
+    let b = run_case(&m, 4, Backend::Shmem { poll_caching: true }, Partition::Tasks { per_gpu: 8 });
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.events, b.events);
-    assert_eq!(a.x, b.x);
+    assert_eq!(a.solve_order, b.solve_order);
+    assert_eq!(
+        (a.satisfied_at, a.woke_at, a.published_at),
+        (b.satisfied_at, b.woke_at, b.published_at)
+    );
 }
 
 #[test]
@@ -265,8 +332,9 @@ fn empty_matrix_is_trivial() {
     let m = sparsemat::TripletBuilder::new(0).build().unwrap();
     let plan = ExecutionPlan::build(0, 1, Partition::Blocked, Triangle::Lower);
     let mut machine = Machine::new(MachineConfig::dgx1(1));
-    let out = run(&m, &[], &plan, &mut machine, ExecConfig::default()).unwrap();
-    assert!(out.x.is_empty());
+    let out = run(&m, &plan, &mut machine, ExecConfig::default()).unwrap();
+    assert!(out.solve_order.is_empty());
+    assert_eq!((out.makespan, out.events), (SimTime::ZERO, 0));
 }
 
 #[test]
@@ -276,9 +344,8 @@ fn replay_panel_bit_identical_to_scalar_replay() {
     let cfg =
         ExecConfig { backend: Backend::Shmem { poll_caching: true }, ..ExecConfig::default() };
     let analysis = ExecAnalysis::build(&m, &plan, &cfg);
-    let (_, b0) = verify::rhs_for(&m, 1);
     let mut machine = Machine::new(MachineConfig::dgx1(4));
-    let order = run_prepared(&b0, &plan, &analysis, &mut machine, &cfg).unwrap().solve_order;
+    let order = run_prepared(&plan, &analysis, &mut machine, &cfg).unwrap().solve_order;
     let factor = factor(&m, Layout::relabel(&m, Triangle::Lower, Some(&order)));
     let mut ws = ReplayWorkspace::new();
     // batch sizes exercising every block width and ragged tails
@@ -344,12 +411,10 @@ fn rows_hold_algorithm_1s_sequence_in_every_order() {
 #[test]
 fn poll_caching_reduces_poll_gets() {
     let m = gen::level_structured(&gen::LevelSpec::new(1000, 40, 4000, 31));
-    let (_, b) = verify::rhs_for(&m, 42);
     let plan = ExecutionPlan::build(m.n(), 4, Partition::Tasks { per_gpu: 8 }, Triangle::Lower);
     let mut cached = Machine::new(MachineConfig::dgx1(4));
     run(
         &m,
-        &b,
         &plan,
         &mut cached,
         ExecConfig { backend: Backend::Shmem { poll_caching: true }, ..ExecConfig::default() },
@@ -358,7 +423,6 @@ fn poll_caching_reduces_poll_gets() {
     let mut raw = Machine::new(MachineConfig::dgx1(4));
     run(
         &m,
-        &b,
         &plan,
         &mut raw,
         ExecConfig { backend: Backend::Shmem { poll_caching: false }, ..ExecConfig::default() },

@@ -96,9 +96,10 @@
 //!   p50/p95/p99 latency histograms), and exporters for
 //!   chrome://tracing JSON timelines and Prometheus text exposition.
 //!
-//! Every solve computes real `f64` numerics while the discrete-event
-//! machine model advances virtual time, so results are simultaneously
-//! *numerically checked* and *performance-profiled*.
+//! Every solve computes real `f64` numerics on the host, while the
+//! discrete-event machine model, which does none of the arithmetic,
+//! times the same protocol in virtual time, so results are
+//! simultaneously *numerically checked* and *performance-profiled*.
 //!
 //! ## Observability
 //!

@@ -19,7 +19,7 @@
 //! later than its dependents').
 
 use mgpu_sim::GpuId;
-use sparsemat::{CscMatrix, Triangle};
+use sparsemat::Triangle;
 use std::cell::Cell;
 
 thread_local! {
@@ -147,40 +147,12 @@ impl ExecutionPlan {
         c
     }
 
-    /// Count of matrix entries whose producer and consumer live on
-    /// different GPUs — the communication volume a layout induces.
-    pub fn cross_gpu_edges(&self, m: &CscMatrix, tri: Triangle) -> u64 {
-        let mut cross = 0;
-        for j in 0..m.n() {
-            let gj = self.owner[j];
-            for (r, _) in m.col(j) {
-                let r = r as usize;
-                let is_dep = match tri {
-                    Triangle::Lower => r > j,
-                    Triangle::Upper => r < j,
-                };
-                if is_dep && self.owner[r] != gj {
-                    cross += 1;
-                }
-            }
-        }
-        cross
-    }
-
-    /// Device bytes a GPU must hold for its share: owned columns,
-    /// plus x, b and the intermediate arrays. The symmetric-heap
-    /// design replicates the size-`n` system arrays on every PE
-    /// (Algorithm 3 lines 9–12).
-    pub fn device_bytes(&self, m: &CscMatrix, gpu: GpuId, replicated_arrays: bool) -> u64 {
-        let mut nnz_owned = 0u64;
-        let mut cols_owned = 0u64;
-        for j in 0..m.n() {
-            if self.owner[j] == gpu {
-                nnz_owned += m.col_nnz(j) as u64;
-                cols_owned += 1;
-            }
-        }
-        let n = m.n() as u64;
+    /// Device bytes a GPU must hold for a share of `nnz_owned` stored
+    /// entries in `cols_owned` columns: the columns, plus x, b and the
+    /// intermediate arrays. The symmetric-heap design replicates the
+    /// size-`n` system arrays on every PE (Algorithm 3 lines 9–12).
+    pub fn device_bytes(&self, nnz_owned: u64, cols_owned: u64, replicated_arrays: bool) -> u64 {
+        let n = self.owner.len() as u64;
         let matrix_bytes = nnz_owned * (4 + 8) + (cols_owned + 1) * 8;
         let vec_bytes = cols_owned * 8 * 2; // x and b shares
         let arrays = if replicated_arrays {
@@ -292,21 +264,24 @@ mod tests {
 
     #[test]
     fn cross_edges_counted() {
+        use crate::exec::{ExecAnalysis, ExecConfig};
         let m = gen::chain(10); // each comp depends on the previous
-        let p2 = ExecutionPlan::build(10, 2, Partition::Blocked, Triangle::Lower);
+        let cross = |partition| {
+            let p = ExecutionPlan::build(10, 2, partition, Triangle::Lower);
+            ExecAnalysis::build(&m, &p, &ExecConfig::default()).cross_edges()
+        };
         // only the 4->5 edge crosses
-        assert_eq!(p2.cross_gpu_edges(&m, Triangle::Lower), 1);
-        let p_rr = ExecutionPlan::build(10, 2, Partition::Tasks { per_gpu: 5 }, Triangle::Lower);
+        assert_eq!(cross(Partition::Blocked), 1);
         // task size 1: every edge crosses
-        assert_eq!(p_rr.cross_gpu_edges(&m, Triangle::Lower), 9);
+        assert_eq!(cross(Partition::Tasks { per_gpu: 5 }), 9);
     }
 
     #[test]
     fn device_bytes_accounts_replication() {
-        let m = gen::banded_lower(1000, 8, 4.0, 3);
+        // a quarter of a 1000-row, 8-nnz-per-column band
         let p = ExecutionPlan::build(1000, 4, Partition::Blocked, Triangle::Lower);
-        let rep = p.device_bytes(&m, 0, true);
-        let unrep = p.device_bytes(&m, 0, false);
+        let rep = p.device_bytes(2000, 250, true);
+        let unrep = p.device_bytes(2000, 250, false);
         assert!(rep > unrep, "symmetric heap replicates the system arrays");
     }
 }
