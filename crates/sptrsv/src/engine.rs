@@ -141,9 +141,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// A reusable solver: analysis done once at build, arbitrarily many
 /// solves afterwards.
 ///
-/// The engine borrows the factor (`'m`), so the matrix outlives the
-/// engine — the natural shape for a preconditioner loop where `L`/`U`
-/// live for the whole Krylov iteration.
+/// [`SolverEngine::build`] borrows the factor (`'m`), so the matrix
+/// outlives the engine — the natural shape for a preconditioner loop
+/// where `L`/`U` live for the whole Krylov iteration. The fleet's
+/// engines are `'static` instead: each shares the `Arc<CscMatrix>` the
+/// fleet registered, so the engine itself keeps its factor alive and
+/// can be handed to any thread.
 ///
 /// The prebuilt state is split along the refresh boundary: the
 /// structure-only [`Layout`] (the relabelled pattern) is immutable for
@@ -154,7 +157,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// layout.
 #[derive(Debug)]
 pub struct SolverEngine<'m> {
-    m: &'m CscMatrix,
+    m: MatrixRef<'m>,
     opts: SolveOptions,
     /// What [`SolverEngine::calibration`] simulates (nothing for the
     /// serial kind).
@@ -187,6 +190,26 @@ pub struct SolverEngine<'m> {
     /// interleaved forward/backward solves per Krylov solve on **one**
     /// pool and one workspace free-list).
     resources: Arc<EngineResources>,
+}
+
+/// The factor an engine was built for: borrowed from the caller, or
+/// shared with whoever else holds the `Arc` (the fleet's registry), so
+/// that nothing is copied either way.
+#[derive(Debug)]
+enum MatrixRef<'m> {
+    Borrowed(&'m CscMatrix),
+    Shared(Arc<CscMatrix>),
+}
+
+impl std::ops::Deref for MatrixRef<'_> {
+    type Target = CscMatrix;
+
+    fn deref(&self) -> &CscMatrix {
+        match self {
+            MatrixRef::Borrowed(m) => m,
+            MatrixRef::Shared(m) => m,
+        }
+    }
 }
 
 /// One published value epoch: the factor every tier sweeps, plus the
@@ -364,7 +387,29 @@ impl<'m> SolverEngine<'m> {
         opts: &SolveOptions,
         resources: Arc<EngineResources>,
     ) -> Result<SolverEngine<'m>, SolveError> {
+        SolverEngine::analyze(MatrixRef::Borrowed(m), machine_cfg, opts, resources)
+    }
+
+    /// [`SolverEngine::build_shared`] over a factor the engine shares
+    /// rather than borrows: it keeps `m` alive itself, so it is
+    /// `'static`. Nothing is copied.
+    pub(crate) fn build_owned(
+        m: Arc<CscMatrix>,
+        machine_cfg: MachineConfig,
+        opts: &SolveOptions,
+        resources: Arc<EngineResources>,
+    ) -> Result<SolverEngine<'static>, SolveError> {
+        SolverEngine::analyze(MatrixRef::Shared(m), machine_cfg, opts, resources)
+    }
+
+    fn analyze(
+        matrix: MatrixRef<'m>,
+        machine_cfg: MachineConfig,
+        opts: &SolveOptions,
+        resources: Arc<EngineResources>,
+    ) -> Result<SolverEngine<'m>, SolveError> {
         let build_sw = Stopwatch::start();
+        let m: &CscMatrix = &matrix;
         m.validate_triangular(opts.triangle)?;
         // numeric guardrail, paid once where it is amortized: a NaN or
         // infinity in the factor would poison thousands of warm solves
@@ -400,7 +445,7 @@ impl<'m> SolverEngine<'m> {
 
         build_sw.stop(Hist::BuildNs);
         Ok(SolverEngine {
-            m,
+            m: matrix,
             opts: opts.clone(),
             simulation,
             schedule,
@@ -436,11 +481,11 @@ impl<'m> SolverEngine<'m> {
     /// The factor this engine was **built** for. The structure is
     /// authoritative for the engine's lifetime; the *values* are those
     /// of the build and are superseded once
-    /// [`SolverEngine::refresh_values`] commits (the engine borrows the
-    /// matrix immutably and never writes it back).
+    /// [`SolverEngine::refresh_values`] commits (the engine borrows or
+    /// shares the matrix immutably and never writes it back).
     #[inline]
     pub fn matrix(&self) -> &CscMatrix {
-        self.m
+        &self.m
     }
 
     /// The options this engine was built with.
@@ -449,15 +494,15 @@ impl<'m> SolverEngine<'m> {
         &self.opts
     }
 
-    /// Host bytes this engine holds beyond the matrix it borrows: the
+    /// Host bytes this engine holds beyond its matrix: the
     /// relabelled factor (a level-major layout keeps its position
     /// table, a natural one has none), the spare values a refresh
     /// gathers into (once the first refresh has allocated them), plus
     /// one warm
     /// [`SolveWorkspace`] at this dimension — the per-engine charge a
     /// byte-bounded factor cache accounts (the cache adds the matrix's
-    /// own bytes separately, since the cache is what keeps the matrix
-    /// alive).
+    /// own bytes separately: the matrix is the registry's `Arc`, which
+    /// the engine may share but never copies).
     pub fn footprint_bytes(&self) -> u64 {
         let n = self.m.n() as u64;
         // one fully-grown workspace: the n×PANEL_K position-space
@@ -479,7 +524,7 @@ impl<'m> SolverEngine<'m> {
     fn template(&self) -> Result<&Arc<SolveReport>, SolveError> {
         self.template
             .get_or_init(|| {
-                self.simulation.calibrate(self.m, &self.opts, self.schedule).map(Arc::new)
+                self.simulation.calibrate(&self.m, &self.opts, self.schedule).map(Arc::new)
             })
             .as_ref()
             .map_err(|e| SolveError::Exec(e.clone()))
@@ -876,7 +921,7 @@ impl<'m> SolverEngine<'m> {
     pub fn refresh_values(&self, m2: &CscMatrix) -> Result<RefreshReport, SolveError> {
         let _g = SpanGuard::enter(Site::ValueRefresh);
         let sw = Stopwatch::start();
-        let audit = self.validate_refresh(m2)?;
+        let audit = check_refresh(&self.m, m2)?;
         // injected mid-refresh crash: sits after validation and before
         // the gather, so an interrupted refresh leaves the old epoch
         // fully intact (asserted by the chaos suite)
@@ -886,39 +931,10 @@ impl<'m> SolverEngine<'m> {
         Ok(report)
     }
 
-    /// The fallible half of [`SolverEngine::refresh_values`]: check
-    /// structure identity and audit the new values, touching nothing.
-    /// Split from the infallible [`SolverEngine::stage_refresh`] so a
-    /// multi-engine caller (the L/U preconditioner pair) can validate
-    /// *every* side before staging *any* — pair-atomic refresh.
-    pub(crate) fn validate_refresh(&self, m2: &CscMatrix) -> Result<FactorAudit, SolveError> {
-        // exact, entry-for-entry structure identity — cheaper than
-        // hashing and allocation-free; the hashes are only computed on
-        // the failure path, to name both identities in the error
-        if m2.n() != self.m.n()
-            || m2.col_ptr() != self.m.col_ptr()
-            || m2.row_idx() != self.m.row_idx()
-        {
-            return Err(SolveError::StructureMismatch {
-                expected: FactorFingerprint::of(self.m).structure_hash(),
-                got: FactorFingerprint::of(m2).structure_hash(),
-            });
-        }
-        // same sweep a cold build runs — but a refresh rejects *all*
-        // findings: zero pivots would have failed the cold build's
-        // triangular validation, and duplicates cannot appear under an
-        // identical structure, so any finding here is disqualifying
-        let audit = sparsemat::audit_factor(m2);
-        if let Some(e) = audit.first_error() {
-            return Err(SolveError::Matrix(e));
-        }
-        Ok(audit)
-    }
-
     /// The infallible half of [`SolverEngine::refresh_values`]: gather
     /// `m2`'s values into the spare epoch, outside the snapshot lock,
     /// for [`SolverEngine::publish`]. Only call with a matrix
-    /// [`SolverEngine::validate_refresh`] accepted.
+    /// [`check_refresh`] accepted against [`SolverEngine::matrix`].
     pub(crate) fn stage_refresh(&self, m2: &CscMatrix, audit: FactorAudit) -> Staged<'_> {
         let mut spare = lock(&self.spare);
         // `make_mut` reuses the retired epoch in place when no reader
@@ -947,6 +963,34 @@ impl<'m> SolverEngine<'m> {
         let value_epoch = self.value_epoch.fetch_add(1, Ordering::Release) + 1;
         RefreshReport { n: self.m.n(), nnz: self.m.nnz(), value_epoch, audit }
     }
+}
+
+/// The fallible half of every value refresh: check that `m2` has `m`'s
+/// exact structure and audit its values, touching nothing. Split from
+/// the infallible [`SolverEngine::stage_refresh`] so a multi-engine
+/// caller (the L/U preconditioner pair) can validate *every* side
+/// before staging *any* — pair-atomic refresh — and so a factor with
+/// no engine over it (the fleet's at-rest refresh) passes the same
+/// checks.
+pub(crate) fn check_refresh(m: &CscMatrix, m2: &CscMatrix) -> Result<FactorAudit, SolveError> {
+    // exact, entry-for-entry structure identity — cheaper than
+    // hashing and allocation-free; the hashes are only computed on
+    // the failure path, to name both identities in the error
+    if m2.n() != m.n() || m2.col_ptr() != m.col_ptr() || m2.row_idx() != m.row_idx() {
+        return Err(SolveError::StructureMismatch {
+            expected: FactorFingerprint::of(m).structure_hash(),
+            got: FactorFingerprint::of(m2).structure_hash(),
+        });
+    }
+    // same sweep a cold build runs — but a refresh rejects *all*
+    // findings: zero pivots would have failed the cold build's
+    // triangular validation, and duplicates cannot appear under an
+    // identical structure, so any finding here is disqualifying
+    let audit = sparsemat::audit_factor(m2);
+    if let Some(e) = audit.first_error() {
+        return Err(SolveError::Matrix(e));
+    }
+    Ok(audit)
 }
 
 /// The host's hardware thread count, read once per process and cached:

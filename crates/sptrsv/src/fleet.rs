@@ -11,16 +11,15 @@
 //!
 //! ## Architecture
 //!
-//! * **Bulkheads.** Every tenant has its own queue, dispatcher and
-//!   panic domain. The queue (the tenant service's own FIFO) is
-//!   created at admission, and [`EngineFleet::submit`] enqueues
-//!   straight into it from the client's thread, so a request crosses
-//!   exactly two thread hand-offs: client → dispatcher, dispatcher →
-//!   waiter. The engine lives on the *tenant thread*, which owns the
-//!   `Arc<CscMatrix>`, builds the engine on its own stack, runs a
-//!   supervised [`SolverService`] over the tenant's queue, and then
-//!   only waits for control messages (value refresh, stop) — no
-//!   request passes through it. All tenants *do* share one
+//! * **Bulkheads.** Every tenant has its own queue, thread and panic
+//!   domain. The queue (the tenant service's own FIFO) is created at
+//!   admission, and [`EngineFleet::submit`] enqueues straight into it
+//!   from the client's thread, so a request crosses exactly two thread
+//!   hand-offs: client → tenant thread, tenant thread → waiter. The
+//!   tenant's one thread builds the engine over the fleet's
+//!   `Arc<CscMatrix>` (shared, never copied), publishes it on the
+//!   tenant's entry, and then dispatches the queue itself, supervised,
+//!   until the queue is shut down. All tenants *do* share one
 //!   [`EngineResources`] pool, so worker threads and solve workspaces
 //!   are recycled fleet-wide.
 //! * **Quarantining build pool.** Engine builds run under
@@ -59,15 +58,18 @@
 //! tenant does **not** need a second registration, a rebuild, or a
 //! restart: [`EngineFleet::refresh_tenant`] swaps the new values into
 //! the live tenant's warm engine in place, with zero symbolic work.
-//! The refresh is a control message to the tenant thread (the engine
-//! lives on its stack) and runs at once, beside the traffic: the
-//! engine publishes the new values as a fresh snapshot, so a refresh
-//! waits for neither the panel in flight nor the queue, and every
-//! ticket resolves against exactly one value epoch.
+//! The refresh runs on the caller's thread, beside the traffic (a
+//! tenant still building is refreshed once its engine is published):
+//! the engine publishes the new values as a fresh snapshot, so a
+//! refresh waits for neither the panel in flight nor the queue, and
+//! every ticket resolves against exactly one value epoch.
 //! On success the stored factor is replaced (a later eviction +
 //! rebuild uses the new values), the cache charge is corrected to the
-//! refreshed engine's actual footprint, and the tenant's value epoch
-//! gauge ([`EngineFleet::tenant_value_epoch`]) is bumped. On failure —
+//! refreshed engine's footprint plus both matrices now alive (the one
+//! the engine was built over and the stored one), and
+//! [`EngineFleet::tenant_value_epoch`] reads the engine's new epoch. A
+//! refresh that races an eviction still commits, to the evicted engine
+//! and to the stored factor. On failure —
 //! structure drift, a non-finite or zero pivot, or an injected
 //! mid-refresh panic — the tenant keeps serving the old epoch
 //! bit-identically and the caller gets the typed error; a fingerprint
@@ -82,9 +84,9 @@
 //! one tenant of a multi-tenant sweep:
 //!
 //! 1. **No ticket ever hangs.** Every [`FleetTicket`] resolves to a
-//!    value or a typed error, even if its tenant's dispatcher panics,
-//!    its build fails, or the fleet shuts down underneath it: every
-//!    exit path of the tenant thread closes the tenant's queue, which
+//!    value or a typed error, even if its tenant's dispatcher panics
+//!    for good, its build fails, or the fleet shuts down underneath it:
+//!    every exit path of the tenant's thread closes its queue, which
 //!    completes whatever is still queued and refuses later submits
 //!    through a stale handle, both typed. Per-tenant accounting hangs
 //!    off the queue's completion hook, so `submitted == served +
@@ -110,7 +112,6 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -118,7 +119,7 @@ use std::time::{Duration, Instant};
 use mgpu_sim::MachineConfig;
 use sparsemat::{CscMatrix, FactorFingerprint};
 
-use crate::engine::{EngineResources, RefreshReport, SolverEngine};
+use crate::engine::{check_refresh, EngineResources, RefreshReport, SolverEngine};
 use crate::exec::PANEL_K;
 use crate::fault::{self, FaultSite};
 use crate::serve::{
@@ -418,9 +419,6 @@ pub struct FleetReport {
 struct TenantGauge {
     inflight_requests: AtomicUsize,
     inflight_bytes: AtomicUsize,
-    /// Monotonic count of committed value refreshes on this tenant's
-    /// engine — 0 until the first [`EngineFleet::refresh_tenant`].
-    value_epoch: AtomicU64,
     /// Why the tenant's queue closed, when it closed for a reason a
     /// client should see in place of the queue's bare `ShuttingDown`
     /// ([`FleetError::BuildFailed`], [`FleetError::CacheFull`], …).
@@ -450,8 +448,6 @@ struct TenantObserver {
     counters: Arc<FleetCounters>,
     /// Payload bytes of one request (`n × 8`).
     bytes: usize,
-    /// The tenant thread's control mailbox, to wake it on abort.
-    control: Sender<TenantMsg>,
 }
 
 impl QueueObserver for TenantObserver {
@@ -462,13 +458,6 @@ impl QueueObserver for TenantObserver {
         // budget check: a tenant seen idle has published its results
         self.gauge.inflight_requests.fetch_sub(1, Ordering::AcqRel);
         self.gauge.inflight_bytes.fetch_sub(self.bytes, Ordering::AcqRel);
-    }
-
-    fn aborted(&self) {
-        // the control loop is blocked in `recv`; Stop returns it so
-        // the service can re-raise the dispatcher's panic into
-        // `serve_tenant`'s containment
-        let _ = self.control.send(TenantMsg::Stop);
     }
 }
 
@@ -508,46 +497,42 @@ impl FleetTicket {
     }
 }
 
-/// What still travels to the tenant thread: control only. Requests go
-/// straight into the tenant's [`ServiceQueue`] from the client thread.
-enum TenantMsg {
-    /// In-place value refresh of the tenant's engine. The reply sender
-    /// carries the outcome plus the refreshed engine's actual
-    /// footprint (for the cache recharge); dropping it unread — the
-    /// tenant thread gone — closes the channel, which the waiting
-    /// [`EngineFleet::refresh_tenant`] maps to a typed retryable
-    /// error. The no-hang guarantee, for refreshes.
-    Refresh(Arc<CscMatrix>, Sender<Result<(RefreshReport, u64), FleetError>>),
-    Stop,
-}
-
 struct TenantEntry {
-    tx: Sender<TenantMsg>,
     join: Option<JoinHandle<()>>,
     gauge: Arc<TenantGauge>,
     /// Where this tenant's requests are enqueued — created at
     /// admission, so it accepts work while the engine still builds.
     queue: Arc<ServiceQueue>,
+    /// The tenant's engine, published by its thread with the build's
+    /// recharge. `None` while building: never an eviction victim, and
+    /// the charged bytes are still the admission estimate.
+    engine: Option<Arc<SolverEngine<'static>>>,
     /// Bytes currently charged against the cache budget for this
     /// tenant (reservation until the build recharges to actual).
     bytes: u64,
     last_used: u64,
-    /// Until the build recharges: never an eviction victim, and the
-    /// charged bytes are still the admission estimate.
-    building: bool,
 }
 
 impl TenantEntry {
-    /// `Building` until the recharge, then whatever the live queue
-    /// says.
+    /// `Building` until the engine is published, then whatever the
+    /// live queue says.
     fn health(&self) -> TenantHealth {
-        if self.building {
+        if self.engine.is_none() {
             return TenantHealth::Building;
         }
         match self.queue.health() {
             ServiceHealth::Ok => TenantHealth::Ok,
             ServiceHealth::Degraded { reason } => TenantHealth::Degraded { reason },
             ServiceHealth::Draining => TenantHealth::Draining,
+        }
+    }
+
+    /// Stop a tenant already taken from the map: shut its queue, which
+    /// its thread drains before it returns, and join the thread.
+    fn stop(mut self) {
+        self.queue.shutdown();
+        if let Some(j) = self.join.take() {
+            let _ = j.join();
         }
     }
 }
@@ -602,12 +587,13 @@ impl FleetShared {
     }
 
     /// Remove `fp`'s entry and release its charged bytes — whoever
-    /// removes the entry releases the bytes, exactly once.
-    fn remove_and_release(&self, fp: FactorFingerprint) {
-        let mut st = self.lock();
-        if let Some(e) = st.tenants.remove(&fp) {
-            st.cache_bytes = st.cache_bytes.saturating_sub(e.bytes);
-        }
+    /// removes the entry releases the bytes, exactly once — and wake
+    /// refreshers waiting for its build.
+    fn take(&self, st: &mut FleetState, fp: FactorFingerprint) -> Option<TenantEntry> {
+        let e = st.tenants.remove(&fp)?;
+        st.cache_bytes = st.cache_bytes.saturating_sub(e.bytes);
+        self.cv.notify_all();
+        Some(e)
     }
 
     /// Enter (or renew) quarantine for `fp` and tear down its entry.
@@ -620,70 +606,66 @@ impl FleetShared {
         q.until = Instant::now() + cooldown;
         self.counters.quarantine_events.fetch_add(1, Ordering::Relaxed);
         telemetry::instant(Site::FleetQuarantine, u64::from(q.failures));
-        if let Some(e) = st.tenants.remove(&fp) {
-            st.cache_bytes = st.cache_bytes.saturating_sub(e.bytes);
-        }
+        self.take(&mut st, fp);
     }
 
-    /// Correct `fp`'s reservation to the engine's `actual` footprint.
-    /// Shrinking always succeeds; growing may evict coldest idle
-    /// engines, and if nothing can be shed the entry is removed and
-    /// the admission fails with [`FleetError::CacheFull`]. Success
-    /// clears the build flag and any quarantine record — the factor
-    /// proved itself.
-    fn recharge(&self, fp: FactorFingerprint, actual: u64) -> Result<(), FleetError> {
+    /// Charge `fp` its `actual` bytes for `engine` — publishing the
+    /// engine on the building entry after a build, or recharging the
+    /// entry that holds it after a refresh. Shrinking always
+    /// succeeds; growing may evict coldest idle engines, and if nothing
+    /// can be shed the entry is removed (a live tenant is stopped too:
+    /// it must not serve with no bytes charged) and the call fails with
+    /// [`FleetError::CacheFull`]. Success wakes refreshers waiting for
+    /// the build and clears any quarantine record — the factor proved
+    /// itself. An entry that is gone or not this engine's (evicted,
+    /// perhaps re-admitted, meanwhile) is left alone: its remover
+    /// released the bytes.
+    fn recharge(
+        &self,
+        fp: FactorFingerprint,
+        engine: &Arc<SolverEngine<'static>>,
+        actual: u64,
+        publish: bool,
+    ) -> Result<(), FleetError> {
         loop {
             let mut st = self.lock();
-            let Some(e) = st.tenants.get(&fp) else {
-                // evicted or shut down mid-build: the remover released
-                // our bytes; nothing to charge
-                return Err(FleetError::ShuttingDown);
+            let reserved = match st.tenants.get(&fp) {
+                Some(e) if e.engine.as_ref().map_or(publish, |x| Arc::ptr_eq(x, engine)) => e.bytes,
+                _ => return Err(FleetError::ShuttingDown),
             };
-            let reserved = e.bytes;
-            if actual <= reserved
-                || st.cache_bytes + (actual - reserved) <= self.cfg.cache_budget_bytes
-            {
+            let grow = actual.saturating_sub(reserved);
+            if st.cache_bytes + grow <= self.cfg.cache_budget_bytes {
+                st.cache_bytes = st.cache_bytes + actual - reserved;
+                st.cache_high_water = st.cache_high_water.max(st.cache_bytes);
                 let e = st.tenants.get_mut(&fp).expect("checked above");
                 e.bytes = actual;
-                e.building = false;
-                if actual <= reserved {
-                    st.cache_bytes -= reserved - actual;
-                } else {
-                    st.cache_bytes += actual - reserved;
-                    st.cache_high_water = st.cache_high_water.max(st.cache_bytes);
-                }
+                e.engine = Some(Arc::clone(engine));
                 st.quarantine.remove(&fp);
+                self.cv.notify_all();
                 return Ok(());
             }
-            let delta = actual - reserved;
             let Some(victim) = pick_victim(&st, Some(fp)) else {
-                if let Some(e) = st.tenants.remove(&fp) {
-                    // a live tenant shed by a refresh-time recharge
-                    // must not keep serving with no bytes charged
-                    let _ = e.tx.send(TenantMsg::Stop);
+                let e = self.take(&mut st, fp).expect("checked above");
+                drop(st);
+                if e.engine.is_some() {
+                    e.stop(); // a building entry's thread is this one
                 }
-                st.cache_bytes = st.cache_bytes.saturating_sub(reserved);
                 return Err(FleetError::CacheFull {
-                    needed_bytes: delta,
+                    needed_bytes: grow,
                     budget_bytes: self.cfg.cache_budget_bytes,
                 });
             };
-            let mut ve = st.tenants.remove(&victim).expect("victim picked from this map");
-            st.cache_bytes = st.cache_bytes.saturating_sub(ve.bytes);
+            let ve = self.take(&mut st, victim).expect("victim picked from this map");
             drop(st);
-            self.stop_tenant(&mut ve);
+            self.evict(ve);
         }
     }
 
-    /// Stop and join an already-removed tenant entry (bytes were
-    /// released by the remover).
-    fn stop_tenant(&self, e: &mut TenantEntry) {
-        let _ = e.tx.send(TenantMsg::Stop);
-        if let Some(j) = e.join.take() {
-            let _ = j.join();
-        }
-        self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+    /// Stop an idle tenant already taken from the map, and count it.
+    fn evict(&self, e: TenantEntry) {
         telemetry::instant(Site::FleetEvict, e.bytes);
+        e.stop();
+        self.counters.evictions.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -696,19 +678,26 @@ fn pick_victim(st: &FleetState, exclude: Option<FactorFingerprint>) -> Option<Fa
         .iter()
         .filter(|(fp, e)| {
             Some(**fp) != exclude
-                && !e.building
+                && e.engine.is_some()
                 && e.gauge.inflight_requests.load(Ordering::Acquire) == 0
         })
         .min_by_key(|(_, e)| e.last_used)
         .map(|(fp, _)| *fp)
 }
 
-/// Host bytes of the matrix an engine borrows — charged to the cache
-/// alongside the engine because the fleet's `Arc<CscMatrix>` keeps it
-/// alive exactly as long as the tenant.
+/// Host bytes of one matrix the fleet keeps alive for a tenant.
 fn matrix_host_bytes(m: &CscMatrix) -> u64 {
     ((m.n() + 1) * std::mem::size_of::<usize>()
         + m.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())) as u64
+}
+
+/// What a live tenant costs the cache: its engine, the matrix the
+/// engine was built over (it keeps that `Arc` alive), and the stored
+/// factor when a refresh has made it a different allocation.
+fn charged_bytes(engine: &SolverEngine<'_>, stored: &CscMatrix) -> u64 {
+    let built = engine.matrix();
+    let second = if std::ptr::eq(built, stored) { 0 } else { matrix_host_bytes(stored) };
+    matrix_host_bytes(built) + second + engine.footprint_bytes()
 }
 
 /// Admission-time footprint estimate, deliberately generous: the
@@ -883,23 +872,20 @@ impl EngineFleet {
                         budget_bytes: self.shared.cfg.cache_budget_bytes,
                     });
                 };
-                let mut ve = st.tenants.remove(&victim).expect("victim picked from this map");
-                st.cache_bytes = st.cache_bytes.saturating_sub(ve.bytes);
+                let ve = self.shared.take(&mut st, victim).expect("victim picked from this map");
                 drop(st);
-                self.shared.stop_tenant(&mut ve);
+                self.shared.evict(ve);
                 continue;
             }
             // the tenant's queue exists from admission on, so requests
             // that arrive during the build wait in the service FIFO
             let gauge = Arc::new(TenantGauge::default());
-            let (tx, rx) = channel();
             let mut svc_cfg = self.shared.cfg.service.clone();
             svc_cfg.supervision_seed = self.shared.cfg.seed ^ fp.structural;
             let observer = TenantObserver {
                 gauge: Arc::clone(&gauge),
                 counters: Arc::clone(&self.shared.counters),
                 bytes: matrix.n() * std::mem::size_of::<f64>(),
-                control: tx.clone(),
             };
             let queue = ServiceQueue::new(matrix.n(), &svc_cfg, Some(Box::new(observer)))?;
             st.cache_bytes += needed;
@@ -908,27 +894,25 @@ impl EngineFleet {
             st.tenants.insert(
                 fp,
                 TenantEntry {
-                    tx,
                     join: None,
                     gauge: Arc::clone(&gauge),
                     queue: Arc::clone(&queue),
+                    engine: None,
                     bytes: needed,
                     last_used: clock,
-                    building: true,
                 },
             );
             let shared = Arc::clone(&self.shared);
             let resources = Arc::clone(&self.resources);
             let spawned = std::thread::Builder::new()
                 .name(format!("sptrsv-fleet-{fp}"))
-                .spawn(move || tenant_main(fp, matrix, shared, resources, gauge, queue, rx));
+                .spawn(move || tenant_main(fp, matrix, shared, resources, gauge, queue));
             match spawned {
                 Ok(j) => {
                     st.tenants.get_mut(&fp).expect("just inserted").join = Some(j);
                 }
                 Err(_) => {
-                    st.tenants.remove(&fp);
-                    st.cache_bytes = st.cache_bytes.saturating_sub(needed);
+                    self.shared.take(&mut st, fp);
                     return Err(FleetError::Serve(ServeError::Spawn));
                 }
             }
@@ -943,15 +927,17 @@ impl EngineFleet {
     /// registered matrix; only its values may differ. The routing key
     /// stays `fp`.
     ///
-    /// A **live** tenant is refreshed on its own bulkhead thread: the
-    /// refresh is handled at once (it queues behind no request and
-    /// pauses no panel), replaces
-    /// the stored factor (so a later eviction + rebuild uses the new
-    /// values), corrects the cache charge to the refreshed footprint,
-    /// and bumps [`EngineFleet::tenant_value_epoch`]. A registered but
-    /// **non-resident** fingerprint is refreshed at rest: validated
-    /// the same way, stored for the next cold build, reported with
-    /// `value_epoch` 0.
+    /// A **live** tenant is refreshed on the calling thread, at once
+    /// (it queues behind no request and pauses no panel); a tenant
+    /// still building is refreshed once its engine is published. The
+    /// refresh replaces the stored factor (so a later eviction +
+    /// rebuild uses the new values), corrects the cache charge to the
+    /// refreshed footprint, and bumps
+    /// [`EngineFleet::tenant_value_epoch`]. A refresh that races an
+    /// eviction commits to the evicted engine and the stored factor. A
+    /// registered but **non-resident** fingerprint is refreshed at
+    /// rest: validated the same way, stored for the next cold build,
+    /// reported with `value_epoch` 0.
     ///
     /// # Errors
     ///
@@ -971,8 +957,8 @@ impl EngineFleet {
         m2: Arc<CscMatrix>,
     ) -> Result<RefreshReport, FleetError> {
         let _refresh = SpanGuard::enter(Site::FleetRefresh);
-        let tx = {
-            let mut st = self.shared.lock();
+        let mut st = self.shared.lock();
+        let (stored, live) = loop {
             if st.shutdown {
                 return Err(FleetError::ShuttingDown);
             }
@@ -986,87 +972,57 @@ impl EngineFleet {
                     });
                 }
             }
-            if !st.factors.contains_key(&fp) {
+            let Some(stored) = st.factors.get(&fp).map(Arc::clone) else {
                 return Err(FleetError::UnknownFactor { fingerprint: fp });
-            }
-            if st.tenants.contains_key(&fp) {
+            };
+            let Some(e) = st.tenants.get(&fp) else {
+                break (stored, None);
+            };
+            // pin the published engine; a building tenant publishes
+            // (or goes away) under this lock and wakes us
+            if let Some(engine) = e.engine.clone() {
+                let queue = Arc::clone(&e.queue);
                 st.lru_clock += 1;
                 let clock = st.lru_clock;
-                let entry = st.tenants.get_mut(&fp).expect("checked above");
-                entry.last_used = clock;
-                entry.tx.clone()
-            } else {
-                // at rest: validate against the stored structure, then
-                // swap the registration so the next cold build picks
-                // up the new values
-                let stored = Arc::clone(st.factors.get(&fp).expect("checked above"));
-                drop(st);
-                let report = match self.validate_at_rest(&stored, &m2) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.shared.counters.refresh_failures.fetch_add(1, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                };
-                self.shared.lock().factors.insert(fp, m2);
-                self.shared.counters.value_refreshes.fetch_add(1, Ordering::Relaxed);
-                return Ok(report);
+                st.tenants.get_mut(&fp).expect("checked above").last_used = clock;
+                break (stored, Some((engine, queue)));
             }
+            st = self.shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         };
-        let (reply_tx, reply_rx) = channel();
-        let _ = tx.send(TenantMsg::Refresh(Arc::clone(&m2), reply_tx));
-        let outcome = reply_rx.recv().unwrap_or(Err(FleetError::Serve(ServeError::Retryable {
-            reason: "tenant exited before the value refresh ran; the old epoch is intact",
-        })));
-        match outcome {
-            Ok((report, actual)) => {
-                self.shared.lock().factors.insert(fp, m2);
-                // correct the cache charge to the refreshed engine's
-                // actual footprint (the first refresh adds its spare
-                // epoch's values, later ones recharge the same size;
-                // a missing entry just means the tenant was evicted
-                // after replying, and the evictor released its bytes)
-                let _ = self.shared.recharge(fp, actual);
-                self.shared.counters.value_refreshes.fetch_add(1, Ordering::Relaxed);
-                Ok(report)
-            }
+        drop(st);
+        let outcome = match &live {
+            // counted in the tenant's ServiceReport, like a service refresh
+            Some((engine, queue)) => queue.run_refresh(|| engine.refresh_values(&m2)),
+            // at rest: the same checks against the stored structure,
+            // and the next cold build picks up the new values
+            None => check_refresh(&stored, &m2)
+                .map(|audit| RefreshReport { n: m2.n(), nnz: m2.nnz(), value_epoch: 0, audit })
+                .map_err(ServeError::Solve),
+        };
+        let report = match outcome {
+            Ok(report) => report,
             Err(e) => {
                 self.shared.counters.refresh_failures.fetch_add(1, Ordering::Relaxed);
-                Err(e)
+                return Err(FleetError::Serve(e));
             }
+        };
+        let recharge = live.as_ref().map(|(engine, _)| (engine, charged_bytes(engine, &m2)));
+        self.shared.lock().factors.insert(fp, m2);
+        if let Some((engine, actual)) = recharge {
+            // the first refresh adds the spare epoch's values and the
+            // stored matrix; an entry evicted meanwhile is left alone
+            let _ = self.shared.recharge(fp, engine, actual, false);
         }
-    }
-
-    /// The at-rest half of [`EngineFleet::refresh_tenant`]: the same
-    /// validate-before-mutate contract a live engine enforces, applied
-    /// to a factor with no engine built over it.
-    fn validate_at_rest(
-        &self,
-        stored: &CscMatrix,
-        m2: &CscMatrix,
-    ) -> Result<RefreshReport, FleetError> {
-        if m2.n() != stored.n()
-            || m2.col_ptr() != stored.col_ptr()
-            || m2.row_idx() != stored.row_idx()
-        {
-            return Err(FleetError::Serve(ServeError::Solve(SolveError::StructureMismatch {
-                expected: FactorFingerprint::of(stored).structure_hash(),
-                got: FactorFingerprint::of(m2).structure_hash(),
-            })));
-        }
-        let audit = sparsemat::audit_factor(m2);
-        if let Some(e) = audit.first_error() {
-            return Err(FleetError::Serve(ServeError::Solve(SolveError::Matrix(e))));
-        }
-        Ok(RefreshReport { n: m2.n(), nnz: m2.nnz(), value_epoch: 0, audit })
+        self.shared.counters.value_refreshes.fetch_add(1, Ordering::Relaxed);
+        Ok(report)
     }
 
     /// Committed value refreshes on `fp`'s live engine — 0 before the
-    /// first [`EngineFleet::refresh_tenant`], `None` for fingerprints
-    /// without a live tenant.
+    /// first [`EngineFleet::refresh_tenant`] (and while the engine
+    /// builds), `None` for fingerprints without a live tenant.
     pub fn tenant_value_epoch(&self, fp: FactorFingerprint) -> Option<u64> {
         let st = self.shared.lock();
-        st.tenants.get(&fp).map(|e| e.gauge.value_epoch.load(Ordering::Acquire))
+        st.tenants.get(&fp).map(|e| e.engine.as_ref().map_or(0, |e| e.value_epoch()))
     }
 
     /// Per-tenant condition, sorted by fingerprint for deterministic
@@ -1143,15 +1099,10 @@ impl EngineFleet {
             st.shutdown = true;
             self.shared.cv.notify_all();
             let fps: Vec<_> = st.tenants.keys().copied().collect();
-            fps.iter().filter_map(|fp| st.tenants.remove(fp)).collect()
+            fps.into_iter().filter_map(|fp| self.shared.take(&mut st, fp)).collect()
         };
-        for mut e in entries {
-            let _ = e.tx.send(TenantMsg::Stop);
-            if let Some(j) = e.join.take() {
-                let _ = j.join();
-            }
-            let mut st = self.shared.lock();
-            st.cache_bytes = st.cache_bytes.saturating_sub(e.bytes);
+        for e in entries {
+            e.stop();
         }
     }
 }
@@ -1162,12 +1113,13 @@ impl Drop for EngineFleet {
     }
 }
 
-/// The bulkhead: one tenant's whole life on its own OS thread — build
+/// The bulkhead: one tenant's whole life on one OS thread — build
 /// (with retries, deadline and quarantine), recharge the byte
-/// reservation, then run a supervised [`SolverService`] over the
-/// tenant's queue until stopped. Every exit path closes the queue, so
-/// whatever clients enqueued resolves with a typed error; a panic here
-/// is caught and contained.
+/// reservation and publish the engine, then dispatch the tenant's
+/// queue on this same thread, supervised, until the queue is shut
+/// down. Every exit path closes the queue, so whatever clients
+/// enqueued resolves with a typed error; a panic here is caught and
+/// contained.
 fn tenant_main(
     fp: FactorFingerprint,
     matrix: Arc<CscMatrix>,
@@ -1175,31 +1127,29 @@ fn tenant_main(
     resources: Arc<EngineResources>,
     gauge: Arc<TenantGauge>,
     queue: Arc<ServiceQueue>,
-    rx: Receiver<TenantMsg>,
 ) {
-    if let Err(why) = serve_tenant(fp, &matrix, &shared, resources, &gauge, &queue, &rx) {
+    if let Err(why) = serve_tenant(fp, matrix, &shared, resources, &queue) {
         // first writer wins: a queue closes for exactly one reason
         let _ = gauge.terminal.set(why);
     }
     queue.close();
 }
 
-/// [`tenant_main`]'s body. `Ok` is a Stop-driven exit (the service
-/// drained its queue on the way out); `Err` is why the tenant is going
-/// away with requests possibly still queued — the entry is already
-/// removed and its bytes released when it returns.
+/// [`tenant_main`]'s body. `Ok` is a shutdown-driven exit (the
+/// dispatcher drained the queue on the way out, and whoever shut it
+/// removed the entry); `Err` is why the tenant is going away with
+/// requests possibly still queued — the entry is already removed and
+/// its bytes released when it returns.
 fn serve_tenant(
     fp: FactorFingerprint,
-    matrix: &CscMatrix,
+    matrix: Arc<CscMatrix>,
     shared: &FleetShared,
     resources: Arc<EngineResources>,
-    gauge: &TenantGauge,
     queue: &Arc<ServiceQueue>,
-    rx: &Receiver<TenantMsg>,
 ) -> Result<(), FleetError> {
     let cfg = &shared.cfg;
     if !shared.acquire_build_permit() {
-        shared.remove_and_release(fp);
+        shared.take(&mut shared.lock(), fp);
         return Err(FleetError::ShuttingDown);
     }
     let deadline = Instant::now() + cfg.build_deadline;
@@ -1212,8 +1162,8 @@ fn serve_tenant(
         attempts += 1;
         let built = catch_unwind(AssertUnwindSafe(|| {
             fault::fire_panic(FaultSite::EngineBuild);
-            SolverEngine::build_shared(
-                matrix,
+            SolverEngine::build_owned(
+                Arc::clone(&matrix),
                 cfg.machine.clone(),
                 &cfg.solve,
                 Arc::clone(&resources),
@@ -1221,7 +1171,7 @@ fn serve_tenant(
         }));
         match built {
             Ok(Ok(e)) if Instant::now() <= deadline => {
-                engine = Some(e);
+                engine = Some(Arc::new(e));
                 break;
             }
             Ok(Ok(_)) => break,  // built, but past the deadline: too slow, fail
@@ -1247,56 +1197,21 @@ fn serve_tenant(
         shared.quarantine_and_remove(fp);
         return Err(FleetError::BuildFailed { attempts });
     };
-    let actual = matrix_host_bytes(matrix) + engine.footprint_bytes();
-    shared.recharge(fp, actual)?;
+    shared.recharge(fp, &engine, charged_bytes(&engine, &matrix), true)?;
     shared.counters.builds_ok.fetch_add(1, Ordering::Relaxed);
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        SolverService::run_on(ServiceEngine::Solver(&engine), Arc::clone(queue), true, |svc| {
-            control_loop(rx, svc, &engine, gauge)
-        })
+        SolverService::dispatch_on_caller(ServiceEngine::Solver(&engine), Arc::clone(queue))
     }));
-    match ran {
-        // normal Stop-driven exit: whoever sent Stop (evictor or
-        // shutdown) already removed the entry and released bytes
-        Ok(Ok(((), _report))) => Ok(()),
-        Ok(Err(e)) => {
-            shared.remove_and_release(fp);
-            Err(FleetError::Serve(e))
-        }
-        Err(_panic) => {
-            // the dispatcher exhausted its restart budget and aborted;
-            // the blast radius ends at this bulkhead
-            shared.counters.tenant_aborts.fetch_add(1, Ordering::Relaxed);
-            shared.quarantine_and_remove(fp);
-            Err(FleetError::Serve(ServeError::Retryable {
-                reason: "tenant dispatcher aborted after exhausting its restart budget",
-            }))
-        }
+    if ran.is_err() {
+        // the dispatcher exhausted its restart budget and aborted;
+        // the blast radius ends at this bulkhead
+        shared.counters.tenant_aborts.fetch_add(1, Ordering::Relaxed);
+        shared.quarantine_and_remove(fp);
+        return Err(FleetError::Serve(ServeError::Retryable {
+            reason: "tenant dispatcher aborted after exhausting its restart budget",
+        }));
     }
-}
-
-/// What is left of the tenant thread once its service runs: value
-/// refreshes (they need the engine, which lives on this stack) and
-/// Stop. Requests never pass through here. Returns on Stop — sent by
-/// an evictor, by shutdown, or by the queue's abort hook, in which
-/// case returning lets `run_on` re-raise the dispatcher's panic into
-/// [`serve_tenant`]'s containment.
-fn control_loop(
-    rx: &Receiver<TenantMsg>,
-    svc: &SolverService<'_, '_>,
-    engine: &SolverEngine<'_>,
-    gauge: &TenantGauge,
-) {
-    while let Ok(TenantMsg::Refresh(m2, reply)) = rx.recv() {
-        let r = svc
-            .refresh_solver(&m2)
-            .map(|rep| {
-                gauge.value_epoch.store(rep.value_epoch, Ordering::Release);
-                (rep, matrix_host_bytes(&m2) + engine.footprint_bytes())
-            })
-            .map_err(FleetError::Serve);
-        let _ = reply.send(r);
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1319,7 +1234,7 @@ mod tests {
             let e = &st.tenants[&fp];
             (Arc::clone(&e.queue), Arc::clone(&e.gauge))
         };
-        fleet.shutdown(); // stops the tenant exactly like an eviction: Stop + join
+        fleet.shutdown(); // stops the tenant exactly like an eviction: queue shutdown + join
         let refused = queue.submit(&b, None).map(drop).map_err(|e| gauge.lift(e));
         assert_eq!(refused, Err(FleetError::ShuttingDown));
         assert_eq!(gauge.inflight_requests.load(Ordering::Acquire), 0);

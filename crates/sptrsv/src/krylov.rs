@@ -56,7 +56,9 @@
 //! baseline) and once on a warm [`PreconditionerEngine`] — and records
 //! the speedup of amortizing the analysis across the iteration loop.
 
-use crate::engine::{EngineResources, Epoch, RecyclePool, RefreshReport, SolverEngine};
+use crate::engine::{
+    check_refresh, EngineResources, Epoch, RecyclePool, RefreshReport, SolverEngine,
+};
 use crate::exec::ReplayWorkspace;
 use crate::fault::{self, FaultSite};
 use crate::solver::{SolveError, SolveOptions};
@@ -218,8 +220,8 @@ impl<'m> PreconditionerEngine<'m> {
     /// application finishes on the pair it pinned; the refresh never
     /// waits for it.
     pub fn refresh(&self, f: &LuFactors) -> Result<(RefreshReport, RefreshReport), SolveError> {
-        let l_audit = self.fwd.validate_refresh(&f.l)?;
-        let u_audit = self.bwd.validate_refresh(&f.u)?;
+        let l_audit = check_refresh(self.fwd.matrix(), &f.l)?;
+        let u_audit = check_refresh(self.bwd.matrix(), &f.u)?;
         // one probe for the whole pair, after validation and before
         // any gather: an injected mid-refresh crash leaves both sides
         // serving the old epoch

@@ -33,7 +33,8 @@
 //! are woken. A request therefore crosses exactly two thread
 //! hand-offs — submitter → dispatcher, dispatcher → waiter — and the
 //! multi-tenant [`crate::fleet`] adds none: it enqueues into the same
-//! queue, which it creates before the engine exists.
+//! queue, which it creates before the engine exists, and each tenant's
+//! own thread becomes that queue's dispatcher once its engine is built.
 //!
 //! Because the panel kernels never mix lanes, **every result is
 //! bit-identical to a serial [`SolverEngine::solve`] of the same
@@ -705,16 +706,15 @@ struct QueueState {
 /// What a [`ServiceQueue`]'s owner is told about the requests it
 /// accepted — the fleet hangs its per-tenant accounting here, so a
 /// request is counted where it completes, not where it is collected.
+/// A dispatcher that gives up for good needs no hook: it fails what is
+/// queued and resumes its panic on the thread that runs it, which for
+/// a fleet tenant is the tenant's own.
 pub(crate) trait QueueObserver: Send + Sync + std::fmt::Debug {
     /// Fired exactly once per accepted request, on whichever path
     /// completes it (panel, restart recovery, abort, close), *before*
     /// its ticket is woken — a client that has seen its result has
     /// also seen the accounting.
     fn completed(&self, ok: bool);
-    /// The dispatcher gave up for good (restart budget exhausted, or
-    /// an unsupervised panic): the queue is shut and everything queued
-    /// has been failed. Lets an owner blocked elsewhere tear down.
-    fn aborted(&self);
 }
 
 /// The service's queue: FIFO + free list behind one mutex, the condvar
@@ -908,6 +908,37 @@ impl ServiceQueue {
     /// calls it on every tenant exit path.
     pub(crate) fn close(&self) {
         self.fail_pending(&ServeError::ShuttingDown);
+    }
+
+    /// See [`SolverService::shutdown`]: how the fleet stops a tenant.
+    pub(crate) fn shutdown(&self) {
+        self.lock().shutdown = true;
+        self.dispatch_cv.notify_one();
+    }
+
+    /// Run one value refresh beside the traffic, map the outcome to the
+    /// service error surface and bump the matching counter. A panic
+    /// payload is dropped, not resumed: the engine's refresh probe
+    /// fires before anything is published, so the old epoch is intact
+    /// and the failure is typed [`ServeError::Retryable`]. Any thread
+    /// may call it — the fleet refreshes on the refresher's own.
+    pub(crate) fn run_refresh<T>(
+        &self,
+        refresh: impl FnOnce() -> Result<T, SolveError>,
+    ) -> Result<T, ServeError> {
+        let out = match catch_unwind(AssertUnwindSafe(refresh)) {
+            Ok(Ok(v)) => Ok(v),
+            Ok(Err(e)) => Err(ServeError::Solve(e)),
+            Err(_) => Err(ServeError::Retryable {
+                reason: "value refresh interrupted before commit; the old epoch is intact",
+            }),
+        };
+        let mut q = self.lock();
+        match &out {
+            Ok(_) => q.stats.value_refreshes += 1,
+            Err(_) => q.stats.refresh_failures += 1,
+        }
+        out
     }
 
     /// See [`SolverService::health`].
@@ -1123,7 +1154,8 @@ impl DispatchState {
 /// Constructed only through [`SolverService::run`] (or the
 /// [`serve_solver`] / [`serve_preconditioner`] conveniences), which
 /// scopes the dispatcher thread to the engine's lifetime — the reason
-/// this subsystem contains no `unsafe`.
+/// this subsystem contains no `unsafe`. A fleet tenant needs no second
+/// thread: it dispatches on its own, over an engine it holds.
 #[derive(Debug)]
 pub struct SolverService<'e, 'm> {
     engine: ServiceEngine<'e, 'm>,
@@ -1136,21 +1168,20 @@ pub struct SolverService<'e, 'm> {
 impl<'e, 'm> SolverService<'e, 'm> {
     /// Run a service over `engine` for the duration of `body`.
     ///
-    /// Starts the dispatcher, calls `body` with the service handle
-    /// (share it across client threads with `std::thread::scope` —
-    /// the service is `Sync`), then shuts down: queued work is
-    /// drained or rejected per [`ServiceConfig::drain_on_shutdown`],
-    /// the dispatcher is joined, and the closure's result is returned
-    /// together with the final [`ServiceReport`]. A panic in `body`
-    /// still shuts the dispatcher down cleanly before resuming the
-    /// panic.
+    /// Starts the dispatcher on a scoped thread of its own, calls
+    /// `body` with the service handle (share it across client threads
+    /// with `std::thread::scope` — the service is `Sync`), then shuts
+    /// down: queued work is drained or rejected per
+    /// [`ServiceConfig::drain_on_shutdown`], the dispatcher is joined,
+    /// and the closure's result is returned together with the final
+    /// [`ServiceReport`]. A panic in `body` still shuts the dispatcher
+    /// down cleanly before resuming the panic.
     pub fn run<R>(
         engine: ServiceEngine<'e, 'm>,
         config: &ServiceConfig,
         body: impl FnOnce(&SolverService<'e, 'm>) -> R,
     ) -> Result<(R, ServiceReport), ServeError> {
-        let queue = ServiceQueue::new(engine.n(), config, None)?;
-        SolverService::run_on(engine, queue, false, body)
+        SolverService::run_on(engine, config, false, body)
     }
 
     /// [`SolverService::run`] under supervision: a dispatcher panic no
@@ -1169,26 +1200,16 @@ impl<'e, 'm> SolverService<'e, 'm> {
         config: &ServiceConfig,
         body: impl FnOnce(&SolverService<'e, 'm>) -> R,
     ) -> Result<(R, ServiceReport), ServeError> {
-        let queue = ServiceQueue::new(engine.n(), config, None)?;
-        SolverService::run_on(engine, queue, true, body)
+        SolverService::run_on(engine, config, true, body)
     }
 
-    /// Run a service over a `queue` that already exists — and may
-    /// already hold requests, which the dispatcher serves first, in
-    /// submit order. How the fleet serves what clients enqueued while
-    /// the engine was still building. The queue is shut when this
-    /// returns; it cannot be served twice.
-    pub(crate) fn run_on<R>(
+    fn run_on<R>(
         engine: ServiceEngine<'e, 'm>,
-        queue: Arc<ServiceQueue>,
+        config: &ServiceConfig,
         supervised: bool,
         body: impl FnOnce(&SolverService<'e, 'm>) -> R,
     ) -> Result<(R, ServiceReport), ServeError> {
-        if queue.n != engine.n() {
-            return Err(ServeError::InvalidConfig {
-                what: "the queue was sized for a different dimension than the engine's",
-            });
-        }
+        let queue = ServiceQueue::new(engine.n(), config, None)?;
         let shortfall_base = engine.resources().spawn_shortfalls();
         let svc = SolverService { engine, queue, shortfall_base };
         std::thread::scope(|s| {
@@ -1212,6 +1233,18 @@ impl<'e, 'm> SolverService<'e, 'm> {
             // report must count it
             Ok((r, svc.stats()))
         })
+    }
+
+    /// Serve a `queue` that already exists — and may already hold
+    /// requests, which are served first, in submit order — on the
+    /// calling thread, supervised, until the queue is shut down and
+    /// drained. How a fleet tenant serves what clients enqueued while
+    /// its engine was still building; the queue must have been sized
+    /// for `engine`. A dispatcher that runs out of restarts fails what
+    /// is queued and resumes its panic here.
+    pub(crate) fn dispatch_on_caller(engine: ServiceEngine<'e, 'm>, queue: Arc<ServiceQueue>) {
+        // no report is read through this handle, so no shortfall base
+        SolverService { engine, queue, shortfall_base: 0 }.dispatcher_loop(true);
     }
 
     /// The dimension every submitted right-hand side must have.
@@ -1277,8 +1310,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
     /// rejected per the config. Idempotent; called automatically when
     /// the [`SolverService::run`] closure returns.
     pub fn shutdown(&self) {
-        self.queue.lock().shutdown = true;
-        self.queue.dispatch_cv.notify_one();
+        self.queue.shutdown();
     }
 
     /// Requests currently queued (excludes in-flight panels).
@@ -1334,7 +1366,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
                        use refresh_preconditioner",
             });
         };
-        self.run_refresh(|| e.refresh_values(m2))
+        self.queue.run_refresh(|| e.refresh_values(m2))
     }
 
     /// [`SolverService::refresh_solver`] for a preconditioner-backed
@@ -1357,31 +1389,7 @@ impl<'e, 'm> SolverService<'e, 'm> {
                        use refresh_solver",
             });
         };
-        self.run_refresh(|| p.refresh(f))
-    }
-
-    /// Run one refresh beside the traffic, map the outcome to the
-    /// service error surface and bump the matching counter. A panic
-    /// payload is dropped, not resumed: the engine's refresh probe
-    /// fires before anything is published, so the old epoch is intact
-    /// and the failure is typed [`ServeError::Retryable`].
-    fn run_refresh<T>(
-        &self,
-        refresh: impl FnOnce() -> Result<T, SolveError>,
-    ) -> Result<T, ServeError> {
-        let out = match catch_unwind(AssertUnwindSafe(refresh)) {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(e)) => Err(ServeError::Solve(e)),
-            Err(_) => Err(ServeError::Retryable {
-                reason: "value refresh interrupted before commit; the old epoch is intact",
-            }),
-        };
-        let mut q = self.queue.lock();
-        match &out {
-            Ok(_) => q.stats.value_refreshes += 1,
-            Err(_) => q.stats.refresh_failures += 1,
-        }
-        out
+        self.queue.run_refresh(|| p.refresh(f))
     }
 
     // ---- dispatcher -------------------------------------------------
@@ -1426,9 +1434,6 @@ impl<'e, 'm> SolverService<'e, 'm> {
             self.queue.fail_pending(&ServeError::Retryable {
                 reason: "service aborted after repeated dispatcher panics",
             });
-            if let Some(o) = &self.queue.observer {
-                o.aborted();
-            }
             resume_unwind(payload);
         }
     }

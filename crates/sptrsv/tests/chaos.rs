@@ -982,8 +982,8 @@ fn value_refresh_fault_is_typed_and_never_tears() {
 }
 
 /// The same fault through the fleet: a live tenant's value refresh
-/// rides the mailbox onto its bulkhead thread, the injected panic
-/// comes back as a typed `Serve(Retryable)`, the tenant keeps serving
+/// runs on the refresher's thread, the injected panic comes back as a
+/// typed `Serve(Retryable)`, the tenant keeps serving
 /// the old epoch bit-identically, and the post-budget retry swaps the
 /// values in place without a rebuild.
 #[test]
@@ -1033,5 +1033,48 @@ fn fleet_value_refresh_fault_leaves_tenant_serving_old_epoch() {
             assert_eq!(report.builds_ok, 1, "a refresh must never trigger a rebuild");
         });
         assert_eq!(plan.fired(FaultSite::ValueRefresh), 1);
+    });
+}
+
+/// A refresh that lands mid-build waits for the build and commits to
+/// the engine it produced. Deterministic: the first build attempt
+/// panics (seeded `EngineBuild`, budget 1), and the retry sleeps at
+/// least half of a 50 ms backoff, so the refresh issued right after
+/// the cold submit always finds the tenant building.
+#[test]
+fn fleet_refresh_issued_mid_build_lands_on_the_built_engine() {
+    let _g = chaos_guard();
+    let cfg = FleetConfig { build_backoff: Duration::from_millis(50), ..fleet_cfg() };
+    let ms = fleet_tenants(1);
+    let m2 = {
+        let mut t = (*ms[0]).clone();
+        for (i, v) in t.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + ((i % 3) as f64) * 0.004;
+        }
+        Arc::new(t)
+    };
+    let plan = Arc::new(
+        FaultPlan::new(0xB17D)
+            .with_rate(FaultSite::EngineBuild, 1.0)
+            .with_budget(FaultSite::EngineBuild, 1),
+    );
+    let (_, b) = verify::rhs_for(&ms[0], 13);
+    let (old, new) = (serial_x(&ms[0], &cfg, &b), serial_x(&m2, &cfg, &b));
+    with_watchdog(120, || {
+        let fleet = EngineFleet::new(cfg.clone()).unwrap();
+        let fp = fleet.register(Arc::clone(&ms[0]));
+        fault::with_plan(&plan, || {
+            let cold = fleet.submit(fp, &b).unwrap();
+            assert_eq!(fleet.health(), vec![(fp, TenantHealth::Building)]);
+            let rep = fleet.refresh_tenant(fp, Arc::clone(&m2)).unwrap();
+            assert_eq!(rep.value_epoch, 1);
+            let x = cold.wait().unwrap();
+            assert!(x == old || x == new, "the cold request rides exactly one epoch");
+            assert_eq!(fleet.submit(fp, &b).unwrap().wait().unwrap(), new);
+            let r = fleet.report();
+            assert_eq!((r.builds_ok, r.build_retries, r.value_refreshes), (1, 1, 1));
+            assert_eq!(fleet.tenant_report(fp).unwrap().value_refreshes, 1);
+        });
+        assert_eq!(plan.fired(FaultSite::EngineBuild), 1);
     });
 }

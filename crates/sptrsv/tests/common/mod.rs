@@ -36,11 +36,16 @@ pub fn with_watchdog<R>(secs: u64, f: impl FnOnce() -> R) -> R {
 /// must evict. The estimate mirrors the fleet's admission formula; the
 /// actual is the real post-recharge charge.
 pub fn one_engine_budget(m: &CscMatrix, cfg: &FleetConfig) -> u64 {
-    let host = ((m.n() + 1) * std::mem::size_of::<usize>()
-        + m.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>()))
-        as u64;
+    let host = matrix_bytes(m);
     let estimate = host * 4 + m.n() as u64 * 8 * (3 * 8 + 2);
     let probe = SolverEngine::build(m, cfg.machine.clone(), &cfg.solve).unwrap();
     let actual = host + probe.footprint_bytes();
     estimate.max(actual) + estimate.min(actual) / 2
+}
+
+/// Host bytes the fleet charges for one matrix it keeps alive: column
+/// pointers, row indices and values.
+pub fn matrix_bytes(m: &CscMatrix) -> u64 {
+    ((m.n() + 1) * std::mem::size_of::<usize>()
+        + m.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())) as u64
 }

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{one_engine_budget, with_watchdog};
+use common::{matrix_bytes, one_engine_budget, with_watchdog};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -314,6 +314,52 @@ fn refresh_tenant_live_swaps_values_without_a_rebuild() {
     assert!(r.cache_bytes <= r.cache_budget_bytes);
 }
 
+/// A refreshed live tenant keeps two matrices alive — the one its
+/// engine was built over and the stored factor that replaced it — and
+/// the cache charges both, plus the engine with its spare epoch.
+#[test]
+fn refresh_tenant_charges_both_live_matrices() {
+    let cfg = fleet_config();
+    let fleet = EngineFleet::new(cfg.clone()).unwrap();
+    let m = tenant_matrix(82);
+    let m2 = perturbed(&m);
+    let fp = fleet.register(Arc::clone(&m));
+    let (_, b) = verify::rhs_for(&m, 6);
+    fleet.submit(fp, &b).unwrap().wait().unwrap();
+    fleet.refresh_tenant(fp, Arc::clone(&m2)).unwrap();
+
+    let side = SolverEngine::build(&m, cfg.machine.clone(), &cfg.solve).unwrap();
+    side.refresh_values(&m2).unwrap();
+    let r = fleet.report();
+    assert_eq!(r.cache_bytes, matrix_bytes(&m) + matrix_bytes(&m2) + side.footprint_bytes());
+    assert!(r.cache_bytes <= r.cache_budget_bytes);
+}
+
+/// A refresh issued while the tenant is still building waits for the
+/// build and lands on the engine it produced: no second build, and the
+/// next request serves the new values.
+#[test]
+fn refresh_tenant_right_after_a_cold_submit_lands_on_the_built_engine() {
+    let cfg = fleet_config();
+    let fleet = EngineFleet::new(cfg.clone()).unwrap();
+    let m = tenant_matrix(84);
+    let m2 = perturbed(&m);
+    let fp = fleet.register(Arc::clone(&m));
+    let (_, b) = verify::rhs_for(&m, 5);
+    let (old, new) = (serial_solution(&m, &cfg, &b), serial_solution(&m2, &cfg, &b));
+    with_watchdog(60, || {
+        let cold = fleet.submit(fp, &b).unwrap();
+        let report = fleet.refresh_tenant(fp, Arc::clone(&m2)).unwrap();
+        assert_eq!(report.value_epoch, 1);
+        assert_eq!(fleet.tenant_value_epoch(fp), Some(1));
+        let x = cold.wait().unwrap();
+        assert!(x == old || x == new, "the cold request rides exactly one epoch");
+        assert_eq!(fleet.submit(fp, &b).unwrap().wait().unwrap(), new);
+    });
+    let r = fleet.report();
+    assert_eq!((r.builds_started, r.builds_ok, r.value_refreshes), (1, 1, 1));
+}
+
 /// Refresh rejections are typed and harmless: unknown fingerprints,
 /// structure drift and poisoned values all leave the tenant serving
 /// the old epoch bit-identically.
@@ -411,10 +457,10 @@ fn value_epochs_are_distinct_tenants() {
 /// each to a tenant whose service only flushes a *full* panel (eight
 /// lanes, a 300 s linger). Enqueued directly, all eight meet in the
 /// tenant's queue — whether they arrive while the engine builds or
-/// after — and leave in a single `Full` flush of fill 8. Behind the old
-/// per-tenant relay the first request was submitted alone and awaited
-/// before the mailbox was read again, so nothing moved until the
-/// linger expired (the watchdog's job here).
+/// after — and leave in a single `Full` flush of fill 8. A relay that
+/// forwarded each request and awaited it before taking the next would
+/// send the first one alone, and nothing would move until the linger
+/// expired (the watchdog's job here).
 #[test]
 fn eight_submitters_meet_in_one_full_panel() {
     let mut cfg = fleet_config();

@@ -9,9 +9,10 @@
 
 use mgpu_sim::MachineConfig;
 use sparsemat::corpus;
+use sptrsv::fleet::{EngineFleet, FleetConfig};
 use sptrsv::telemetry::{self, Kind, Site, RING_CAPACITY};
 use sptrsv::{verify, SolveOptions, SolveWorkspace, SolverEngine, SolverKind};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Serializes armed-telemetry tests; each test resets the sink while
 /// holding this and disarms it before releasing.
@@ -157,4 +158,39 @@ fn tracing_does_not_change_results() {
     engine.solve_into(&b, &mut dark, &mut ws).unwrap();
     assert_eq!(telemetry::snapshot().total_events, 0, "disarmed probes record nothing");
     assert_eq!(telemetry::report(), sptrsv::TelemetryReport::default());
+}
+
+/// A fleet tenant is one thread: its `fleet.build` span and every
+/// `serve.panel` span it dispatches carry one tid, and a live value
+/// refresh runs on the caller's thread, not the tenant's.
+#[test]
+fn a_tenant_is_one_thread_and_a_refresh_runs_on_its_caller() {
+    let _g = SINK.lock().unwrap_or_else(PoisonError::into_inner);
+    let m = Arc::new(corpus::deep_narrow_entry().matrix);
+    let mut m2 = (*m).clone();
+    for v in m2.values_mut() {
+        *v *= 1.5;
+    }
+    let fleet = EngineFleet::new(FleetConfig::default()).unwrap();
+    let fp = fleet.register(Arc::clone(&m));
+    let (_, b) = verify::rhs_for(&m, 3);
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    for _ in 0..3 {
+        fleet.submit(fp, &b).unwrap().wait().unwrap();
+    }
+    fleet.refresh_tenant(fp, Arc::new(m2)).unwrap();
+    let snap = telemetry::snapshot();
+    telemetry::set_enabled(false);
+
+    let build = enters(&snap, Site::FleetBuild);
+    assert_eq!(build.len(), 1, "one admission, one fleet.build span");
+    let tenant = build[0].tid;
+    let panels = enters(&snap, Site::ServePanel);
+    assert_eq!(panels.len(), 3, "one panel per lone request");
+    assert!(panels.iter().all(|e| e.tid == tenant), "the tenant's thread dispatches its panels");
+    let refresh = enters(&snap, Site::ValueRefresh);
+    assert_eq!(refresh.len(), 1);
+    assert_eq!(refresh[0].tid, telemetry::current_tid(), "a refresh runs on its caller");
+    assert_ne!(tenant, telemetry::current_tid());
 }
