@@ -100,18 +100,6 @@ fn bench_reference_solver() {
     });
 }
 
-fn bench_cpu_parallel() {
-    let m = gen::level_structured(&LevelSpec::new(50_000, 40, 250_000, 17));
-    let (_, b_rhs) = sptrsv::verify::rhs_for(&m, 3);
-    let mut g = Group::new("cpu_levelset_solver");
-    for threads in [1usize, 2, 4, 8] {
-        g.bench(&format!("threads_{threads}"), 10, || {
-            sptrsv::cpu::solve_parallel(black_box(&m), black_box(&b_rhs), Triangle::Lower, threads)
-                .unwrap()
-        });
-    }
-}
-
 /// The calibration simulation's own cost on the heavy factor (100k
 /// rows, 200 levels, 400k nnz): the simulator's analysis, and one
 /// event-loop run of `ZeroCopy { per_gpu: 8 }` on a 4-GPU DGX-1 with a
@@ -147,6 +135,5 @@ fn main() {
     bench_generator();
     bench_analysis();
     bench_reference_solver();
-    bench_cpu_parallel();
     bench_sim_calibration();
 }

@@ -180,35 +180,33 @@ impl CscMatrix {
 
     /// Verify this matrix is a valid *solvable* triangular factor:
     /// correct triangle, full nonzero diagonal.
+    ///
+    /// O(n): rows ascend strictly within a column, so its first (lower)
+    /// or last (upper) row is the only one that can lie on the wrong
+    /// side of the diagonal, and the only place the diagonal can sit.
     pub fn validate_triangular(&self, tri: Triangle) -> Result<(), MatrixError> {
         for j in 0..self.n {
             let (lo, hi) = (self.col_ptr[j], self.col_ptr[j + 1]);
             if lo == hi {
                 return Err(MatrixError::MissingDiagonal(j));
             }
-            // Diagonal is first (lower) or last (upper) thanks to sorting.
-            let diag_pos = match tri {
+            let pos = match tri {
                 Triangle::Lower => lo,
                 Triangle::Upper => hi - 1,
             };
-            if self.row_idx[diag_pos] as usize != j {
+            let row = self.row_idx[pos] as usize;
+            let wrong_side = match tri {
+                Triangle::Lower => row < j,
+                Triangle::Upper => row > j,
+            };
+            if wrong_side {
+                return Err(MatrixError::NotTriangular { expected: tri.name(), row, col: j });
+            }
+            if row != j {
                 return Err(MatrixError::MissingDiagonal(j));
             }
-            if self.values[diag_pos] == 0.0 {
+            if self.values[pos] == 0.0 {
                 return Err(MatrixError::ZeroDiagonal(j));
-            }
-            for &r in &self.row_idx[lo..hi] {
-                let bad = match tri {
-                    Triangle::Lower => (r as usize) < j,
-                    Triangle::Upper => (r as usize) > j,
-                };
-                if bad {
-                    return Err(MatrixError::NotTriangular {
-                        expected: tri.name(),
-                        row: r as usize,
-                        col: j,
-                    });
-                }
             }
         }
         Ok(())
@@ -451,6 +449,22 @@ mod tests {
         assert!(matches!(
             m.validate_triangular(Triangle::Lower),
             Err(MatrixError::MissingDiagonal(0))
+        ));
+    }
+
+    #[test]
+    fn triangular_validation_reports_the_wrong_triangle() {
+        // entries (0,0), (0,1), (1,1): upper, so wrong for `L` at (0,1)
+        let u = CscMatrix::try_new(2, vec![0, 1, 3], vec![0, 0, 1], vec![2.0, 1.0, 3.0]).unwrap();
+        assert!(matches!(
+            u.validate_triangular(Triangle::Lower),
+            Err(MatrixError::NotTriangular { expected: "lower", row: 0, col: 1 })
+        ));
+        // its transpose, (0,0), (1,0), (1,1), is wrong for `U` at (1,0)
+        let l = u.transpose();
+        assert!(matches!(
+            l.validate_triangular(Triangle::Upper),
+            Err(MatrixError::NotTriangular { expected: "upper", row: 1, col: 0 })
         ));
     }
 

@@ -13,15 +13,13 @@
 //! site, one draw per probe), so a failing chaos seed replays its
 //! exact fault schedule on every rerun.
 //!
-//! ## Zero overhead when disabled
+//! ## One relaxed load when disarmed
 //!
-//! Without the `fault-inject` cargo feature every probe compiles to a
-//! constant `false` and [`with_plan`] is a plain call of its closure —
-//! the serving hot path carries no atomic loads, no branches, no
-//! allocations (the counting-allocator test in
-//! `crates/sptrsv/tests/alloc_free.rs` covers the instrumented paths).
-//! With the feature enabled but no plan installed, a probe is one
-//! relaxed atomic load of a cold flag.
+//! The probes are always compiled in. With no plan installed, a probe
+//! is one relaxed load of a cold [`AtomicBool`] — the same price as a
+//! disarmed telemetry probe — and touches no lock and no heap (the
+//! counting-allocator test in `crates/sptrsv/tests/alloc_free.rs`
+//! covers the instrumented paths).
 //!
 //! ## Hermetic installation
 //!
@@ -38,7 +36,9 @@
 //! it; a test that forgets gets an immediate loud failure rather than
 //! a flaky cross-contaminated fault schedule.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// An instrumented failure point in the pool / engine / serve stack.
 ///
@@ -144,8 +144,8 @@ pub struct FaultPlan {
     seed: u64,
     rate_ppm: [u32; SITE_COUNT],
     budget: [u64; SITE_COUNT],
-    probed: [std::sync::atomic::AtomicU64; SITE_COUNT],
-    fired: [std::sync::atomic::AtomicU64; SITE_COUNT],
+    probed: [AtomicU64; SITE_COUNT],
+    fired: [AtomicU64; SITE_COUNT],
 }
 
 impl FaultPlan {
@@ -172,22 +172,18 @@ impl FaultPlan {
 
     /// How many times `site` was probed so far.
     pub fn probes(&self, site: FaultSite) -> u64 {
-        self.probed[site as usize].load(std::sync::atomic::Ordering::Relaxed)
+        self.probed[site as usize].load(Ordering::Relaxed)
     }
 
     /// How many times `site` actually fired so far — the number the
     /// service report's fault counters reconcile against.
     pub fn fired(&self, site: FaultSite) -> u64 {
-        self.fired[site as usize].load(std::sync::atomic::Ordering::Relaxed)
+        self.fired[site as usize].load(Ordering::Relaxed)
     }
 
     /// One probe of `site`: count it, draw the deterministic decision,
     /// enforce the budget.
-    // without the feature nothing probes plans, but the decision logic
-    // stays compiled (and unit-tested) in every configuration
-    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
     fn should_fire(&self, site: FaultSite) -> bool {
-        use std::sync::atomic::Ordering;
         let i = site as usize;
         let rate = self.rate_ppm[i];
         if rate == 0 {
@@ -231,93 +227,71 @@ const SITE_SALT: [u64; SITE_COUNT] = [
     0xB492_B66F_BE98_F273,
 ];
 
-#[cfg(feature = "fault-inject")]
-mod armed {
-    use super::{FaultPlan, FaultSite};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, PoisonError, RwLock};
+/// The installed plan. Process-global: the dispatcher and pool
+/// workers are separate threads and must observe it.
+static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
+/// Cold fast-path flag so an unarmed probe is one relaxed load.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-    /// The installed plan. Process-global: the dispatcher and pool
-    /// workers are separate threads and must observe it.
-    static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
-    /// Cold fast-path flag so an unarmed probe is one relaxed load.
-    static ENABLED: AtomicBool = AtomicBool::new(false);
+fn install(plan: Option<Arc<FaultPlan>>) -> Option<Arc<FaultPlan>> {
+    let mut g = PLAN.write().unwrap_or_else(PoisonError::into_inner);
+    let prev = std::mem::replace(&mut *g, plan);
+    ENABLED.store(g.is_some(), Ordering::Release);
+    prev
+}
 
-    pub(super) fn install(plan: Option<Arc<FaultPlan>>) -> Option<Arc<FaultPlan>> {
-        let mut g = PLAN.write().unwrap_or_else(PoisonError::into_inner);
-        let prev = std::mem::replace(&mut *g, plan);
-        ENABLED.store(g.is_some(), Ordering::Release);
-        prev
-    }
+/// Threads whose outermost `with_plan` scope is currently open.
+/// The plan is process-global, so this may legitimately be 0 or 1
+/// — a second thread trying to open a scope is a test bug.
+static OUTERMOST_SCOPES: AtomicU32 = AtomicU32::new(0);
 
-    /// Threads whose outermost `with_plan` scope is currently open.
-    /// The plan is process-global, so this may legitimately be 0 or 1
-    /// — a second thread trying to open a scope is a test bug.
-    static OUTERMOST_SCOPES: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+std::thread_local! {
+    /// This thread's `with_plan` nesting depth.
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
+}
 
-    std::thread_local! {
-        /// This thread's `with_plan` nesting depth.
-        static DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-    }
+/// RAII token for one `with_plan` scope: tracks per-thread nesting
+/// depth and rejects concurrent outermost scopes across threads.
+struct Scope {
+    outermost: bool,
+}
 
-    /// RAII token for one `with_plan` scope: tracks per-thread nesting
-    /// depth and rejects concurrent outermost scopes across threads.
-    pub(super) struct Scope {
-        outermost: bool,
-    }
-
-    impl Scope {
-        pub(super) fn enter() -> Scope {
-            let depth = DEPTH.with(|d| {
-                let v = d.get();
-                d.set(v + 1);
-                v
-            });
-            if depth > 0 {
-                // nested on this thread: legal LIFO shadowing
-                return Scope { outermost: false };
-            }
-            if OUTERMOST_SCOPES.fetch_add(1, Ordering::AcqRel) != 0 {
-                OUTERMOST_SCOPES.fetch_sub(1, Ordering::AcqRel);
-                DEPTH.with(|d| d.set(d.get() - 1));
-                panic!(
-                    "fault::with_plan: a fault-plan scope is already active on another \
-                     thread; plans are process-global, so concurrent scopes would \
-                     clobber each other's schedules — serialize chaos scopes on a mutex"
-                );
-            }
-            Scope { outermost: true }
+impl Scope {
+    fn enter() -> Scope {
+        let depth = DEPTH.with(|d| {
+            let v = d.get();
+            d.set(v + 1);
+            v
+        });
+        if depth > 0 {
+            // nested on this thread: legal LIFO shadowing
+            return Scope { outermost: false };
         }
-    }
-
-    impl Drop for Scope {
-        fn drop(&mut self) {
+        if OUTERMOST_SCOPES.fetch_add(1, Ordering::AcqRel) != 0 {
+            OUTERMOST_SCOPES.fetch_sub(1, Ordering::AcqRel);
             DEPTH.with(|d| d.set(d.get() - 1));
-            if self.outermost {
-                OUTERMOST_SCOPES.fetch_sub(1, Ordering::AcqRel);
-            }
+            panic!(
+                "fault::with_plan: a fault-plan scope is already active on another \
+                 thread; plans are process-global, so concurrent scopes would \
+                 clobber each other's schedules — serialize chaos scopes on a mutex"
+            );
         }
+        Scope { outermost: true }
     }
+}
 
-    pub(super) fn active() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    pub(super) fn probe(site: FaultSite) -> bool {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return false;
-        }
-        let g = PLAN.read().unwrap_or_else(PoisonError::into_inner);
-        match g.as_ref() {
-            Some(p) => p.should_fire(site),
-            None => false,
+impl Drop for Scope {
+    fn drop(&mut self) {
+        DEPTH.with(|d| d.set(d.get() - 1));
+        if self.outermost {
+            OUTERMOST_SCOPES.fetch_sub(1, Ordering::AcqRel);
         }
     }
 }
 
 /// Run `f` with `plan` installed as the process-global fault plan,
 /// restoring the previously installed plan (if any) on exit — panic
-/// included. Without the `fault-inject` feature this is exactly `f()`.
+/// included.
 ///
 /// Scoping is an explicit LIFO stack **per thread**: a nested call on
 /// the same thread shadows the outer plan for its duration and the
@@ -326,61 +300,38 @@ mod armed {
 /// is process-global, so two live scopes would silently corrupt each
 /// other's deterministic schedules, and a loud immediate failure beats
 /// a flaky one. Chaos tests serialize on one mutex and never hit this.
-#[cfg(feature = "fault-inject")]
 pub fn with_plan<R>(plan: &Arc<FaultPlan>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Option<Arc<FaultPlan>>>);
     impl Drop for Restore {
         fn drop(&mut self) {
             if let Some(prev) = self.0.take() {
-                armed::install(prev);
+                install(prev);
             }
         }
     }
     // scope token first: a rejected concurrent scope must panic before
     // touching the installed plan
-    let _scope = armed::Scope::enter();
-    let prev = armed::install(Some(Arc::clone(plan)));
+    let _scope = Scope::enter();
+    let prev = install(Some(Arc::clone(plan)));
     let _restore = Restore(Some(prev));
     f()
 }
 
-/// Run `f` with `plan` installed as the process-global fault plan,
-/// restoring the previously installed plan (if any) on exit — panic
-/// included. Without the `fault-inject` feature this is exactly `f()`.
-#[cfg(not(feature = "fault-inject"))]
-pub fn with_plan<R>(plan: &Arc<FaultPlan>, f: impl FnOnce() -> R) -> R {
-    let _ = plan;
-    f()
-}
-
-/// Whether a fault plan is currently installed. Always `false` without
-/// the `fault-inject` feature — the hook the allocation-free test uses
-/// to assert the fault plane is inert.
+/// Whether a fault plan is currently installed — the hook the
+/// allocation-free test uses to assert the fault plane is inert.
 pub fn plan_active() -> bool {
-    #[cfg(feature = "fault-inject")]
-    {
-        armed::active()
-    }
-    #[cfg(not(feature = "fault-inject"))]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Probe `site` against the installed plan. Constant `false` without
-/// the `fault-inject` feature.
-#[cfg(feature = "fault-inject")]
+/// Probe `site` against the installed plan: one relaxed load when no
+/// plan is armed.
 #[inline]
 pub(crate) fn fire(site: FaultSite) -> bool {
-    armed::probe(site)
-}
-
-/// Probe `site` against the installed plan. Constant `false` without
-/// the `fault-inject` feature.
-#[cfg(not(feature = "fault-inject"))]
-#[inline(always)]
-pub(crate) fn fire(_site: FaultSite) -> bool {
-    false
+    if !ENABLED.load(Ordering::Relaxed) {
+        return false;
+    }
+    let g = PLAN.read().unwrap_or_else(PoisonError::into_inner);
+    g.as_ref().is_some_and(|p| p.should_fire(site))
 }
 
 /// Probe `site` and panic with a recognizable payload if it fires —
@@ -432,7 +383,6 @@ mod tests {
 
     #[test]
     fn unarmed_probes_never_fire() {
-        let _g = global_guard();
         assert!(!plan_active());
         assert!(!fire(FaultSite::PanelSolve));
         fire_panic(FaultSite::PanelSolve); // must not panic
@@ -472,60 +422,5 @@ mod tests {
         }
         let salts: std::collections::HashSet<u64> = SITE_SALT.iter().copied().collect();
         assert_eq!(salts.len(), SITE_COUNT, "per-site salts are distinct");
-    }
-
-    /// The installed-plan tests below mutate process-global state; they
-    /// serialize on this mutex (integration-test chaos suites live in a
-    /// different process, so only this binary's tests matter here).
-    static GLOBAL: Mutex<()> = Mutex::new(());
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    fn global_guard() -> MutexGuard<'static, ()> {
-        GLOBAL.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Satellite: nesting is documented LIFO shadowing — the inner
-    /// plan's schedule applies inside the inner scope, the outer plan
-    /// is restored when it exits, panic included.
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn with_plan_nests_lifo_and_restores_on_panic() {
-        let _g = global_guard();
-        let outer = Arc::new(FaultPlan::new(1).with_rate(FaultSite::PanelSolve, 1.0));
-        let inner = Arc::new(FaultPlan::new(2)); // never fires
-        with_plan(&outer, || {
-            assert!(fire(FaultSite::PanelSolve), "outer plan armed");
-            with_plan(&inner, || {
-                assert!(!fire(FaultSite::PanelSolve), "inner plan shadows the outer");
-            });
-            assert!(fire(FaultSite::PanelSolve), "outer plan restored after inner exits");
-            // a panicking inner scope must restore the outer plan too
-            let r = std::panic::catch_unwind(|| with_plan(&inner, || panic!("inner scope dies")));
-            assert!(r.is_err());
-            assert!(fire(FaultSite::PanelSolve), "outer plan restored after inner panic");
-        });
-        assert!(!plan_active(), "everything restored after the stack unwinds");
-    }
-
-    /// Satellite: a concurrent scope on another thread is a loud typed
-    /// failure (panic with a diagnostic), not silent last-writer-wins.
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn with_plan_concurrent_scopes_panic() {
-        let _g = global_guard();
-        let plan = Arc::new(FaultPlan::new(3));
-        with_plan(&plan, || {
-            let other = Arc::new(FaultPlan::new(4));
-            let r = std::thread::spawn(move || {
-                std::panic::catch_unwind(|| with_plan(&other, || ())).is_err()
-            })
-            .join()
-            .unwrap();
-            assert!(r, "the second thread's scope must be rejected");
-            assert!(plan_active(), "the first thread's plan survives the rejection");
-        });
-        assert!(!plan_active());
-        // and after the rejection, a fresh scope works again
-        with_plan(&plan, || assert!(plan_active()));
     }
 }

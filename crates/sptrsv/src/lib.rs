@@ -85,11 +85,11 @@
 //!   [`fleet::FleetError::Quarantined`] cooldowns) and hard per-tenant
 //!   admission budgets — one misbehaving factor or flooding client
 //!   cannot touch any other tenant's latency or results.
-//! * [`fault`] — the deterministic, seed-driven fault-injection plane
+//! * [`fault`] — the deterministic, seed-driven fault injection plane
 //!   behind the chaos suite: a [`fault::FaultPlan`] schedules worker
 //!   spawn failures, task/dispatcher panics, admission shedding and
-//!   RHS corruption from one `u64` seed (probes compile to constant
-//!   `false` without the `fault-inject` feature).
+//!   RHS corruption from one `u64` seed, armed at run time by
+//!   [`fault::with_plan`] (a disarmed probe is one relaxed load).
 //! * [`telemetry`] — the unified observability plane: per-thread
 //!   lock-free event rings (spans, instants, counter deltas on one
 //!   monotonic clock), a static metrics registry (counters, gauges,
@@ -143,7 +143,6 @@
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's pseudocode
 
-pub mod cpu;
 pub mod engine;
 pub mod exec;
 pub mod fault;

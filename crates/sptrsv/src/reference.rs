@@ -1,152 +1,63 @@
-//! Serial reference solvers (Algorithm 1 of the paper).
+//! Serial reference solver (Algorithm 1 of the paper).
 //!
-//! These are the ground truth: every parallel variant's solution is
-//! compared against [`solve_lower`] / [`solve_upper`] by the test suite
-//! and by [`crate::solver::solve`] when verification is enabled.
+//! This is the ground truth: every solver's solution is compared
+//! against [`solve_serial`] (or its [`solve_lower`] / [`solve_upper`]
+//! wrappers) by the test suite, and `tests/conformance.rs` keeps it as
+//! its one oracle.
 
 use sparsemat::{CscMatrix, MatrixError, Triangle};
 
-/// Forward substitution for `Lx = b` on a CSC lower-triangular matrix.
+/// Solve `Tx = b` for a CSC triangular factor `T`, column-oriented
+/// exactly like Algorithm 1: walk the columns in natural order (`0..n`
+/// for `L`, reversed for `U`), solve `x_j`, then push `t_ij · x_j` into
+/// the running `left_sum` of every dependent row.
 ///
-/// Column-oriented exactly like Algorithm 1: solve `x_j`, then push
-/// `l_ij · x_j` into the running `left_sum` of every dependent row.
+/// # Errors
+/// Returns the validation error if `m` is not a solvable factor of
+/// triangle `tri`.
+pub fn solve_serial(m: &CscMatrix, b: &[f64], tri: Triangle) -> Result<Vec<f64>, MatrixError> {
+    m.validate_triangular(tri)?;
+    let n = m.n();
+    assert_eq!(b.len(), n, "rhs length mismatch");
+    let (col_ptr, row_idx, values) = (m.col_ptr(), m.row_idx(), m.values());
+    let mut x = vec![0.0; n];
+    let mut left_sum = vec![0.0; n];
+    for step in 0..n {
+        let j = match tri {
+            Triangle::Lower => step,
+            Triangle::Upper => n - 1 - step,
+        };
+        let (lo, hi) = (col_ptr[j], col_ptr[j + 1]);
+        // sorted column: the diagonal is first (lower) or last (upper)
+        let (diag, off) = match tri {
+            Triangle::Lower => (lo, lo + 1..hi),
+            Triangle::Upper => (hi - 1, lo..hi - 1),
+        };
+        let xj = (b[j] - left_sum[j]) / values[diag];
+        x[j] = xj;
+        for k in off {
+            left_sum[row_idx[k] as usize] += values[k] * xj;
+        }
+    }
+    Ok(x)
+}
+
+/// Forward substitution for `Lx = b`: [`solve_serial`] on the lower
+/// triangle.
 ///
 /// # Errors
 /// Returns the validation error if `l` is not a solvable lower factor.
 pub fn solve_lower(l: &CscMatrix, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
-    let mut x = vec![0.0; l.n()];
-    let mut left_sum = vec![0.0; l.n()];
-    solve_lower_into(l, b, &mut left_sum, &mut x)?;
-    Ok(x)
+    solve_serial(l, b, Triangle::Lower)
 }
 
-/// Allocation-free [`solve_lower`]: the caller provides the `left_sum`
-/// scratch and the output vector (both length `n`). Bit-identical to
-/// the allocating version.
-pub fn solve_lower_into(
-    l: &CscMatrix,
-    b: &[f64],
-    left_sum: &mut [f64],
-    x: &mut [f64],
-) -> Result<(), MatrixError> {
-    l.validate_triangular(Triangle::Lower)?;
-    lower_into_prevalidated(l, b, left_sum, x);
-    Ok(())
-}
-
-/// [`solve_lower_into`] minus the O(nnz) validation sweep — for callers
-/// that validated the factor once up front (the solver engine does at
-/// build time) and must not re-pay it per warm solve.
-pub(crate) fn lower_into_prevalidated(
-    l: &CscMatrix,
-    b: &[f64],
-    left_sum: &mut [f64],
-    x: &mut [f64],
-) {
-    let n = l.n();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    assert_eq!(left_sum.len(), n, "left_sum scratch length mismatch");
-    assert_eq!(x.len(), n, "output length mismatch");
-    left_sum.fill(0.0);
-    let col_ptr = l.col_ptr();
-    let row_idx = l.row_idx();
-    let values = l.values();
-    for j in 0..n {
-        let lo = col_ptr[j];
-        let hi = col_ptr[j + 1];
-        // sorted column: the diagonal is first
-        let diag = values[lo];
-        let xj = (b[j] - left_sum[j]) / diag;
-        x[j] = xj;
-        for k in lo + 1..hi {
-            left_sum[row_idx[k] as usize] += values[k] * xj;
-        }
-    }
-}
-
-/// Backward substitution for `Ux = b` on a CSC upper-triangular matrix.
+/// Backward substitution for `Ux = b`: [`solve_serial`] on the upper
+/// triangle.
 ///
 /// # Errors
 /// Returns the validation error if `u` is not a solvable upper factor.
 pub fn solve_upper(u: &CscMatrix, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
-    let mut x = vec![0.0; u.n()];
-    let mut left_sum = vec![0.0; u.n()];
-    solve_upper_into(u, b, &mut left_sum, &mut x)?;
-    Ok(x)
-}
-
-/// Allocation-free [`solve_upper`]; see [`solve_lower_into`].
-pub fn solve_upper_into(
-    u: &CscMatrix,
-    b: &[f64],
-    left_sum: &mut [f64],
-    x: &mut [f64],
-) -> Result<(), MatrixError> {
-    u.validate_triangular(Triangle::Upper)?;
-    upper_into_prevalidated(u, b, left_sum, x);
-    Ok(())
-}
-
-/// [`solve_upper_into`] minus the validation sweep; see
-/// [`lower_into_prevalidated`].
-pub(crate) fn upper_into_prevalidated(
-    u: &CscMatrix,
-    b: &[f64],
-    left_sum: &mut [f64],
-    x: &mut [f64],
-) {
-    let n = u.n();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    assert_eq!(left_sum.len(), n, "left_sum scratch length mismatch");
-    assert_eq!(x.len(), n, "output length mismatch");
-    left_sum.fill(0.0);
-    let col_ptr = u.col_ptr();
-    let row_idx = u.row_idx();
-    let values = u.values();
-    for j in (0..n).rev() {
-        let lo = col_ptr[j];
-        let hi = col_ptr[j + 1];
-        // sorted column: the diagonal is last
-        let diag = values[hi - 1];
-        let xj = (b[j] - left_sum[j]) / diag;
-        x[j] = xj;
-        for k in lo..hi - 1 {
-            left_sum[row_idx[k] as usize] += values[k] * xj;
-        }
-    }
-}
-
-/// Dispatch on triangle.
-pub fn solve_serial(m: &CscMatrix, b: &[f64], tri: Triangle) -> Result<Vec<f64>, MatrixError> {
-    match tri {
-        Triangle::Lower => solve_lower(m, b),
-        Triangle::Upper => solve_upper(m, b),
-    }
-}
-
-/// Allocation-free [`solve_serial`]: dispatch on triangle with
-/// caller-provided scratch and output.
-pub fn solve_serial_into(
-    m: &CscMatrix,
-    b: &[f64],
-    tri: Triangle,
-    left_sum: &mut [f64],
-    x: &mut [f64],
-) -> Result<(), MatrixError> {
-    match tri {
-        Triangle::Lower => solve_lower_into(m, b, left_sum, x),
-        Triangle::Upper => solve_upper_into(m, b, left_sum, x),
-    }
-}
-
-/// Multiple right-hand sides: solve `L X = B` column by column
-/// (the Liu et al. \[2\] multi-RHS setting).
-pub fn solve_multi(
-    m: &CscMatrix,
-    bs: &[Vec<f64>],
-    tri: Triangle,
-) -> Result<Vec<Vec<f64>>, MatrixError> {
-    bs.iter().map(|b| solve_serial(m, b, tri)).collect()
+    solve_serial(u, b, Triangle::Upper)
 }
 
 #[cfg(test)]
@@ -232,16 +143,6 @@ mod tests {
     fn rejects_wrong_triangle() {
         let l = gen::banded_lower(10, 2, 2.0, 1);
         assert!(solve_upper(&l, &[1.0; 10]).is_err());
-    }
-
-    #[test]
-    fn multi_rhs_matches_single() {
-        let l = gen::banded_lower(64, 4, 3.0, 2);
-        let b1: Vec<f64> = (0..64).map(|i| i as f64).collect();
-        let b2: Vec<f64> = (0..64).map(|i| (i as f64).cos()).collect();
-        let xs = solve_multi(&l, &[b1.clone(), b2.clone()], Triangle::Lower).unwrap();
-        assert_eq!(xs[0], solve_lower(&l, &b1).unwrap());
-        assert_eq!(xs[1], solve_lower(&l, &b2).unwrap());
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! counting global allocator, the same discipline the pool uses.
 //!
 //! When the sink is disabled (the default) every probe reduces to one
-//! relaxed load of a cold [`AtomicBool`] — mirroring how
-//! `fault::fire()` vanishes — so instrumented hot paths stay
+//! relaxed load of a cold [`AtomicBool`] — the same price as a
+//! disarmed `fault::fire()` — so instrumented hot paths stay
 //! bit-identical and allocation-identical to their pre-telemetry
-//! form. Enable with [`set_enabled`]; this is a runtime toggle, not a
-//! cargo feature, so both CI feature configs exercise it.
+//! form. Enable with [`set_enabled`]; like the fault plane, this is a
+//! runtime toggle, not a cargo feature.
 //!
 //! Metrics (counters per [`Site`], [`Gauge`]s, and fixed-bucket
 //! power-of-two-nanosecond latency [`Hist`]ograms with interpolated

@@ -1,6 +1,7 @@
-//! Chaos suite for the fault-injection plane (`sptrsv::fault`) and the
-//! self-healing serving stack (requires `--features fault-inject`;
-//! gated via `required-features` in Cargo.toml).
+//! Chaos suite for the fault injection plane (`sptrsv::fault`) and the
+//! self-healing serving stack. The probes are always compiled in and
+//! armed at run time by `fault::with_plan`, so this suite is part of
+//! the default `cargo test`.
 //!
 //! Two layers:
 //!
@@ -1077,4 +1078,66 @@ fn fleet_refresh_issued_mid_build_lands_on_the_built_engine() {
         });
         assert_eq!(plan.fired(FaultSite::EngineBuild), 1);
     });
+}
+
+// --- scoping of the process-global plan ------------------------------
+
+/// Whether the installed plan fires `PanelSolve`, probed through the
+/// public stack: one request through a fresh service is one panel,
+/// which fails typed exactly when the site fires.
+fn panel_solve_fires(engine: &SolverEngine<'_>, m: &CscMatrix) -> bool {
+    let (_, b) = verify::rhs_for(m, 0x5C0);
+    let (fired, _) =
+        SolverService::run(ServiceEngine::Solver(engine), &ServiceConfig::default(), |svc| {
+            svc.submit(&b).unwrap().wait().is_err()
+        })
+        .unwrap();
+    fired
+}
+
+/// Nesting is documented LIFO shadowing — the inner plan's schedule
+/// applies inside the inner scope, the outer plan is restored when it
+/// exits, panic included.
+#[test]
+fn with_plan_nests_lifo_and_restores_on_panic() {
+    let _g = chaos_guard();
+    let (m, opts) = fixture();
+    let engine = SolverEngine::build(&m, MachineConfig::dgx1(2), &opts).unwrap();
+    let fires = || panel_solve_fires(&engine, &m);
+    let outer = Arc::new(FaultPlan::new(1).with_rate(FaultSite::PanelSolve, 1.0));
+    let inner = Arc::new(FaultPlan::new(2)); // never fires
+    fault::with_plan(&outer, || {
+        assert!(fires(), "outer plan armed");
+        fault::with_plan(&inner, || {
+            assert!(!fires(), "inner plan shadows the outer");
+        });
+        assert!(fires(), "outer plan restored after inner exits");
+        // a panicking inner scope must restore the outer plan too
+        let r =
+            std::panic::catch_unwind(|| fault::with_plan(&inner, || panic!("inner scope dies")));
+        assert!(r.is_err());
+        assert!(fires(), "outer plan restored after inner panic");
+    });
+    assert!(!fault::plan_active(), "everything restored after the stack unwinds");
+}
+
+/// A concurrent scope on another thread is a loud typed failure (panic
+/// with a diagnostic), not silent last-writer-wins.
+#[test]
+fn with_plan_concurrent_scopes_panic() {
+    let _g = chaos_guard();
+    let plan = Arc::new(FaultPlan::new(3));
+    fault::with_plan(&plan, || {
+        let other = Arc::new(FaultPlan::new(4));
+        let r = std::thread::spawn(move || {
+            std::panic::catch_unwind(|| fault::with_plan(&other, || ())).is_err()
+        })
+        .join()
+        .unwrap();
+        assert!(r, "the second thread's scope must be rejected");
+        assert!(fault::plan_active(), "the first thread's plan survives the rejection");
+    });
+    assert!(!fault::plan_active());
+    // and after the rejection, a fresh scope works again
+    fault::with_plan(&plan, || assert!(fault::plan_active()));
 }

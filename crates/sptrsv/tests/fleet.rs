@@ -2,7 +2,7 @@
 //! fingerprint routing, multi-tenant bit-identity against serial
 //! `solve()`, the byte-bounded LRU factor cache (eviction order,
 //! pinning, typed `CacheFull`), per-tenant admission budgets, and the
-//! health / report surfaces. The fault-injected containment sweeps
+//! health / report surfaces. The containment sweeps under injected faults
 //! live in `tests/chaos.rs`.
 
 mod common;

@@ -13,7 +13,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release --example chaos_serving --features fault-inject
+//! cargo run --release --example chaos_serving
 //! ```
 
 use mgpu_sptrsv::prelude::*;

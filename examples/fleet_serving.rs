@@ -2,8 +2,8 @@
 //! `EngineFleet`, with chaos aimed at a single tenant.
 //!
 //! Registers three triangular factors by content fingerprint, installs
-//! a `FaultPlan` that makes the victim tenant's engine builds panic
-//! (a no-op without `--features fault-inject`), then drives client
+//! a `FaultPlan` that makes the victim tenant's engine builds panic,
+//! then drives client
 //! traffic at all three tenants — each `submit` enqueues straight into
 //! its tenant's service queue from the calling thread, also while that
 //! tenant's engine is still building. The victim's requests resolve to
@@ -12,11 +12,10 @@
 //! bit-identically throughout; and the final fleet report shows cache
 //! bytes never crossed the budget.
 //!
-//! Run with (the fault plan only arms with the feature):
+//! Run with:
 //!
 //! ```text
 //! cargo run --release --example fleet_serving
-//! cargo run --release --example fleet_serving --features fault-inject
 //! ```
 
 use mgpu_sptrsv::prelude::*;
@@ -52,8 +51,7 @@ fn main() {
         .collect();
 
     // chaos plan aimed at tenant 0: its first build's attempts all
-    // panic, quarantining the fingerprint. Without `fault-inject` the
-    // plan installs but never fires, and every tenant just serves.
+    // panic, quarantining the fingerprint
     let plan = Arc::new(
         FaultPlan::new(seed)
             .with_rate(FaultSite::EngineBuild, 1.0)
@@ -139,11 +137,7 @@ fn main() {
 
     assert!(report.cache_bytes_high_water <= budget, "byte budget must hold");
     assert_eq!(report.submitted, report.served + report.failed, "no request may leak");
-    if plan.fired(FaultSite::EngineBuild) > 0 {
-        assert!(report.builds_failed >= 1, "injected build panics must surface");
-        println!("chaos contained to the victim tenant — fleet report reconciles.");
-    } else {
-        assert_eq!(report.failed, 0, "without faults every request serves");
-        println!("no faults armed — every tenant served bit-identically.");
-    }
+    assert!(plan.fired(FaultSite::EngineBuild) > 0, "the plan must reach the victim's build");
+    assert!(report.builds_failed >= 1, "injected build panics must surface");
+    println!("chaos contained to the victim tenant — fleet report reconciles.");
 }

@@ -13,11 +13,10 @@
 //!
 //! OPTIONS:
 //!   --solver <kind>      serial|csrsv2|syncfree|unified|unified-tasks|
-//!                        shmem|shmem-gup|zerocopy|cpu   [zerocopy]
+//!                        shmem|shmem-gup|zerocopy       [zerocopy]
 //!   --machine <m>        dgx1|dgx2                      [dgx1]
 //!   --gpus <n>           GPUs to use                    \[4\]
 //!   --tasks <n>          tasks per GPU (task-pool kinds) \[8\]
-//!   --threads <n>        threads for --solver cpu       \[4\]
 //!   --upper              solve Ux = b instead of Lx = b
 //!   --scale <rows>       corpus row cap                 [12000]
 //!   --list               print corpus names and exit
@@ -108,26 +107,8 @@ fn main() -> ExitCode {
 
     let (_, b) = sptrsv::verify::rhs_for(&matrix, 0xC11);
 
-    // --- CPU solver path (wall clock, no simulation) -----------------------
-    let solver = args.value("--solver").unwrap_or("zerocopy");
-    if solver == "cpu" {
-        let threads: usize = args.value("--threads").and_then(|v| v.parse().ok()).unwrap_or(4);
-        let t0 = std::time::Instant::now();
-        match sptrsv::cpu::solve_parallel(&matrix, &b, triangle, threads) {
-            Ok(x) => {
-                let dt = t0.elapsed();
-                let expected = sptrsv::reference::solve_serial(&matrix, &b, triangle).unwrap();
-                let err = sptrsv::verify::rel_inf_diff(&x, &expected);
-                println!(
-                    "cpu level-set solver: {threads} threads, {dt:?} wall clock, rel err {err:.2e}"
-                );
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => return fail(&format!("cpu solve: {e}")),
-        }
-    }
-
     // --- simulated GPU solvers ---------------------------------------------
+    let solver = args.value("--solver").unwrap_or("zerocopy");
     let gpus: usize = args.value("--gpus").and_then(|v| v.parse().ok()).unwrap_or(4);
     let tasks: u32 = args.value("--tasks").and_then(|v| v.parse().ok()).unwrap_or(8);
     let cfg = match args.value("--machine").unwrap_or("dgx1") {
@@ -177,11 +158,10 @@ INPUT (one of):
 
 OPTIONS:
   --solver <kind>      serial|csrsv2|syncfree|unified|unified-tasks|
-                       shmem|shmem-gup|zerocopy|cpu   [zerocopy]
+                       shmem|shmem-gup|zerocopy       [zerocopy]
   --machine <m>        dgx1|dgx2                      [dgx1]
   --gpus <n>           GPUs to use                    [4]
   --tasks <n>          tasks per GPU (task-pool kinds) [8]
-  --threads <n>        threads for --solver cpu       [4]
   --upper              solve Ux = b instead of Lx = b
   --scale <rows>       corpus row cap                 [12000]
   --list               print corpus names and exit
